@@ -1,21 +1,28 @@
-"""Benchmark: the vectorized bound kernels vs. the scalar reference path.
+"""Benchmark: the production bound solver vs. the scalar reference search.
 
 Acceptance gate of the numpy bound backend: representative cells of each
 figure's bound grid (the expensive EDF fixed points plus the FIFO/BMUX
 closed-form cells, quick grids) must run at least 10x faster end to end
-through ``backend="numpy"`` than through the scalar path, and every
-cell's delay must agree to 1e-9 relative (infeasible cells must agree on
-``inf``).  One benchmark per figure, so the regression gate watches each
-grid's vectorized runtime separately.
+through ``backend="numpy"`` than through the plain nested scalar search,
+and every cell's delay must agree to 1e-9 relative (infeasible cells
+must agree on ``inf``).  The denominator is the scalar flavour of the
+test-only reference search (``tests/network/reference_search.py``),
+swapped in for the cell module's solver names: the production scalar
+backend now runs on the lane engine's compiled probes and is no longer
+the slow reference this gate measures against.  One benchmark per
+figure, so the regression gate watches each grid's vectorized runtime
+separately.
 """
 
 import math
+import sys
 import time
 
 from repro.experiments.config import grids, paper_setting, setting_to_params
 from repro.experiments.example1 import fig2_cell
 from repro.experiments.example2 import fig3_cell
 from repro.experiments.example3 import fig4_cell
+from tests.network import reference_search
 
 SPEEDUP_FLOOR = 10.0
 REL_TOL = 1e-9
@@ -45,9 +52,18 @@ def _run_grid(cell_fn, cells, backend):
     return delays
 
 
-def _gate(benchmark, cell_fn, cells):
+def _reference_grid(monkeypatch, cell_fn, cells):
+    """The grid through the scalar reference search."""
+    module = sys.modules[cell_fn.__module__]
+    with monkeypatch.context() as patch:
+        for name in ("e2e_delay_bound_mmoo", "e2e_delay_bound_edf"):
+            patch.setattr(module, name, getattr(reference_search, name))
+        return _run_grid(cell_fn, cells, "scalar")
+
+
+def _gate(benchmark, monkeypatch, cell_fn, cells):
     t0 = time.perf_counter()
-    scalar = _run_grid(cell_fn, cells, "scalar")
+    scalar = _reference_grid(monkeypatch, cell_fn, cells)
     scalar_s = time.perf_counter() - t0
 
     numpy_times = []
@@ -79,16 +95,16 @@ def _gate(benchmark, cell_fn, cells):
     )
 
 
-def test_fig2_bound_grid_speedup(benchmark):
+def test_fig2_bound_grid_speedup(benchmark, monkeypatch):
     """Fig. 2 representative bound cells: numpy >= 10x scalar."""
-    _gate(benchmark, fig2_cell, FIG2_CELLS)
+    _gate(benchmark, monkeypatch, fig2_cell, FIG2_CELLS)
 
 
-def test_fig3_bound_grid_speedup(benchmark):
+def test_fig3_bound_grid_speedup(benchmark, monkeypatch):
     """Fig. 3 representative bound cells: numpy >= 10x scalar."""
-    _gate(benchmark, fig3_cell, FIG3_CELLS)
+    _gate(benchmark, monkeypatch, fig3_cell, FIG3_CELLS)
 
 
-def test_fig4_bound_grid_speedup(benchmark):
+def test_fig4_bound_grid_speedup(benchmark, monkeypatch):
     """Fig. 4 representative cells (incl. additive): numpy >= 10x scalar."""
-    _gate(benchmark, fig4_cell, FIG4_CELLS)
+    _gate(benchmark, monkeypatch, fig4_cell, FIG4_CELLS)

@@ -19,7 +19,7 @@ function:
 
 The specs execute through the sweep engine
 (:func:`~repro.experiments.sweep.run_sweep`): cells run on a pluggable
-executor (serial or a ``multiprocessing`` pool) and can be served from a
+executor (serial or a work-stealing process pool) and can be served from a
 content-keyed on-disk cache, so warm re-runs only recompute changed
 cells.  ``run_example1/2/3`` and ``run_validation`` keep the historical
 row-list interface; the benchmark harness under ``benchmarks/`` and the
@@ -33,8 +33,8 @@ from repro.experiments.example1 import fig2_spec, run_example1
 from repro.experiments.example2 import fig3_spec, run_example2
 from repro.experiments.example3 import fig4_spec, run_example3
 from repro.experiments.executor import (
-    ParallelExecutor,
     SerialExecutor,
+    WorkStealingExecutor,
     make_executor,
 )
 from repro.experiments.runner import (
@@ -77,7 +77,7 @@ __all__ = [
     "CellCache",
     "DEFAULT_CACHE_DIR",
     "SerialExecutor",
-    "ParallelExecutor",
+    "WorkStealingExecutor",
     "make_executor",
     "ExperimentRow",
     "format_table",

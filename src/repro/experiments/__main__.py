@@ -357,12 +357,14 @@ def _run(args) -> int:
         registry = obs.active()
         hits = registry.counter("cache.hits")
         misses = registry.counter("cache.misses")
-        edf_iterations = registry.counter("e2e.edf_iterations") + sum(
-            registry.series("lanes.edf_lane_iterations")
-        )
+        corrupt = registry.counter("cache.corrupt")
+        edf_iterations = registry.counter("e2e.edf_iterations")
+        nonconverged = registry.counter("e2e.edf_nonconverged")
         print(
-            f"[trace] cache hits={hits:.0f} misses={misses:.0f}, "
-            f"edf fixed-point iterations={edf_iterations:.0f}"
+            f"[trace] cache hits={hits:.0f} misses={misses:.0f} "
+            f"corrupt={corrupt:.0f}, "
+            f"edf fixed-point iterations={edf_iterations:.0f} "
+            f"(non-converged lanes={nonconverged:.0f})"
         )
         if args.batch:
             print(_format_batch_trace(registry))

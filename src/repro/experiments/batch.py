@@ -23,8 +23,9 @@ Guarantees:
 
 * **Bitwise equality** — a batched run produces row-for-row identical
   payloads to the per-cell path (same bounds, same EDF iteration counts
-  and convergence flags), because the lane engine mirrors every
-  floating-point decision of the scalar searches.
+  and convergence flags): the per-cell solver entry points are
+  one-lane calls into the same lane engine, and a lane's results do
+  not depend on the batch it runs in.
 * **Cache compatibility** — the unit of caching stays the cell: a
   batched run populates the same content-keyed entries a per-cell run
   would read, and vice versa.

@@ -8,15 +8,19 @@ changes the key, so a re-run after editing one series only recomputes
 the changed cells; everything else is a hit.
 
 The cache is strictly best-effort: a missing, unreadable, corrupted, or
-structurally wrong file is treated as a miss (never an error), and
-writes go through a temp file + ``os.replace`` so a crashed run cannot
-leave a torn entry behind.
+structurally wrong file is treated as a miss (never an error; corrupt
+entries are counted separately under ``cache.corrupt``).  Each write
+goes through its own uniquely named temp file in the entry's directory
+and then ``os.replace``, so neither a crashed run nor a concurrent
+writer of the same key can leave a torn entry behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -39,20 +43,23 @@ class CellCache:
     def get(self, key: str) -> dict[str, Any] | None:
         """The cached payload for ``key``, or ``None`` on any miss.
 
-        Corrupted JSON, payloads that are not a ``{"rows": [...]}``
-        mapping, and I/O errors all count as misses.
+        Corrupted JSON and payloads that are not a ``{"rows": [...]}``
+        mapping count as ``cache.corrupt``; a missing or unreadable
+        file counts as a plain miss.
         """
         path = self.path_for(key)
         try:
             with open(path, "r") as handle:
                 payload = json.load(handle)
-        except (OSError, ValueError):
+        except OSError:
             obs.add("cache.misses")
             return None
+        except ValueError:  # undecodable bytes or malformed JSON
+            payload = None
         if not isinstance(payload, dict) or not isinstance(
             payload.get("rows"), list
         ):
-            obs.add("cache.misses")
+            obs.add("cache.corrupt")
             return None
         obs.add("cache.hits")
         return payload
@@ -62,10 +69,17 @@ class CellCache:
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "w") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, path)
+            fd, tmp = tempfile.mkstemp(
+                prefix=f"{key}.", suffix=".tmp", dir=path.parent
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(payload, handle)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
             obs.add("cache.puts")
         except OSError:
             pass  # a read-only or full disk must not fail the sweep

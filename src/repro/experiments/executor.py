@@ -1,11 +1,10 @@
 """Pluggable work executors for the sweep pipeline.
 
 An executor turns a list of independent work items into a list of
-results, preserving order.  Three implementations:
+results, preserving order.  Two implementations, chosen by
+:func:`make_executor`:
 
 * :class:`SerialExecutor` — runs the items in-process, in order;
-* :class:`ParallelExecutor` — fans the items out over a
-  ``multiprocessing`` pool with dynamic ``chunksize=1`` scheduling;
 * :class:`WorkStealingExecutor` — per-worker queues with tail stealing
   (``--jobs N`` on the CLI).  Each worker is seeded a contiguous run of
   items and pops its own queue front; an idle worker steals from the
@@ -77,56 +76,6 @@ class SerialExecutor:
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
-
-
-class ParallelExecutor:
-    """Fan items out over a ``multiprocessing`` pool of ``jobs`` workers.
-
-    The mapped callable and the items must be picklable (every cell
-    function of the experiment modules is a top-level function, and
-    :class:`~repro.experiments.sweep.Cell` is a frozen record of plain
-    values).  ``chunksize=1`` keeps scheduling dynamic: cell costs vary
-    by orders of magnitude (an EDF fixed point vs. a closed-form BMUX
-    bound), so static chunking would serialize the slow tail.
-    """
-
-    def __init__(self, jobs: int, *, start_method: str | None = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.start_method = start_method
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        return self.map_stream(fn, items, None)
-
-    def map_stream(
-        self,
-        fn: Callable[[T], R],
-        items: Sequence[T],
-        on_result: OnResult | None = None,
-    ) -> list[R]:
-        items = list(items)
-        if obs.enabled():
-            obs.add("executor.batches")
-            obs.add("executor.items", len(items))
-            obs.set_gauge("executor.jobs", self.jobs)
-        if self.jobs == 1 or len(items) <= 1:
-            return _serial_stream(fn, items, on_result)
-        context = multiprocessing.get_context(self.start_method)
-        workers = min(self.jobs, len(items))
-        with context.Pool(processes=workers) as pool:
-            with obs.trace("executor.pool_map"):
-                results = []
-                for index, result in enumerate(
-                    pool.imap(fn, items, chunksize=1)
-                ):
-                    if on_result is not None:
-                        on_result(index, result)
-                    results.append(result)
-                return results
-
-    def __repr__(self) -> str:
-        return f"ParallelExecutor(jobs={self.jobs})"
 
 
 def _seed_queues(n_items: int, workers: int) -> list[list[int]]:

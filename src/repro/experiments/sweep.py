@@ -117,8 +117,9 @@ def cell_key(cell: Cell, settings: Pairs = ()) -> str:
 def execute_cell(cell: Cell) -> dict[str, Any]:
     """Run one cell and time it (the unit mapped by the executors).
 
-    Top-level so that :class:`~repro.experiments.executor.ParallelExecutor`
-    can pickle it into worker processes.
+    Top-level so that
+    :class:`~repro.experiments.executor.WorkStealingExecutor` can pickle
+    it into worker processes.
     """
     start = time.perf_counter()
     payload = dict(cell.resolve()(**cell.kwargs))

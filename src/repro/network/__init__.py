@@ -77,7 +77,6 @@ from repro.network.vectorized import (
     batched_theta_for_x,
     e2e_delay_grid,
     optimize_gamma_additive,
-    optimize_gamma_e2e,
     solve_exact_fast,
 )
 
@@ -157,6 +156,5 @@ __all__ = [
     "batched_theta_for_x",
     "e2e_delay_grid",
     "optimize_gamma_additive",
-    "optimize_gamma_e2e",
     "solve_exact_fast",
 ]

@@ -27,9 +27,15 @@ Compilation needs a C compiler (``cc``) on ``PATH``.  When compilation
 is impossible, :func:`available` is ``False`` and
 :func:`probe_values` transparently falls back to looping
 ``_e2e_probe`` in Python — identical results, just slower.  The shared
-object is cached in the system temp directory keyed by a hash of the C
-source, so the compiler runs once per source revision, not once per
-process.
+object is cached keyed by a hash of the C source, so the compiler runs
+once per source revision, not once per process.  The cache directory is
+``$REPRO_CPROBE_DIR`` when set, else a per-user ``0700`` directory in
+the system temp directory; a default directory that another user owns
+or could write to is refused (a :class:`RuntimeWarning`, then the Python
+fallback), since loading a planted shared object would run foreign
+code.  Sources and objects are written under unique temp names and
+moved into place with ``os.replace``, so concurrent first uses never
+see a torn file.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -451,25 +459,65 @@ def _source_key() -> str:
     return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
 
 
+def _cache_dir() -> str | None:
+    """Where the kernel is cached; ``None`` if the default is unsafe."""
+    override = os.environ.get("REPRO_CPROBE_DIR")
+    if override:
+        return override
+    path = os.path.join(tempfile.gettempdir(), f"repro_cprobe-{os.getuid()}")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        info = os.lstat(path)
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+    ):
+        warnings.warn(
+            f"not loading the C probe kernel from {path}: it is not a "
+            "directory owned by this user and writable only by it; "
+            "using the slower Python fallback (set REPRO_CPROBE_DIR to "
+            "choose another directory)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    return path
+
+
+def _build(cache_dir: str, src_path: str, so_path: str) -> None:
+    """Compile into unique temp files, then move both into place."""
+    fd, tmp_src = tempfile.mkstemp(suffix=".c", dir=cache_dir)
+    tmp_so = tmp_src[:-2] + ".so"
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(_C_SOURCE)
+        subprocess.run(
+            ["cc", *_STRICT_FLAGS, "-o", tmp_so, tmp_src, "-lm"],
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        os.replace(tmp_src, src_path)
+        os.replace(tmp_so, so_path)
+    finally:
+        for leftover in (tmp_src, tmp_so):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
+
+
 def _compile() -> ctypes.CDLL | None:
     """Compile (or reuse) the kernel; ``None`` when no compiler works."""
-    cache_dir = os.environ.get("REPRO_CPROBE_DIR") or tempfile.gettempdir()
-    so_path = os.path.join(cache_dir, f"repro_cprobe_{_source_key()}.so")
+    cache_dir = _cache_dir()
+    if cache_dir is None:
+        return None
+    stem = os.path.join(cache_dir, f"repro_cprobe_{_source_key()}")
+    so_path = stem + ".so"
     if not os.path.exists(so_path):
-        src_path = os.path.join(
-            cache_dir, f"repro_cprobe_{_source_key()}.c"
-        )
         try:
-            with open(src_path, "w") as handle:
-                handle.write(_C_SOURCE)
-            tmp_so = so_path + f".tmp{os.getpid()}"
-            subprocess.run(
-                ["cc", *_STRICT_FLAGS, "-o", tmp_so, src_path, "-lm"],
-                check=True,
-                capture_output=True,
-                timeout=120,
-            )
-            os.replace(tmp_so, so_path)
+            _build(cache_dir, stem + ".c", so_path)
         except (OSError, subprocess.SubprocessError):
             return None
     try:

@@ -17,17 +17,21 @@ The EDF deadline convention of the numerical examples — per-node deadlines
 proportional to the resulting end-to-end bound — makes the bound
 self-referential; :func:`e2e_delay_bound_edf` resolves it by damped
 fixed-point iteration.
+
+The MMOO (s, gamma) search and the EDF fixed point live in one place, the
+lane engine of :mod:`repro.network.lanes`: :func:`e2e_delay_bound_mmoo`
+and :func:`e2e_delay_bound_edf` are one-lane calls into it, and the numpy
+``gamma`` search of :func:`e2e_delay_bound` is one of its ``gamma``
+chains.  The engine builds on this module's result types, so those
+functions import it at call time.
 """
 
 from __future__ import annotations
 
 import math
-import time
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from repro import obs
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.arrivals.statistical import ExponentialBound, combine_bounds
@@ -257,12 +261,13 @@ def e2e_delay_bound(
     method:
         ``"exact"`` (breakpoint enumeration) or ``"paper"`` (Eqs. 40-42).
     backend:
-        ``"numpy"`` (default) runs the ``gamma`` search through the
-        batched kernels of :mod:`repro.network.vectorized`; ``"scalar"``
-        probes :func:`e2e_delay_bound_at_gamma` point by point.  Both
-        re-evaluate the optimum through the scalar path, so the returned
-        bounds agree to well within 1e-9 relative.  ``method="paper"``
-        always uses the scalar search.
+        ``"numpy"`` (default) runs the ``gamma`` search as one ``gamma``
+        chain of the lane engine (:func:`repro.network.lanes.gamma_search`:
+        a batched grid row, then golden-section refinement over the
+        probe); ``"scalar"`` probes :func:`e2e_delay_bound_at_gamma`
+        point by point.  Both re-evaluate the optimum through the scalar
+        path, so the returned bounds agree to well within 1e-9 relative.
+        ``method="paper"`` always uses the scalar search.
     """
     check_backend(backend)
     if gamma is not None:
@@ -276,11 +281,10 @@ def e2e_delay_bound(
         return _INFEASIBLE
 
     if backend == "numpy" and method == "exact":
-        from repro.network.vectorized import optimize_gamma_e2e
+        from repro.network.lanes import gamma_search
 
-        g_best, _ = optimize_gamma_e2e(
-            through, cross, hops, capacity, delta, epsilon,
-            gamma_grid=gamma_grid,
+        g_best, _ = gamma_search(
+            through, cross, hops, capacity, delta, epsilon, gamma_grid
         )
         return e2e_delay_bound_at_gamma(
             through, cross, hops, capacity, delta, epsilon, g_best,
@@ -360,7 +364,6 @@ def e2e_delay_bound_mmoo(
     delta: float,
     epsilon: float,
     *,
-    method: Method = "exact",
     s_grid: int = 24,
     gamma_grid: int = 24,
     backend: Backend = "numpy",
@@ -370,88 +373,20 @@ def e2e_delay_bound_mmoo(
     ``n_through`` flows form the through aggregate; ``n_cross`` flows the
     per-node cross aggregate (``n_cross = 0`` means no cross traffic).
     Optimizes jointly over the effective-bandwidth parameter ``s`` (the
-    EBB decay ``alpha``) and the rate degradation ``gamma``; with
-    ``backend="numpy"`` every inner ``gamma`` search runs batched.
+    EBB decay ``alpha``) and the rate degradation ``gamma``, as a
+    one-lane call into :func:`repro.network.lanes.mmoo_bound_lanes`.
     """
-    check_backend(backend)
-    n_through = check_int(n_through, "n_through", minimum=1)
-    n_cross = check_int(n_cross, "n_cross", minimum=0)
-    check_positive(capacity, "capacity")
-    if (n_through + n_cross) * traffic.mean_rate >= capacity:
-        return _INFEASIBLE
-    with obs.trace("e2e.mmoo_bound"):
-        return _e2e_delay_bound_mmoo_feasible(
-            traffic, n_through, n_cross, hops, capacity, delta, epsilon,
-            method=method, s_grid=s_grid, gamma_grid=gamma_grid,
-            backend=backend,
-        )
+    from repro.network.lanes import LaneSpec, mmoo_bound_lanes
 
-
-def _e2e_delay_bound_mmoo_feasible(
-    traffic: MMOOParameters,
-    n_through: int,
-    n_cross: int,
-    hops: int,
-    capacity: float,
-    delta: float,
-    epsilon: float,
-    *,
-    method: Method,
-    s_grid: int,
-    gamma_grid: int,
-    backend: Backend,
-) -> E2EResult:
-    """The (s, gamma) search of :func:`e2e_delay_bound_mmoo` after the
-    argument checks and the load feasibility gate have passed."""
-    s_max = _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
-
-    def ebb_pair(s: float) -> tuple[EBB, EBB]:
-        return mmoo_ebb_pair(traffic, n_through, n_cross, s)
-
-    def at_s(s: float) -> E2EResult:
-        through, cross = ebb_pair(s)
-        return e2e_delay_bound(
-            through,
-            cross,
-            hops,
-            capacity,
-            delta,
-            epsilon,
-            method=method,
-            gamma_grid=gamma_grid,
-            backend=backend,
-        )
-
-    if backend == "numpy" and method == "exact":
-        # delay-only objective for the s search: the batched gamma search
-        # plus one probe at its optimum — the probe mirrors the scalar
-        # evaluation, so the s trajectory matches the scalar backend's;
-        # only the final s is materialized through the scalar path
-        from repro.network.vectorized import _e2e_probe, optimize_gamma_e2e
-
-        def objective(s: float) -> float:
-            through, cross = ebb_pair(s)
-            if capacity - cross.rate - through.rate <= 0:
-                return math.inf
-            hops_int = check_int(hops, "hops", minimum=1)
-            g_best, _ = optimize_gamma_e2e(
-                through, cross, hops_int, capacity, delta, epsilon,
-                gamma_grid=gamma_grid,
-            )
-            return _e2e_probe(
-                through, cross, hops_int, capacity, delta, epsilon, g_best
-            )
-
-    else:
-
-        def objective(s: float) -> float:
-            return at_s(s).delay
-
-    s_best, _ = grid_then_golden(
-        objective, s_max * 1e-4, s_max * (1.0 - 1e-9),
-        grid_points=s_grid, log_spaced=True,
+    spec = LaneSpec(
+        traffic,
+        check_int(n_through, "n_through", minimum=1),
+        check_int(n_cross, "n_cross", minimum=0),
+        check_int(hops, "hops", minimum=1),
+        capacity, delta, epsilon,
+        s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
     )
-    return at_s(s_best)
+    return mmoo_bound_lanes([spec])[0]
 
 
 def e2e_delay_bound_edf(
@@ -464,7 +399,6 @@ def e2e_delay_bound_edf(
     *,
     deadline_weight_through: float = 1.0,
     deadline_weight_cross: float = 10.0,
-    method: Method = "exact",
     tol: float = 1e-4,
     max_iter: int = 40,
     s_grid: int = 24,
@@ -478,7 +412,8 @@ def e2e_delay_bound_edf(
     resulting end-to-end bound: ``d*_0 = w_0 d_e2e / H`` and
     ``d*_c = w_c d_e2e / H`` (the paper uses ``w_0 = 1, w_c = 10``), hence
     ``Delta_{0,c} = (w_0 - w_c) d_e2e / H`` — a fixed point in ``d_e2e``.
-    Resolved by damped iteration from the FIFO bound.
+    Resolved by damped iteration from the FIFO bound, as a one-lane call
+    into :func:`repro.network.lanes.edf_bound_lanes`.
 
     Returns an :class:`EDFBound` — unpackable as ``(result, delta)`` —
     whose ``diagnostics`` record the iteration count, the final relative
@@ -488,67 +423,17 @@ def e2e_delay_bound_edf(
     flags ``converged=False``; ``"raise"`` raises
     :class:`FixedPointError`; ``"ignore"`` only flags the result.
     """
-    check_probability(epsilon, "epsilon")
-    check_positive(deadline_weight_through, "deadline_weight_through")
-    check_positive(deadline_weight_cross, "deadline_weight_cross")
-    if on_nonconvergence not in ("warn", "raise", "ignore"):
-        raise ValueError(
-            "on_nonconvergence must be 'warn', 'raise', or 'ignore', got "
-            f"{on_nonconvergence!r}"
-        )
-    start = time.perf_counter()
+    from repro.network.lanes import EDFLaneSpec, edf_bound_lanes
 
-    def bound_at(delta: float) -> E2EResult:
-        return e2e_delay_bound_mmoo(
-            traffic, n_through, n_cross, hops, capacity, delta, epsilon,
-            method=method, s_grid=s_grid, gamma_grid=gamma_grid,
-            backend=backend,
-        )
-
-    def done(
-        result: E2EResult, delta: float, iterations: int,
-        residual: float, converged: bool,
-    ) -> EDFBound:
-        return EDFBound(
-            result=result,
-            delta=delta,
-            diagnostics=FixedPointDiagnostics(
-                iterations=iterations,
-                residual=residual,
-                converged=converged,
-                wall_time_s=time.perf_counter() - start,
-            ),
-        )
-
-    weight_gap = deadline_weight_through - deadline_weight_cross
-    with obs.trace("e2e.edf_fixed_point"):
-        current = bound_at(0.0)  # FIFO start
-        if not current.feasible:
-            return done(current, 0.0, 0, 0.0, True)
-        delta = weight_gap * current.delay / hops
-        residual = math.inf
-        for iteration in range(1, max_iter + 1):
-            result = bound_at(delta)
-            if obs.enabled():
-                obs.add("e2e.edf_iterations")
-            if not result.feasible:
-                # an infinite bound cannot move: the iteration is at rest
-                return done(result, delta, iteration, 0.0, True)
-            new_delta = weight_gap * result.delay / hops
-            step = abs(new_delta - delta)
-            scale = max(1.0, abs(delta))
-            residual = step / scale
-            if obs.enabled():
-                obs.observe("e2e.edf_residual", residual)
-            if step <= tol * scale:
-                return done(result, new_delta, iteration, residual, True)
-            delta = 0.5 * (delta + new_delta)  # damping
-    message = (
-        f"EDF deadline fixed point did not converge in {max_iter} "
-        f"iterations: relative residual {residual:.3g} > tol {tol:g}"
+    spec = EDFLaneSpec(
+        traffic,
+        check_int(n_through, "n_through", minimum=1),
+        check_int(n_cross, "n_cross", minimum=0),
+        check_int(hops, "hops", minimum=1),
+        capacity, epsilon,
+        deadline_weight_through=deadline_weight_through,
+        deadline_weight_cross=deadline_weight_cross,
+        tol=tol, max_iter=max_iter, s_grid=s_grid, gamma_grid=gamma_grid,
+        backend=backend, on_nonconvergence=on_nonconvergence,
     )
-    if on_nonconvergence == "raise":
-        raise FixedPointError(message)
-    if on_nonconvergence == "warn":
-        warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return done(result, delta, max_iter, residual, False)
+    return edf_bound_lanes([spec])[0]

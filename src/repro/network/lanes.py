@@ -1,44 +1,52 @@
-"""Cross-cell batched execution of the MMOO (s, gamma) bound searches.
+"""The MMOO (s, gamma) bound search and the EDF deadline fixed point.
 
-One sweep cell pays a deeply nested free-parameter search: the EDF
-deadline fixed point iterates ``bound_at(delta)``, each of which runs a
-golden-section search over ``s``, each step of which runs a
-grid-then-golden search over ``gamma``, each probe of which solves the
-Eq. (38) theta optimization.  Per cell that is tens of thousands of
-*sequential* scalar probes.  Across a sweep grid, however, the cells
-are independent — so the searches of many cells can advance in
-lockstep, pooling every pending probe of every cell into one batched
-kernel call per engine round.
+This module is the one implementation of the paper's nested bound
+optimization: the EDF deadline fixed point iterates ``bound_at(delta)``,
+each of which runs a golden-section search over ``s``, each step of
+which runs a grid-then-golden search over ``gamma``, each probe of which
+solves the Eq. (38) theta optimization.  The per-cell entry points
+:func:`repro.network.e2e.e2e_delay_bound_mmoo` and
+:func:`repro.network.e2e.e2e_delay_bound_edf` are one-lane calls into
+:func:`mmoo_bound_lanes` and :func:`edf_bound_lanes`, and the numpy
+``gamma`` search of :func:`repro.network.e2e.e2e_delay_bound` is one
+``gamma`` chain (:func:`gamma_search`).  Across a sweep grid the cells
+are independent, so the searches of many cells advance in lockstep,
+pooling every pending probe of every cell into one batched kernel call
+per engine round.
 
-This module implements that as a tiny cooperative scheduler over
-*search chains*:
+The engine is a tiny cooperative scheduler over *search chains*:
 
-* a chain is a Python generator that mirrors one scalar search
+* a chain is a Python generator that runs one search
   (``golden_section_min``, ``refine_grid_minimum``,
-  ``grid_then_golden``, the ``s``-objective, the mmoo bound) bitwise —
-  same brackets, same comparisons, same floats — but *yields* its probe
-  requests instead of evaluating them;
+  ``grid_then_golden``, the ``s``-objective, the mmoo bound) with the
+  same brackets and comparisons as :mod:`repro.utils.numeric`, but
+  *yields* its probe requests instead of evaluating them;
 * the engine gathers the pending requests of all live chains each
   round and executes them together: scalar objective probes go through
   the generated-C kernel of :mod:`repro.network.cprobe` (one C call for
   the whole round), gamma-grid evaluations go through the row-stacked
   :func:`repro.network.vectorized.e2e_delay_grid_rows`;
+* the ``s``-objective chain records the ``gamma`` it found at each
+  ``s``; the optimum is materialized by one
+  :func:`repro.network.e2e.e2e_delay_bound_at_gamma` call at the best
+  ``s`` and its recorded ``gamma``;
 * :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
   through one such engine pass per fixed-point iteration, with
   per-lane convergence masking: a converged lane stops spawning
   chains (its diagnostics freeze at its own iteration count) while
   stragglers keep iterating.
 
-Bitwise contract
-----------------
-Every lane's results — bounds, gammas, iteration counts, residuals,
-convergence flags — are identical to what the per-cell functions
-(:func:`repro.network.e2e.e2e_delay_bound_mmoo`,
-:func:`repro.network.e2e.e2e_delay_bound_edf`) return, because every
-floating-point decision runs through mirrored expression trees and the
-final optimum is materialized through the very same scalar functions.
-The equivalence suite pins this per scheduler, path length, and
-backend.
+Batching contract
+-----------------
+Every kernel the engine calls is elementwise per request, so a lane's
+results — bounds, gammas, iteration counts, residuals, convergence
+flags — do not depend on which other lanes share its batch: a cell
+computes the same doubles alone (the per-cell entry points) as inside a
+64-lane group.  A reference implementation of the plain nested search
+lives in ``tests/network/reference_search.py``; the equivalence suite
+pins the engine to it bitwise on the numpy backend and to 1e-9 relative
+on the scalar one, whose C probes differ from the exact scalar
+objective in the last bits.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ from repro.network.e2e import (
     FixedPointDiagnostics,
     FixedPointError,
     check_backend,
-    e2e_delay_bound,
+    e2e_delay_bound_at_gamma,
     mmoo_ebb_pair,
 )
 from repro.network.vectorized import _delta_case, _log_grid, e2e_delay_grid_rows
@@ -75,6 +83,7 @@ __all__ = [
     "EDFLaneSpec",
     "mmoo_bound_lanes",
     "edf_bound_lanes",
+    "gamma_search",
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -91,7 +100,6 @@ class LaneSpec:
     capacity: float
     delta: float
     epsilon: float
-    method: str = "exact"
     s_grid: int = 24
     gamma_grid: int = 24
     backend: str = "numpy"
@@ -109,7 +117,6 @@ class EDFLaneSpec:
     epsilon: float
     deadline_weight_through: float = 1.0
     deadline_weight_cross: float = 10.0
-    method: str = "exact"
     tol: float = 1e-4
     max_iter: int = 40
     s_grid: int = 24
@@ -140,18 +147,19 @@ class _Ctx:
 class _Lane:
     """Mutable per-lane state shared by the chains of one bound."""
 
-    __slots__ = ("spec", "delta", "table", "_s_max")
+    __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
                  table: cprobe.ProbeTable):
         self.spec = spec
         self.delta = delta
         self.table = table
+        # the gamma optimum found at each probed s (absent: no headroom)
+        self.gammas: dict[float, float] = {}
         self._s_max: float | None = None
 
     def s_max(self) -> float:
         # delta-independent, so cached across EDF fixed-point iterations
-        # (the per-cell path recomputes the identical bisection result)
         if self._s_max is None:
             spec = self.spec
             self._s_max = _max_feasible_s(
@@ -173,20 +181,22 @@ class _Lane:
         )
 
     def at_s(self, s: float) -> E2EResult:
-        """Materialize the optimum through the real scalar entry point."""
+        """Materialize the optimum at ``s`` and the gamma found there."""
+        gamma = self.gammas.get(s)
+        if gamma is None:
+            return _INFEASIBLE
         spec = self.spec
         through, cross = mmoo_ebb_pair(
             spec.traffic, spec.n_through, spec.n_cross, s
         )
-        return e2e_delay_bound(
+        return e2e_delay_bound_at_gamma(
             through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, method=spec.method, gamma_grid=spec.gamma_grid,
-            backend=spec.backend,
+            spec.epsilon, gamma,
         )
 
 
 # --------------------------------------------------------------------- #
-# search chains: bitwise mirrors of the scalar searches as generators
+# search chains: the searches of repro.utils.numeric as generators
 # --------------------------------------------------------------------- #
 
 
@@ -226,13 +236,13 @@ def _refine_chain(req, xs, fs, *, tol=1e-9):
 
 
 def _gamma_chain(ctx: _Ctx):
-    """Mirror of the per-cell gamma search at one fixed ``s``.
+    """The grid-then-golden ``gamma`` search at one fixed ``s``.
 
-    numpy backend: :func:`~repro.network.vectorized.optimize_gamma_e2e`
-    (batched grid + probe-driven refinement).  scalar backend: the
-    ``grid_then_golden`` pass of :func:`~repro.network.e2e.e2e_delay_bound`
-    (probe values equal the scalar objective bitwise).  Returns
-    ``(gamma_best, delay_at_gamma_best)``.
+    The log-spaced grid is one row of
+    :func:`~repro.network.vectorized.e2e_delay_grid_rows` (numpy
+    backend) or one C probe per point (scalar backend); the
+    golden-section refinement of the argmin bracket runs over the probe.
+    Returns ``(gamma_best, delay_at_gamma_best)``.
     """
     headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
     gamma_max = headroom / (ctx.hops + 1)
@@ -241,8 +251,8 @@ def _gamma_chain(ctx: _Ctx):
         (fs,) = yield [("g", ctx, xs)]
     else:
         fs = yield [("p", ctx.index, x) for x in xs]
-    # mirror of refine_grid_minimum with the golden-section refinement
-    # executed as one batched in-kernel request ("go") per search
+    # refine_grid_minimum, with the golden-section refinement executed
+    # as one batched in-kernel request ("go") per search
     fs = list(fs)
     best = min(range(len(xs)), key=lambda i: fs[i])
     if not math.isfinite(fs[best]):
@@ -256,7 +266,11 @@ def _gamma_chain(ctx: _Ctx):
 
 
 def _s_objective_chain(lane: _Lane, s: float):
-    """Mirror of the mmoo ``s``-search objective at one ``s``."""
+    """The ``s``-search objective: the delay at ``s`` and its best gamma.
+
+    Records the gamma optimum in ``lane.gammas`` so the final ``s``
+    materializes without a second gamma search.
+    """
     spec = lane.spec
     through, cross = mmoo_ebb_pair(
         spec.traffic, spec.n_through, spec.n_cross, s
@@ -265,25 +279,24 @@ def _s_objective_chain(lane: _Lane, s: float):
         return math.inf
     ctx = lane.register(through, cross)
     g_best, f_best = yield from _gamma_chain(ctx)
+    lane.gammas[s] = g_best
     if spec.backend == "numpy":
-        # per-cell: objective(s) = _e2e_probe(..., g_best)
+        # the objective is the probe at the optimum; when the grid
+        # point wins, its grid-row value can differ in the last bits
         (value,) = yield [("p", ctx.index, g_best)]
         return value
-    # per-cell scalar: objective(s) = at_s(s).delay, which re-evaluates
-    # the deterministic scalar objective at g_best — the same float the
-    # search already holds
     return f_best
 
 
 def _mmoo_chain(lane: _Lane):
-    """Mirror of :func:`~repro.network.e2e.e2e_delay_bound_mmoo`."""
+    """The joint (s, gamma) search of one mmoo bound."""
     spec = lane.spec
     if (spec.n_through + spec.n_cross) * spec.traffic.mean_rate >= spec.capacity:
         return _INFEASIBLE
     s_max = lane.s_max()
     low = s_max * 1e-4
     high = s_max * (1.0 - 1e-9)
-    # mirror of grid_then_golden(objective, low, high, s_grid, log_spaced)
+    # grid_then_golden(objective, low, high, s_grid, log_spaced=True)
     ratio = (high / low) ** (1.0 / (spec.s_grid - 1))
     xs = [low * ratio**i for i in range(spec.s_grid)]
     fs = yield [("c", _s_objective_chain(lane, x)) for x in xs]
@@ -440,17 +453,35 @@ def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
     check_positive(spec.capacity, "capacity")
     check_probability(spec.epsilon, "epsilon")
     check_backend(spec.backend)
-    if spec.method != "exact":
-        raise ValueError(
-            f"batched lanes support method='exact', got {spec.method!r}"
-        )
+
+
+def gamma_search(
+    through: EBB,
+    cross: EBB,
+    hops: int,
+    capacity: float,
+    delta: float,
+    epsilon: float,
+    gamma_grid: int,
+) -> tuple[float, float]:
+    """One numpy ``gamma`` chain: ``(gamma_best, delay_at_gamma_best)``.
+
+    The search behind :func:`~repro.network.e2e.e2e_delay_bound`'s
+    numpy backend; the caller guarantees positive headroom.
+    """
+    table = cprobe.ProbeTable()
+    index = table.add(through, cross, hops, capacity, delta, epsilon)
+    ctx = _Ctx(index, through, cross, hops, capacity, delta, epsilon,
+               gamma_grid, "numpy")
+    (best,) = _run_chains(table, [_gamma_chain(ctx)])
+    return best
 
 
 def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
-    """Batched :func:`~repro.network.e2e.e2e_delay_bound_mmoo`.
+    """The mmoo (s, gamma) search of every lane, run concurrently.
 
-    Runs all lanes' (s, gamma) searches concurrently; every lane's
-    result is bitwise-identical to its per-cell computation.
+    :func:`~repro.network.e2e.e2e_delay_bound_mmoo` is the one-lane
+    call; a lane's result does not depend on its batch.
     """
     specs = list(specs)
     for spec in specs:
@@ -465,15 +496,25 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
 
 
 def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
-    """Batched :func:`~repro.network.e2e.e2e_delay_bound_edf`.
+    """The EDF deadline fixed point of every lane, iterated together.
 
-    One engine pass per fixed-point iteration iterates the whole
-    group's deadline vector together; per-lane convergence masking
-    freezes finished lanes while stragglers keep iterating, so each
-    lane sees exactly the per-cell iteration sequence (identical
-    bounds, iteration counts, residuals, and convergence flags).  The
-    shared FIFO bootstrap (``delta = 0``) is computed once per distinct
-    lane geometry — deadline weights do not enter it — and reused.
+    :func:`~repro.network.e2e.e2e_delay_bound_edf` is the one-lane
+    call.  Each lane is resolved by damped iteration from its FIFO
+    bound: the examples set per-node deadlines proportional to the
+    end-to-end bound, so ``Delta_{0,c} = (w_0 - w_c) d_e2e / H`` is a
+    fixed point in ``d_e2e``.  One engine pass per fixed-point
+    iteration iterates the whole group's deadline vector together;
+    per-lane convergence masking freezes finished lanes while
+    stragglers keep iterating, so each lane sees its own iteration
+    sequence whatever its batch.  The shared FIFO bootstrap
+    (``delta = 0``) is computed once per distinct lane geometry —
+    deadline weights do not enter it — and reused.
+
+    Telemetry, when :mod:`repro.obs` is enabled: the
+    ``e2e.edf_iterations`` counter and the ``e2e.edf_residual`` series
+    get one entry per lane per iteration (so for one lane they match
+    its :class:`~repro.network.e2e.FixedPointDiagnostics`), and
+    ``e2e.edf_nonconverged`` counts lanes that exhaust ``max_iter``.
     """
     specs = list(specs)
     for spec in specs:
@@ -494,7 +535,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
     def bootstrap_key(spec: EDFLaneSpec):
         return (
             spec.traffic, spec.n_through, spec.n_cross, spec.hops,
-            spec.capacity, spec.epsilon, spec.method, spec.s_grid,
+            spec.capacity, spec.epsilon, spec.s_grid,
             spec.gamma_grid, spec.backend,
         )
 
@@ -549,6 +590,8 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         while active:
             iteration += 1
             over = [i for i in active if iteration > specs[i].max_iter]
+            if over and obs.enabled():
+                obs.add("e2e.edf_nonconverged", len(over))
             for i in over:
                 _nonconvergence(specs[i], residuals[i])
                 finish(
@@ -562,9 +605,11 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
                 _mmoo_chain(_Lane(specs[i], deltas[i], table))
                 for i in active
             ]
-            if obs.enabled():
+            traced = obs.enabled()
+            if traced:
                 obs.add("lanes.edf_rounds")
                 obs.observe("lanes.edf_round_lanes", len(active))
+                obs.add("e2e.edf_iterations", len(active))
             step_results = _run_chains(table, chains)
             still = []
             for i, result in zip(active, step_results):
@@ -581,6 +626,8 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
                 step = abs(new_delta - deltas[i])
                 scale = max(1.0, abs(deltas[i]))
                 residuals[i] = step / scale
+                if traced:
+                    obs.observe("e2e.edf_residual", residuals[i])
                 if step <= spec.tol * scale:
                     finish(i, result, new_delta, iteration, residuals[i], True)
                     continue

@@ -17,9 +17,10 @@ same mathematics as array operations:
 * :func:`e2e_delay_grid` / :func:`additive_delay_grid` — whole-grid
   evaluation of the end-to-end and node-by-node objectives, with
   closed-form fast paths for BMUX (Eq. (43)) and FIFO (Eq. (44));
-* :func:`optimize_gamma_e2e` / :func:`optimize_gamma_additive` — the
-  grid-then-refine search: one batched grid sweep, then golden-section
-  refinement of the argmin bracket driven by cheap scalar probes;
+* :func:`optimize_gamma_additive` — the grid-then-refine search of the
+  additive bound: one batched grid sweep, then golden-section
+  refinement of the argmin bracket driven by cheap scalar probes (the
+  end-to-end ``gamma`` search runs in :mod:`repro.network.lanes`);
 * :func:`solve_exact_fast` — a drop-in O(H log H) replacement for
   :func:`~repro.network.optimization.solve_exact` built on a slope-sweep
   over the sorted breakpoints (used by the backlog probes, where the
@@ -65,7 +66,6 @@ __all__ = [
     "batched_solve_exact",
     "e2e_delay_grid",
     "additive_delay_grid",
-    "optimize_gamma_e2e",
     "optimize_gamma_additive",
     "solve_exact_fast",
 ]
@@ -888,44 +888,6 @@ def _e2e_probe(
     return _sweep_homogeneous(capacity, r, delta, sigma, hops, gamma)[0]
 
 
-def optimize_gamma_e2e(
-    through: EBB,
-    cross: EBB,
-    hops: int,
-    capacity: float,
-    delta: float,
-    epsilon: float,
-    *,
-    gamma_grid: int = 48,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Grid-then-refine search for the delay-optimal ``gamma``.
-
-    The grid stage is one :func:`e2e_delay_grid` call; the refinement is
-    the same golden-section pass as the scalar path, driven by the cheap
-    :func:`_e2e_probe`.  Returns ``(gamma, delay)``; the delay equals the
-    scalar ``e2e_delay_bound_at_gamma(gamma).delay`` (callers wanting the
-    full result re-evaluate through the scalar path).
-    """
-    from repro.utils.numeric import refine_grid_minimum
-
-    with obs.trace("vectorized.optimize_gamma_e2e"):
-        headroom = capacity - cross.rate - through.rate
-        gamma_max = headroom / (hops + 1)
-        xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
-        fs = e2e_delay_grid(
-            through, cross, hops, capacity, delta, epsilon, np.asarray(xs)
-        )
-        return refine_grid_minimum(
-            lambda g: _e2e_probe(
-                through, cross, hops, capacity, delta, epsilon, g
-            ),
-            xs,
-            fs.tolist(),
-            tol=tol,
-        )
-
-
 def _log_grid(low: float, high: float, points: int) -> list[float]:
     """The log-spaced grid of ``grid_then_golden``, same floats."""
     ratio = (high / low) ** (1.0 / (points - 1))
@@ -1060,7 +1022,7 @@ def optimize_gamma_additive(
 ) -> tuple[float, float]:
     """Grid-then-refine search for the additive bound's ``gamma``.
 
-    Returns ``(gamma, delay)`` like :func:`optimize_gamma_e2e`.
+    Returns ``(gamma, delay)``.
     """
     from repro.utils.numeric import refine_grid_minimum
 

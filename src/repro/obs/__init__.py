@@ -12,9 +12,9 @@ currently active registry::
 
     from repro import obs
 
-    with obs.trace("e2e.edf_fixed_point"):
+    with obs.trace("lanes.edf_batch"):
         ...
-        obs.add("e2e.edf_iterations")
+        obs.add("e2e.edf_iterations", len(active))
         obs.observe("e2e.edf_residual", residual)
 
 Tracing is **off by default**: every call is then a cheap early-out

@@ -17,10 +17,11 @@ yet and decline, falling back to singleton execution — the planner
 counts these under ``batch.fallback_cells.planner_declined``.
 
 Both the cell function and the planner produce answers through the very
-same solver entry points as a direct call into
-:mod:`repro.network.e2e` / :mod:`repro.network.backlog`, and the lane
-engine mirrors the per-cell searches bitwise, so a served answer is
-bitwise-identical to the corresponding direct computation.
+same solver as a direct call into :mod:`repro.network.e2e` /
+:mod:`repro.network.backlog` — the per-cell delay entry points are
+one-lane calls into the lane engine the planner batches into — so a
+served answer is bitwise-identical to the corresponding direct
+computation.
 """
 
 from __future__ import annotations

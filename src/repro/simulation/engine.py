@@ -400,7 +400,7 @@ def simulate_tandem_mmoo_trials(
     Per-trial seeds come from :func:`spawn_trial_seeds` rooted at
     ``config.seed``; ``executor`` may be anything with a
     ``map(fn, iterable)`` method (e.g. the experiments layer's
-    ``SerialExecutor`` / ``ParallelExecutor``) and defaults to an
+    ``SerialExecutor`` / ``WorkStealingExecutor``) and defaults to an
     in-process loop.
     """
     seeds = spawn_trial_seeds(config.seed, n_trials)

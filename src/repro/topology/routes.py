@@ -120,10 +120,12 @@ def route_delay_bound_mmoo(
     """End-to-end delay bound of one route through a topology.
 
     Homogeneous routes reduce to the tandem analysis
-    (:func:`e2e_delay_bound_mmoo`) with identical results; heterogeneous
-    routes run the non-homogeneous ``s``-search over a
-    :class:`HeterogeneousPath`.  Nodes whose scheduler has no Delta
-    analysis (``sp``/``gps``) raise :class:`ValueError` via
+    (:func:`e2e_delay_bound_mmoo`) with identical results; it solves
+    Eq. (38) exactly, so ``method="paper"`` is rejected there with a
+    :class:`ValueError`.  Heterogeneous routes run the non-homogeneous
+    ``s``-search over a :class:`HeterogeneousPath` with either
+    ``method``.  Nodes whose scheduler has no Delta analysis
+    (``sp``/``gps``) raise :class:`ValueError` via
     :attr:`NodeSpec.delta`.
     """
     check_backend(backend)
@@ -132,11 +134,15 @@ def route_delay_bound_mmoo(
     hops = extract_route(topology, route_name)
     with obs.trace(f"topology.route_bound.{route_name}"):
         if route_is_homogeneous(hops):
+            if method != "exact":
+                raise ValueError(
+                    "homogeneous routes support method='exact' only, got "
+                    f"{method!r}"
+                )
             return e2e_delay_bound_mmoo(
                 traffic, route.n_flows, hops[0].n_interfering, len(hops),
                 hops[0].node.capacity, hops[0].node.delta, epsilon,
-                method=method, s_grid=s_grid, gamma_grid=gamma_grid,
-                backend=backend,
+                s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
             )
         return _heterogeneous_delay_bound(
             hops, route.n_flows, traffic, epsilon,

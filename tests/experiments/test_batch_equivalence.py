@@ -1,14 +1,18 @@
-"""Batched execution is bitwise-equal to per-cell execution.
+"""The lane engine against the reference search, and batched sweeps
+against per-cell ones.
 
-Satellite of the cross-cell batching PR: randomized grids over the
-schedulers (FIFO / BMUX / EDF / SP), path lengths ``H in {1, 2, 10,
-30}``, and both numeric backends must produce *bitwise identical*
-results through the fused lane engine — same delay/gamma/alpha/sigma
-doubles, and for EDF the same fixed-point iteration counts, residuals,
-and convergence flags per cell.  Checked at two levels: the lane API
-(:mod:`repro.network.lanes` vs. the scalar entry points) and the full
-sweep pipeline (``run_sweep(batch=True)`` vs. the per-cell path,
-including cache interchangeability).
+Randomized grids over the schedulers (FIFO / BMUX / EDF / SP), path
+lengths ``H in {1, 2, 10, 30}`` and both numeric backends.  Checked at
+two levels:
+
+* the lane API (:mod:`repro.network.lanes`) against the plain nested
+  search of ``tests/network/reference_search.py`` — bitwise on the
+  numpy backend (same delay/gamma/alpha/sigma doubles, and for EDF the
+  same fixed-point iteration counts, residuals and convergence flags),
+  1e-9 relative on the scalar backend, whose compiled probes differ
+  from the exact scalar objective in the last bits;
+* the full sweep pipeline (``run_sweep(batch=True)`` vs. the per-cell
+  path, including cache interchangeability), bitwise on both backends.
 """
 
 import math
@@ -22,12 +26,15 @@ from repro.experiments.example1 import fig2_spec
 from repro.experiments.example2 import fig3_spec
 from repro.experiments.sweep import run_sweep
 from repro.experiments.validation import validation_spec
-from repro.network.e2e import e2e_delay_bound_edf, e2e_delay_bound_mmoo
 from repro.network.lanes import (
     EDFLaneSpec,
     LaneSpec,
     edf_bound_lanes,
     mmoo_bound_lanes,
+)
+from tests.network.reference_search import (
+    e2e_delay_bound_edf,
+    e2e_delay_bound_mmoo,
 )
 
 HOPS = (1, 2, 10, 30)
@@ -54,13 +61,29 @@ def _random_case(rng):
     return traffic, n_through, n_cross, epsilon
 
 
-def _assert_results_equal(got, want, context):
-    assert got.delay == want.delay, context
-    assert got.gamma == want.gamma, context
-    assert got.alpha == want.alpha, context
-    assert got.sigma == want.sigma, context
-    assert got.x == want.x, context
-    assert got.thetas == want.thetas, context
+#: Agreement with the reference search: exact on numpy; on scalar, the
+#: bound to 1e-9 relative and the optimizer's coordinates (gamma, sigma,
+#: x, thetas) to 1e-6, since last-bit noise in a flat objective moves
+#: its argmin by ~sqrt(ulp).
+REL_TOL = {"numpy": (0.0, 0.0), "scalar": (1e-9, 1e-6)}
+
+
+def _close(got, want, rel):
+    if rel == 0.0 or not (math.isfinite(got) and math.isfinite(want)):
+        return got == want
+    return abs(got - want) <= rel * max(1.0, abs(want))
+
+
+def _assert_results_equal(got, want, context, tols=(0.0, 0.0)):
+    rel, coord_rel = tols
+    assert _close(got.delay, want.delay, rel), context
+    assert _close(got.alpha, want.alpha, coord_rel), context
+    assert _close(got.gamma, want.gamma, coord_rel), context
+    assert _close(got.sigma, want.sigma, coord_rel), context
+    assert _close(got.x, want.x, coord_rel), context
+    assert len(got.thetas) == len(want.thetas), context
+    for a, b in zip(got.thetas, want.thetas):
+        assert _close(a, b, coord_rel), context
     assert got.method == want.method, context
 
 
@@ -87,7 +110,7 @@ def test_mmoo_lanes_match_scalar_randomized(backend):
     results = mmoo_bound_lanes(specs)
     assert len(results) == len(wants)
     for got, want, context in zip(results, wants, contexts):
-        _assert_results_equal(got, want, context)
+        _assert_results_equal(got, want, context, REL_TOL[backend])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -118,16 +141,22 @@ def test_edf_lanes_match_scalar_randomized(backend):
         )
         contexts.append((hops, w_through, w_cross))
     results = edf_bound_lanes(specs)
+    rel, _ = tols = REL_TOL[backend]
     for got, want, context in zip(results, wants, contexts):
-        _assert_results_equal(got.result, want.result, context)
-        assert got.delta == want.delta, context
+        _assert_results_equal(got.result, want.result, context, tols)
+        assert _close(got.delta, want.delta, rel), context
         assert got.diagnostics.iterations == want.diagnostics.iterations, (
             context
         )
-        assert got.diagnostics.residual == want.diagnostics.residual, context
         assert got.diagnostics.converged == want.diagnostics.converged, (
             context
         )
+        # the residual is a relative step: an ulp in the bound moves it
+        # by ~1e-16 absolute
+        assert _close(
+            got.diagnostics.residual, want.diagnostics.residual,
+            rel if rel == 0.0 else 1e-12,
+        ), context
 
 
 def test_mmoo_lanes_infeasible_lane():

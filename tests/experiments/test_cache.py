@@ -2,7 +2,10 @@
 
 import json
 import math
+import multiprocessing
+import time
 
+from repro import obs
 from repro.experiments.cache import CellCache
 from repro.experiments.sweep import Cell, SweepSpec, cell_key, run_sweep
 
@@ -18,6 +21,17 @@ def probe_spec(tmp_path, values, settings=None):
         SweepSpec.build("probe", cells, settings=settings or {}),
         tmp_path / "executions.log",
     )
+
+
+def _hammer(root, key, writer, rounds):
+    """Worker: ``put`` one writer-specific payload over and over."""
+    cache = CellCache(root)
+    payload = {
+        "rows": [{"x": float(i)} for i in range(writer + 1)],
+        "diagnostics": {"writer": writer},
+    }
+    for _ in range(rounds):
+        cache.put(key, payload)
 
 
 def executions(log):
@@ -51,6 +65,89 @@ class TestCellCache:
         assert cache.get(key) is None
         cache.path_for(key).write_text('[1, 2, 3]')
         assert cache.get(key) is None
+
+    def test_corrupt_entries_counted_apart_from_misses(self, tmp_path):
+        cache = CellCache(tmp_path / "cache")
+        key = "9" * 64
+        cache.put(key, {"rows": []})
+        with obs.scoped(enabled=True) as registry:
+            cache.get("8" * 64)  # absent: a plain miss
+            cache.path_for(key).write_text("{not json!")
+            assert cache.get(key) is None
+            cache.path_for(key).write_bytes(b"\xff\xfe")  # not UTF-8
+            assert cache.get(key) is None
+            cache.path_for(key).write_text('{"no_rows": 1}')
+            assert cache.get(key) is None
+        assert registry.counter("cache.misses") == 1
+        assert registry.counter("cache.corrupt") == 3
+        assert registry.counter("cache.hits") == 0
+
+    def test_concurrent_writer_mid_dump_leaves_whole_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """Writer B runs a whole ``put`` while writer A is halfway
+        through its ``json.dump`` of the same key; the entry must end up
+        as one writer's complete payload, never a splice of both."""
+        cache = CellCache(tmp_path / "cache")
+        key = "7" * 64
+        short = {"rows": [{"x": 1.0, "delay": 2.0}], "diagnostics": {}}
+        long = {
+            "rows": [{"x": float(i), "delay": 2.0 * i} for i in range(8)],
+            "diagnostics": {"writer": "b"},
+        }
+        real_dump = json.dump
+        nested = []
+
+        def interleaved_dump(payload, handle, **kwargs):
+            if nested:  # writer B: a plain, complete dump
+                return real_dump(payload, handle, **kwargs)
+            text = json.dumps(payload, **kwargs)
+            half = len(text) // 2
+            handle.write(text[:half])
+            handle.flush()
+            nested.append(True)
+            cache.put(key, long)  # writer B, start to finish
+            nested.pop()
+            handle.write(text[half:])
+
+        monkeypatch.setattr(json, "dump", interleaved_dump)
+        cache.put(key, short)  # writer A
+        monkeypatch.undo()
+        assert cache.get(key) in (short, long)
+        leftovers = [
+            p.name for p in cache.path_for(key).parent.iterdir()
+            if p != cache.path_for(key)
+        ]
+        assert leftovers == []
+
+    def test_concurrent_writer_processes_never_tear_an_entry(self, tmp_path):
+        """More writer processes than cores race on one key while the
+        parent keeps reading it: every read is a whole payload."""
+        cache = CellCache(tmp_path / "cache")
+        key = "6" * 64
+        context = multiprocessing.get_context("spawn")
+        procs = [
+            context.Process(
+                target=_hammer, args=(str(cache.root), key, writer, 200)
+            )
+            for writer in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        deadline = time.monotonic() + 60.0
+        with obs.scoped(enabled=True) as registry:
+            while time.monotonic() < deadline and any(
+                proc.is_alive() for proc in procs
+            ):
+                cache.get(key)
+        for proc in procs:
+            proc.join(timeout=60.0)
+            assert not proc.is_alive() and proc.exitcode == 0
+        assert registry.counter("cache.corrupt") == 0
+        assert cache.get(key)["diagnostics"]["writer"] in range(4)
+        assert [p.name for p in cache.path_for(key).parent.iterdir()] == [
+            cache.path_for(key).name
+        ]
 
     def test_clear(self, tmp_path):
         cache = CellCache(tmp_path / "cache")

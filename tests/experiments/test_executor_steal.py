@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.experiments.executor import (
-    ParallelExecutor,
     SerialExecutor,
     WorkStealingExecutor,
     make_executor,
@@ -92,7 +91,7 @@ def test_serial_executor_streams():
 
 def test_parallel_executor_streams():
     calls = []
-    results = ParallelExecutor(2).map_stream(
+    results = make_executor(2).map_stream(
         _square, [1, 2, 3, 4], lambda i, r: calls.append((i, r))
     )
     assert results == [1, 4, 9, 16]

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments.executor import SerialExecutor, make_executor
 from repro.experiments.sweep import run_sweep
 from repro.experiments.validation import run_rare_validation, validation_spec
 from repro.simulation.engine import spawn_trial_seeds
@@ -54,7 +54,7 @@ class TestValidationRowsJobInvariance:
 
     def test_rows_byte_identical_serial_vs_parallel(self):
         serial = run_sweep(self.spec(), executor=SerialExecutor())
-        parallel = run_sweep(self.spec(), executor=ParallelExecutor(2))
+        parallel = run_sweep(self.spec(), executor=make_executor(2))
         assert self.row_bytes(serial) == self.row_bytes(parallel)
 
     def test_rows_byte_identical_across_repeat_serial_runs(self):
@@ -98,7 +98,7 @@ class TestRareValidationSeedStability:
 
     def test_rows_byte_identical_serial_vs_parallel(self):
         serial = self.run(SerialExecutor())
-        parallel = self.run(ParallelExecutor(2))
+        parallel = self.run(make_executor(2))
         assert self.row_bytes(serial.raw_rows) == self.row_bytes(
             parallel.raw_rows
         )

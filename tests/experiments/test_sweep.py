@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.example1 import fig2_spec
 from repro.experiments.example3 import fig4_spec
 from repro.experiments.executor import (
-    ParallelExecutor,
     SerialExecutor,
     WorkStealingExecutor,
     make_executor,
@@ -84,7 +83,7 @@ class TestExecutors:
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(3), WorkStealingExecutor)
         with pytest.raises(ValueError):
-            ParallelExecutor(0)
+            WorkStealingExecutor(0)
 
     def test_serial_preserves_order(self):
         out = SerialExecutor().map(lambda x: x * 2, [3, 1, 2])
@@ -92,7 +91,7 @@ class TestExecutors:
 
     def test_parallel_preserves_order(self):
         cells = [Cell.make(PROBE, value=float(i)) for i in range(5)]
-        payloads = ParallelExecutor(2).map(execute_cell, cells)
+        payloads = make_executor(2).map(execute_cell, cells)
         assert [p["rows"][0]["x"] for p in payloads] == [
             0.0, 1.0, 2.0, 3.0, 4.0,
         ]
@@ -128,7 +127,7 @@ class TestRunSweep:
     def test_parallel_rows_identical_to_serial(self):
         spec = self.spec(6)
         serial = run_sweep(spec, executor=SerialExecutor()).rows
-        parallel = run_sweep(spec, executor=ParallelExecutor(2)).rows
+        parallel = run_sweep(spec, executor=make_executor(2)).rows
         assert serial == parallel
 
 
@@ -150,7 +149,7 @@ class TestFigureSpecs:
     def test_fig4_parallel_identical_to_serial(self):
         spec = fig4_spec(hops=(1, 2), utilizations=(0.5,))
         serial = run_sweep(spec, executor=SerialExecutor())
-        parallel = run_sweep(spec, executor=ParallelExecutor(2))
+        parallel = run_sweep(spec, executor=make_executor(2))
         assert serial.rows == parallel.rows
 
     def test_quick_flag_changes_keys(self):

@@ -13,7 +13,10 @@ actually present so CI notices a silently broken toolchain.
 """
 
 import math
+import os
 import random
+import stat
+import tempfile
 
 import pytest
 
@@ -140,3 +143,33 @@ def test_probe_every_delta_case(delta):
         assert value == _e2e_probe(
             through, cross, 10, 100.0, delta, 1e-9, gamma
         )
+
+
+def test_world_writable_default_dir_refused(tmp_path, monkeypatch):
+    """Another local user could plant a shared object in a default
+    kernel directory that is not private: refuse it, warn, fall back."""
+    monkeypatch.delenv("REPRO_CPROBE_DIR", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    shared = tmp_path / f"repro_cprobe-{os.getuid()}"
+    shared.mkdir()
+    shared.chmod(0o777)
+    with pytest.warns(RuntimeWarning, match="Python fallback"):
+        assert cprobe._compile() is None
+    assert list(shared.iterdir()) == []  # nothing written or loaded
+
+
+def test_default_dir_is_private(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPRO_CPROBE_DIR", raising=False)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    path = cprobe._cache_dir()
+    assert path == str(tmp_path / f"repro_cprobe-{os.getuid()}")
+    assert stat.S_IMODE(os.stat(path).st_mode) & 0o077 == 0
+
+
+def test_build_leaves_no_temp_files(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CPROBE_DIR", str(tmp_path))
+    assert cprobe._compile() is not None
+    key = cprobe._source_key()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"repro_cprobe_{key}.c", f"repro_cprobe_{key}.so",
+    ]

@@ -40,6 +40,7 @@ from repro.network.vectorized import (
     e2e_delay_grid,
     solve_exact_fast,
 )
+from tests.network import reference_search
 
 REL_TOL = 1e-9
 DELTA_CASES = (-math.inf, -2.5, 0.0, 0.7, math.inf)
@@ -297,6 +298,30 @@ class TestBackendsAgree:
             s_grid=4, gamma_grid=4, backend="numpy",
         )
         assert rel_diff(vec.backlog, scalar.backlog) <= REL_TOL
+
+
+class TestGammaSearchMatchesReference:
+    def test_numpy_search_bitwise_equals_reference(self):
+        """The numpy gamma search runs as one lane-engine gamma chain;
+        it must return the reference grid-then-probe search's result
+        bitwise."""
+        rng = random.Random(11)
+        for _ in range(60):
+            through = EBB(
+                rng.uniform(1.0, 5.0), rng.uniform(0.1, 2.0),
+                rng.uniform(0.01, 2.0),
+            )
+            cross = EBB(
+                rng.uniform(1.0, 5.0), rng.uniform(0.1, 5.0),
+                rng.uniform(0.01, 3.0),
+            )
+            args = (
+                through, cross, rng.choice((1, 2, 5, 10, 30)), 10.0,
+                rng.choice(DELTA_CASES), rng.choice((1e-3, 1e-6, 1e-9)),
+            )
+            got = e2e_delay_bound(*args, gamma_grid=16)
+            want = reference_search.e2e_delay_bound(*args, gamma_grid=16)
+            assert got == want, args
 
 
 class TestBackendValidation:

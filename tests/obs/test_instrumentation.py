@@ -13,7 +13,7 @@ import pytest
 from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.cache import CellCache
-from repro.experiments.executor import ParallelExecutor, SerialExecutor
+from repro.experiments.executor import SerialExecutor, make_executor
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
 from repro.network.e2e import e2e_delay_bound_edf
 from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
@@ -52,25 +52,25 @@ class TestEDFFixedPointTrace:
         assert len(residuals) == iters
         assert residuals[-1] == pytest.approx(bound.diagnostics.residual)
 
-    def test_span_tree_nests_mmoo_inside_fixed_point(self, traced):
-        e2e_delay_bound_edf(
+    def test_span_tree_runs_fixed_point_as_one_edf_batch(self, traced):
+        bound = e2e_delay_bound_edf(
             TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6
         )
         spans = traced.snapshot()["spans"]
-        fixed_point = spans["e2e.edf_fixed_point"]
-        mmoo = fixed_point["children"]["e2e.mmoo_bound"]
-        # FIFO bootstrap + one evaluation per iteration
-        assert mmoo["count"] == fixed_point["count"] + traced.counter(
-            "e2e.edf_iterations"
+        # the per-cell entry point is one lane through the engine
+        assert spans["lanes.edf_batch"]["count"] == 1
+        assert traced.counter("lanes.edf_lanes") == 1
+        # one engine round per fixed-point iteration
+        assert traced.counter("lanes.edf_rounds") == (
+            bound.diagnostics.iterations
         )
-        assert "vectorized.optimize_gamma_e2e" in mmoo["children"]
 
     def test_optimizer_counters_accumulate(self, traced):
         e2e_delay_bound_edf(
             TRAFFIC, 100, 100, 1, 1500.0, 1e-6, s_grid=6, gamma_grid=6
         )
-        assert traced.counter("numeric.golden_calls") > 0
-        assert traced.counter("numeric.refine_calls") > 0
+        assert traced.counter("lanes.engine_rounds") > 0
+        assert traced.counter("lanes.engine_probes") > 0
         assert traced.counter("vectorized.grid_points") > 0
         assert traced.counter("vectorized.solve_lanes") > 0
 
@@ -95,7 +95,7 @@ class TestSweepTracing:
         assert "sweep.obs-test" in spans
 
     def test_parallel_sweep_merges_worker_snapshots(self, traced):
-        result = run_sweep(small_spec(), executor=ParallelExecutor(2))
+        result = run_sweep(small_spec(), executor=make_executor(2))
         assert all(cell.metrics is not None for cell in result.cells)
         snap = traced.snapshot()
         worker_counters = {

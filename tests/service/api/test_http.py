@@ -4,10 +4,12 @@ Includes the malformed-body property: whatever bytes a client posts,
 the answer is a structured 4xx JSON error — never a 500, never a hang.
 """
 
+import functools
 import http.client
 import json
 import socket
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -50,6 +52,28 @@ def test_metrics_endpoint_is_an_obs_snapshot(harness):
     assert snap["gauges"]["service.inflight"] == 0
     assert len(snap["series"]["service.request_latency"]) == 2
     assert snap["series"]["service.batch_occupancy"] == [1.0]
+
+
+@pytest.mark.filterwarnings("ignore:EDF deadline fixed point")
+def test_nonconverged_edf_lane_counted_in_metrics(harness, monkeypatch):
+    """An EDF lane that exhausts ``max_iter`` is counted, and the count
+    reaches ``GET /v1/metrics`` through the coalescer's flush."""
+    from repro.service.api import cells
+
+    monkeypatch.setattr(
+        cells, "EDFLaneSpec", functools.partial(cells.EDFLaneSpec, max_iter=1)
+    )
+    query = {
+        **CHEAP_QUERY, "scheduler": "EDF", "hops": 5,
+        "n_through": 100, "n_cross": 236, "s_grid": 8, "gamma_grid": 8,
+    }
+    with harness.client() as client:
+        row = client.bounds(query)
+        snap = client.metrics()
+    assert row["edf"]["edf_converged"] is False
+    assert row["edf"]["edf_iterations"] == 1
+    assert snap["counters"]["e2e.edf_nonconverged"] == 1.0
+    assert snap["counters"]["e2e.edf_iterations"] == 1.0
 
 
 def test_infeasible_bound_serializes_as_infinity(harness):

@@ -93,11 +93,11 @@ class TestSimulateTrials:
         assert len(trials) == 5
 
     def test_works_with_parallel_executor(self):
-        from repro.experiments.executor import ParallelExecutor
+        from repro.experiments.executor import make_executor
 
         serial = simulate_tandem_mmoo_trials(small_config(), 3)
         parallel = simulate_tandem_mmoo_trials(
-            small_config(), 3, executor=ParallelExecutor(2)
+            small_config(), 3, executor=make_executor(2)
         )
         for s, p in zip(serial, parallel):
             assert s.seed == p.seed

@@ -71,6 +71,24 @@ class TestRouteDelayBound:
         assert via_route.gamma == direct.gamma
         assert via_route.alpha == direct.alpha
 
+    def test_paper_method_rejected_on_homogeneous_route(self):
+        topo = Topology.line(2, capacity=100.0, n_through=50, n_cross=50)
+        with pytest.raises(ValueError, match="method='exact' only"):
+            route_delay_bound_mmoo(
+                topo, "through", TRAFFIC, EPSILON, method="paper"
+            )
+
+    def test_heterogeneous_route_accepts_paper_method(self):
+        exact = route_delay_bound_mmoo(
+            shared_core(), "left", TRAFFIC, EPSILON, s_grid=6, gamma_grid=6
+        )
+        paper = route_delay_bound_mmoo(
+            shared_core(), "left", TRAFFIC, EPSILON, s_grid=6, gamma_grid=6,
+            method="paper",
+        )
+        assert paper.method == "paper"
+        assert paper.delay >= exact.delay * (1 - 1e-9)
+
     def test_heterogeneous_is_finite_and_dominates_uniform(self):
         bound = route_delay_bound_mmoo(
             shared_core(), "left", TRAFFIC, EPSILON, s_grid=8, gamma_grid=8
