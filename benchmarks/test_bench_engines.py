@@ -5,10 +5,16 @@ with ``--trials 10`` must run at least 5x faster on the vectorized
 engine than on the chunk engine.  The engine-agnostic bound cells are
 primed into a shared cache first, so both timings measure exactly the
 60 trial cells (3 schedulers x 2 path lengths x 10 trials).
+
+One rung below, the slot-kernel row times the EDF link service alone
+(one hop, 20 000 slots at 90% load) on the compiled kernel and on its
+Python fallback, over enough rounds for a median and quartiles.
 """
 
 import time
 
+import numpy as np
+import pytest
 from conftest import emit
 
 from repro.experiments.cache import CellCache
@@ -19,6 +25,8 @@ from repro.experiments.validation import (
     rows_to_validation,
     validation_spec,
 )
+from repro.simulation import ckernels
+from repro.simulation.vectorized import _serve_edf
 
 SPEEDUP_FLOOR = 5.0
 
@@ -65,3 +73,32 @@ def test_vectorized_engine_speedup(benchmark, output_dir, tmp_path):
         f"vectorized engine only {speedup:.2f}x faster than chunk "
         f"({vec_s:.2f}s vs {chunk_s:.2f}s); need >= {SPEEDUP_FLOOR}x"
     )
+
+
+SLOT_KERNEL_SLOTS = 20_000
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_edf_slot_kernel(benchmark, monkeypatch, path):
+    """EDF service of one hop: slots per second, C kernel vs. fallback."""
+    if path == "python":
+        monkeypatch.setattr(ckernels.KERNEL, "load", lambda: None)
+    elif not ckernels.KERNEL.available():
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+    rng = np.random.default_rng(0)
+    # 90% load on a unit-rate link, half through, half cross
+    through = rng.exponential(0.45, size=SLOT_KERNEL_SLOTS)
+    cross = rng.exponential(0.45, size=SLOT_KERNEL_SLOTS)
+    benchmark.pedantic(
+        _serve_edf, args=(through, cross, 1.0, 1, 10),
+        rounds=30 if path == "python" else 200, iterations=1,
+        warmup_rounds=1,
+    )
+    stats = benchmark.stats.stats
+    benchmark.extra_info["slots_per_s_median"] = round(
+        SLOT_KERNEL_SLOTS / stats.median
+    )
+    benchmark.extra_info["slots_per_s_iqr"] = [
+        round(SLOT_KERNEL_SLOTS / stats.q3),
+        round(SLOT_KERNEL_SLOTS / stats.q1),
+    ]

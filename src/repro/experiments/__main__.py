@@ -366,6 +366,7 @@ def _run(args) -> int:
             f"edf fixed-point iterations={edf_iterations:.0f} "
             f"(non-converged lanes={nonconverged:.0f})"
         )
+        print(_format_kernel_trace(registry))
         if args.batch:
             print(_format_batch_trace(registry))
     if args.json:
@@ -395,6 +396,21 @@ def _run(args) -> int:
         write_json_artifact(args.json, artifact)
         print(f"wrote {args.json}")
     return rc
+
+
+def _format_kernel_trace(registry) -> str:
+    """Which path each compiled kernel ran: C, Python, or unused."""
+
+    def path(gauge: str) -> str:
+        value = registry.gauge(gauge)
+        return "unused" if value is None else ("C" if value else "Python")
+
+    fallbacks = registry.counter("simulation.kernel_fallbacks")
+    return (
+        f"[trace] kernels: cprobe={path('cprobe.available')} "
+        f"simulation={path('simulation.kernel_available')} "
+        f"(simulation fallback calls={fallbacks:.0f})"
+    )
 
 
 def _format_batch_trace(registry) -> str:
@@ -449,6 +465,8 @@ def _run_rare(args, executor, cache) -> int:
         f"{result.computed_wall_time_s:.2f}s cell compute time, "
         f"jobs={args.jobs}"
     )
+    if args.trace:
+        print(_format_kernel_trace(obs.active()))
     summary = rare_validation_summary(result.rows)
     rc = 0 if all(row.sound for row in result.rows) else 1
 

@@ -23,36 +23,26 @@ parameters in every ``Delta`` case.
 
 Availability
 ------------
-Compilation needs a C compiler (``cc``) on ``PATH``.  When compilation
-is impossible, :func:`available` is ``False`` and
+Compilation needs a C compiler (``cc``) on ``PATH``; the shared loader
+:mod:`repro.utils.ckernel` compiles :data:`KERNEL` on first use (never
+at import), caches the object by source hash under
+``$REPRO_CPROBE_DIR`` (else a private per-user temp directory) and sets
+the ``cprobe.available`` gauge while :mod:`repro.obs` is enabled.  When
+compilation is impossible, :func:`available` is ``False`` and
 :func:`probe_values` transparently falls back to looping
-``_e2e_probe`` in Python — identical results, just slower.  The shared
-object is cached keyed by a hash of the C source, so the compiler runs
-once per source revision, not once per process.  The cache directory is
-``$REPRO_CPROBE_DIR`` when set, else a per-user ``0700`` directory in
-the system temp directory; a default directory that another user owns
-or could write to is refused (a :class:`RuntimeWarning`, then the Python
-fallback), since loading a planted shared object would run foreign
-code.  Sources and objects are written under unique temp names and
-moved into place with ``os.replace``, so concurrent first uses never
-see a torn file.
+``_e2e_probe`` in Python — identical results, just slower.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import stat
-import subprocess
-import tempfile
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.arrivals.ebb import EBB
+from repro.utils.ckernel import CKernel
 
 __all__ = [
     "available",
@@ -443,123 +433,38 @@ void golden_values(long n, const double *ctx, const long *idx,
 }
 """
 
-_STRICT_FLAGS = [
-    "-O2",
-    "-fPIC",
-    "-shared",
-    "-fno-fast-math",
-    "-ffp-contract=off",
-]
 
-_lib: ctypes.CDLL | None = None
-_lib_checked = False
+def _report(available: bool) -> None:
+    obs.set_gauge("cprobe.available", available)
 
 
-def _source_key() -> str:
-    return hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+_as_double = ctypes.POINTER(ctypes.c_double)
+_as_long = ctypes.POINTER(ctypes.c_long)
 
-
-def _cache_dir() -> str | None:
-    """Where the kernel is cached; ``None`` if the default is unsafe."""
-    override = os.environ.get("REPRO_CPROBE_DIR")
-    if override:
-        return override
-    path = os.path.join(tempfile.gettempdir(), f"repro_cprobe-{os.getuid()}")
-    try:
-        os.makedirs(path, mode=0o700, exist_ok=True)
-        info = os.lstat(path)
-    except OSError:
-        return None
-    if (
-        not stat.S_ISDIR(info.st_mode)
-        or info.st_uid != os.getuid()
-        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
-    ):
-        warnings.warn(
-            f"not loading the C probe kernel from {path}: it is not a "
-            "directory owned by this user and writable only by it; "
-            "using the slower Python fallback (set REPRO_CPROBE_DIR to "
-            "choose another directory)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
-    return path
-
-
-def _build(cache_dir: str, src_path: str, so_path: str) -> None:
-    """Compile into unique temp files, then move both into place."""
-    fd, tmp_src = tempfile.mkstemp(suffix=".c", dir=cache_dir)
-    tmp_so = tmp_src[:-2] + ".so"
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(_C_SOURCE)
-        subprocess.run(
-            ["cc", *_STRICT_FLAGS, "-o", tmp_so, tmp_src, "-lm"],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        os.replace(tmp_src, src_path)
-        os.replace(tmp_so, so_path)
-    finally:
-        for leftover in (tmp_src, tmp_so):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
-
-
-def _compile() -> ctypes.CDLL | None:
-    """Compile (or reuse) the kernel; ``None`` when no compiler works."""
-    cache_dir = _cache_dir()
-    if cache_dir is None:
-        return None
-    stem = os.path.join(cache_dir, f"repro_cprobe_{_source_key()}")
-    so_path = stem + ".so"
-    if not os.path.exists(so_path):
-        try:
-            _build(cache_dir, stem + ".c", so_path)
-        except (OSError, subprocess.SubprocessError):
-            return None
-    try:
-        lib = ctypes.CDLL(so_path)
-        lib.probe_values.argtypes = [
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_long),
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double),
-        ]
-        lib.probe_values.restype = None
-        lib.golden_values.argtypes = [
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_long),
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.c_double,
-            ctypes.c_long,
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double),
-        ]
-        lib.golden_values.restype = None
-        return lib
-    except OSError:
-        return None
-
-
-def _get_lib() -> ctypes.CDLL | None:
-    global _lib, _lib_checked
-    if not _lib_checked:
-        _lib = _compile()
-        _lib_checked = True
-        if obs.enabled():
-            obs.set_gauge("cprobe.available", bool(_lib))
-    return _lib
+KERNEL = CKernel(
+    "cprobe",
+    _C_SOURCE,
+    {
+        "probe_values": (
+            [ctypes.c_long, _as_double, _as_long, _as_double, _as_double],
+            None,
+        ),
+        "golden_values": (
+            [
+                ctypes.c_long, _as_double, _as_long, _as_double,
+                _as_double, ctypes.c_double, ctypes.c_long, _as_double,
+                _as_double,
+            ],
+            None,
+        ),
+    },
+    report=_report,
+)
 
 
 def available() -> bool:
     """Whether the compiled kernel is usable in this environment."""
-    return _get_lib() is not None
+    return KERNEL.available()
 
 
 class ProbeTable:
@@ -681,7 +586,7 @@ def golden_values(
     ``(xs, fs)`` arrays, bitwise-identical to driving the Python golden
     section with scalar probes.
     """
-    lib = _get_lib()
+    lib = KERNEL.load()
     if lib is None:
         return _golden_python(
             table, indices, los, his, tol=tol, max_iter=max_iter
@@ -693,17 +598,16 @@ def golden_values(
     ctx = table.packed()
     out_x = np.empty(n, dtype=np.float64)
     out_f = np.empty(n, dtype=np.float64)
-    as_double = ctypes.POINTER(ctypes.c_double)
     lib.golden_values(
         n,
-        ctx.ctypes.data_as(as_double),
-        idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-        lo.ctypes.data_as(as_double),
-        hi.ctypes.data_as(as_double),
+        ctx.ctypes.data_as(_as_double),
+        idx.ctypes.data_as(_as_long),
+        lo.ctypes.data_as(_as_double),
+        hi.ctypes.data_as(_as_double),
         tol,
         max_iter,
-        out_x.ctypes.data_as(as_double),
-        out_f.ctypes.data_as(as_double),
+        out_x.ctypes.data_as(_as_double),
+        out_f.ctypes.data_as(_as_double),
     )
     bad = np.isnan(out_x)
     if bad.any():
@@ -729,7 +633,7 @@ def probe_values(
     available; a Python ``_e2e_probe`` loop otherwise.  Values are
     bitwise-identical either way.
     """
-    lib = _get_lib()
+    lib = KERNEL.load()
     if lib is None:
         return _probe_python(table, indices, gammas)
     n = len(indices)
@@ -739,10 +643,10 @@ def probe_values(
     out = np.empty(n, dtype=np.float64)
     lib.probe_values(
         n,
-        ctx.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        idx.ctypes.data_as(ctypes.POINTER(ctypes.c_long)),
-        g.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+        ctx.ctypes.data_as(_as_double),
+        idx.ctypes.data_as(_as_long),
+        g.ctypes.data_as(_as_double),
+        out.ctypes.data_as(_as_double),
     )
     bad = np.isnan(out)
     if bad.any():

@@ -150,16 +150,17 @@ class _Lane:
     __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
-                 table: cprobe.ProbeTable):
+                 table: cprobe.ProbeTable, s_max: float | None = None):
         self.spec = spec
         self.delta = delta
         self.table = table
         # the gamma optimum found at each probed s (absent: no headroom)
         self.gammas: dict[float, float] = {}
-        self._s_max: float | None = None
+        self._s_max = s_max
 
     def s_max(self) -> float:
-        # delta-independent, so cached across EDF fixed-point iterations
+        # delta-independent: edf_bound_lanes hands the bootstrap lane's
+        # value to every fixed-point iteration of its lanes
         if self._s_max is None:
             spec = self.spec
             self._s_max = _max_feasible_s(
@@ -564,16 +565,18 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         for i in active:
             unique.setdefault(bootstrap_key(specs[i]), []).append(i)
         lane_groups = list(unique.values())
-        chains = []
-        for group in lane_groups:
-            lane = _Lane(specs[group[0]], 0.0, table)
-            chains.append(_mmoo_chain(lane))
-        boot = _run_chains(table, chains)
+        boot_lanes = [
+            _Lane(specs[group[0]], 0.0, table) for group in lane_groups
+        ]
+        boot = _run_chains(table, [_mmoo_chain(lane) for lane in boot_lanes])
         if obs.enabled() and n:
             obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
+        # s_max depends only on the bootstrap key: one bisection per group
+        s_maxes = [0.0] * n
         still = []
-        for group, current in zip(lane_groups, boot):
+        for group, lane, current in zip(lane_groups, boot_lanes, boot):
             for i in group:
+                s_maxes[i] = lane.s_max()
                 if not current.feasible:
                     finish(i, current, 0.0, 0, 0.0, True)
                 else:
@@ -602,7 +605,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             if not active:
                 break
             chains = [
-                _mmoo_chain(_Lane(specs[i], deltas[i], table))
+                _mmoo_chain(_Lane(specs[i], deltas[i], table, s_maxes[i]))
                 for i in active
             ]
             traced = obs.enabled()

@@ -22,6 +22,11 @@ traffic is offered before through traffic, and an EDF bucket serves the
 flow with the earlier node arrival first.  Cross-validation tests check
 both engines agree within one slot on every scheduler and path length.
 
+The two sequential kernels — the EDF bucket sweep and the entry/exit
+delay merge — run in generated C (:mod:`repro.simulation.ckernels`)
+when a C compiler is available; their Python/numpy bodies stay here as
+the fallback and the test oracle, and both paths return the same bytes.
+
 GPS is not representable: its service split depends on the random set of
 backlogged flows (it is not a Delta-scheduler), so GPS stays on the
 chunk engine.
@@ -34,6 +39,7 @@ import math
 import numpy as np
 
 from repro import obs
+from repro.simulation import ckernels
 from repro.simulation.metrics import BacklogRecorder, DelayRecorder
 from repro.simulation.network import DagResult, TandemResult
 from repro.topology.model import Topology
@@ -150,6 +156,11 @@ def _serve_fifo(
     return through_dep, cross_dep, backlog
 
 
+def _kernel_fallback() -> None:
+    if obs.enabled():
+        obs.add("simulation.kernel_fallbacks")
+
+
 def _serve_edf(
     through: np.ndarray,
     cross: np.ndarray,
@@ -167,7 +178,33 @@ def _serve_edf(
     of through on exact ties, matching the chunk engine's heap order.
     The head pointer only moves forward between arrivals, so the sweep is
     amortized O(slots + buckets).
+
+    Runs in the compiled kernel of :mod:`repro.simulation.ckernels` when
+    it is loaded, else in :func:`_serve_edf_python`; the results are
+    byte-identical.
     """
+    out = ckernels.serve_edf(
+        through, cross, capacity, deadline_through, deadline_cross,
+        record_backlog, _MASS_EPS,
+    )
+    if out is not None:
+        return out
+    _kernel_fallback()
+    return _serve_edf_python(
+        through, cross, capacity, deadline_through, deadline_cross,
+        record_backlog,
+    )
+
+
+def _serve_edf_python(
+    through: np.ndarray,
+    cross: np.ndarray,
+    capacity: float,
+    deadline_through: int,
+    deadline_cross: int,
+    record_backlog: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Python body of :func:`_serve_edf`: fallback and test oracle."""
     n = len(through)
     max_off = max(deadline_through, deadline_cross)
     horizon = n + max_off + 1
@@ -284,7 +321,22 @@ def delays_between(entry: np.ndarray, exit: np.ndarray) -> tuple[np.ndarray, np.
     a curve reaches a mark equals the number of that curve's points
     strictly below it, read off the running counts at the start of the
     mark's run of equal values.
+
+    Runs in the compiled kernel of :mod:`repro.simulation.ckernels` when
+    it is loaded, else in :func:`_delays_between_numpy`; the results are
+    byte-identical.
     """
+    out = ckernels.delays_between(entry, exit, _MASS_EPS)
+    if out is not None:
+        return out
+    _kernel_fallback()
+    return _delays_between_numpy(entry, exit)
+
+
+def _delays_between_numpy(
+    entry: np.ndarray, exit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy body of :func:`delays_between`: fallback and test oracle."""
     entry_cum = np.cumsum(entry)
     exit_cum = np.cumsum(exit)
     total = min(entry_cum[-1], exit_cum[-1])

@@ -159,6 +159,38 @@ def test_edf_lanes_match_scalar_randomized(backend):
         ), context
 
 
+def test_edf_lanes_bisect_s_max_once_per_geometry(monkeypatch):
+    """The s_max bisection runs once per bootstrap group, not once per
+    lane per fixed-point iteration, and the bounds do not move."""
+    from repro.network import lanes
+
+    traffic = MMOOParameters.paper_defaults()
+    specs = [
+        EDFLaneSpec(
+            traffic, 300, 300, hops, 100.0, 1e-9,
+            deadline_weight_cross=w_cross, s_grid=8, gamma_grid=8,
+        )
+        for hops in (2, 5)
+        for w_cross in (5.0, 10.0)
+    ]
+    want = edf_bound_lanes(specs)
+    calls = []
+    original = lanes._max_feasible_s
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lanes, "_max_feasible_s", counting)
+    got = edf_bound_lanes(specs)
+    assert len(calls) == 2  # one per hop count; weights share a group
+    assert sum(b.diagnostics.iterations for b in got) > len(specs)
+    for g, w in zip(got, want):
+        assert g.result.delay == w.result.delay
+        assert g.delta == w.delta
+        assert g.diagnostics.iterations == w.diagnostics.iterations
+
+
 def test_mmoo_lanes_infeasible_lane():
     """An overloaded lane returns the infeasible sentinel, like scalar."""
     traffic = MMOOParameters.paper_defaults()
