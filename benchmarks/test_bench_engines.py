@@ -8,7 +8,10 @@ primed into a shared cache first, so both timings measure exactly the
 
 One rung below, the slot-kernel row times the EDF link service alone
 (one hop, 20 000 slots at 90% load) on the compiled kernel and on its
-Python fallback, over enough rounds for a median and quartiles.
+Python fallback, over enough rounds for a median and quartiles.  The
+sampler row does the same for one MMOO aggregate of a validation trial
+(300 paper flows, 20 000 slots): the compiled sampler against its numpy
+body, in geometric sojourn draws per second.
 """
 
 import time
@@ -17,6 +20,9 @@ import numpy as np
 import pytest
 from conftest import emit
 
+from repro.arrivals import csampler, processes
+from repro.arrivals.mmoo import MMOOParameters
+from repro.arrivals.processes import mmoo_aggregate_arrivals
 from repro.experiments.cache import CellCache
 from repro.experiments.sweep import SweepSpec, run_sweep
 from repro.experiments.validation import (
@@ -101,4 +107,55 @@ def test_edf_slot_kernel(benchmark, monkeypatch, path):
     benchmark.extra_info["slots_per_s_iqr"] = [
         round(SLOT_KERNEL_SLOTS / stats.q3),
         round(SLOT_KERNEL_SLOTS / stats.q1),
+    ]
+
+
+SAMPLER_FLOWS = 300
+SAMPLER_SLOTS = 20_000
+PAPER = MMOOParameters.paper_defaults()
+
+
+def _sampler_args():
+    return (PAPER, SAMPLER_FLOWS, SAMPLER_SLOTS, np.random.default_rng(0)), {}
+
+
+def _sojourn_draws(monkeypatch) -> int:
+    """Geometric draws of one benchmark call, counted on the numpy body
+    (the compiled sampler makes exactly the same draws)."""
+    draws = 0
+    geometric = processes._geometric
+
+    def counting(rng, p, size, horizon):
+        nonlocal draws
+        if p > 0.0:
+            draws += size[0] * size[1]
+        return geometric(rng, p, size, horizon)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(processes, "_geometric", counting)
+        patch.setattr(csampler.KERNEL, "load", lambda: None)
+        args, _ = _sampler_args()
+        mmoo_aggregate_arrivals(*args)
+    return draws
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_mmoo_sampler(benchmark, monkeypatch, path):
+    """One 300-flow x 20 000-slot MMOO aggregate: draws per second,
+    compiled sampler vs. numpy body."""
+    draws = _sojourn_draws(monkeypatch)
+    if path == "python":
+        monkeypatch.setattr(csampler.KERNEL, "load", lambda: None)
+    elif not csampler.KERNEL.available():
+        pytest.skip("no C compiler: the compiled sampler is unavailable")
+    benchmark.pedantic(
+        mmoo_aggregate_arrivals, setup=_sampler_args,
+        rounds=60 if path == "c" else 30, iterations=1, warmup_rounds=1,
+    )
+    stats = benchmark.stats.stats
+    benchmark.extra_info["draws"] = draws
+    benchmark.extra_info["draws_per_s_median"] = round(draws / stats.median)
+    benchmark.extra_info["draws_per_s_iqr"] = [
+        round(draws / stats.q3),
+        round(draws / stats.q1),
     ]

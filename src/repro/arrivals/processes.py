@@ -15,12 +15,25 @@ The construction is exact: a two-state chain is precisely an
 alternating sequence of independent ``Geometric(p21)`` ON and
 ``Geometric(p12)`` OFF sojourns, and a stationary start leaves the
 residual first sojourn geometric by memorylessness.
+
+The sojourn rounds run in the compiled sampler of
+:mod:`repro.arrivals.csampler` when it loads: a C mirror of
+:func:`_phase_intervals` that draws every sojourn from numpy's own
+``random_geometric`` on the caller's generator, so its output and the
+generator state it leaves are byte-identical to the numpy body's.  The
+numpy body stays as the fallback (no ``cc``, no numpy distribution
+archive, or an ``rng`` that is not a :class:`numpy.random.Generator`)
+and as the test oracle; each fallback call adds 1 to the
+``simulation.sampler_fallbacks`` counter while :mod:`repro.obs` is
+enabled.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
+from repro.arrivals import csampler
 from repro.arrivals.mmoo import MMOOParameters
 from repro.utils.validation import check_int, check_non_negative, check_positive
 
@@ -97,6 +110,93 @@ def _phase_intervals(
         pairs = _SOJOURN_BATCH // 2
 
 
+def _initial_states(
+    params: MMOOParameters,
+    n_flows: int,
+    rng: np.random.Generator,
+    stationary_start: bool,
+    initial_on: np.ndarray | None,
+) -> np.ndarray:
+    """Every flow's slot-0 phase (``True`` = ON)."""
+    if initial_on is not None:
+        if initial_on.shape != (n_flows,):
+            raise ValueError(
+                f"initial_on must have shape ({n_flows},), got {initial_on.shape}"
+            )
+        return initial_on.astype(bool)
+    if stationary_start:
+        return rng.random(n_flows) < params.on_probability
+    return np.zeros(n_flows, dtype=bool)
+
+
+def _on_intervals_numpy(
+    params: MMOOParameters,
+    n_slots: int,
+    rng: np.random.Generator,
+    state_on: np.ndarray,
+    first_pairs: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The numpy sampler body: fallback and oracle of the C kernel."""
+    flow_ids = np.arange(state_on.size, dtype=np.int64)
+    out_flows: list[np.ndarray] = []
+    out_starts: list[np.ndarray] = []
+    out_ends: list[np.ndarray] = []
+    for start_on in (True, False):
+        group = flow_ids[state_on] if start_on else flow_ids[~state_on]
+        if group.size:
+            _phase_intervals(
+                group, start_on, params.p12, params.p21, n_slots, rng,
+                first_pairs, out_flows, out_starts, out_ends,
+            )
+
+    if not out_flows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), empty.copy()
+    return (
+        np.concatenate(out_flows),
+        np.concatenate(out_starts),
+        np.concatenate(out_ends),
+    )
+
+
+def _sample(
+    params: MMOOParameters,
+    n_flows: int,
+    n_slots: int,
+    rng: np.random.Generator,
+    stationary_start: bool,
+    initial_on: np.ndarray | None,
+    *,
+    intervals: bool,
+    aggregate: bool,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, np.ndarray | None]:
+    """``(intervals | None, aggregate | None)`` of one sample path, from
+    the compiled sampler when it loads, else from the numpy body."""
+    n_flows = check_int(n_flows, "n_flows", minimum=1)
+    n_slots = check_int(n_slots, "n_slots", minimum=1)
+    state_on = _initial_states(params, n_flows, rng, stationary_start, initial_on)
+    first_pairs = _first_batch_pairs(params, n_slots)
+    out = csampler.sample(
+        params.p12, params.p21, n_slots, state_on, rng, first_pairs,
+        _SOJOURN_BATCH // 2, intervals=intervals, aggregate=aggregate,
+    )
+    if out is not None:
+        found, delta = out
+        if delta is None:
+            return found, None
+        return found, params.peak * np.cumsum(delta[:n_slots])
+    if obs.enabled():
+        obs.add("simulation.sampler_fallbacks")
+    flows, starts, ends = _on_intervals_numpy(
+        params, n_slots, rng, state_on, first_pairs
+    )
+    arrivals = (
+        intervals_to_aggregate(starts, ends, n_slots, params.peak)
+        if aggregate else None
+    )
+    return ((flows, starts, ends) if intervals else None), arrivals
+
+
 def mmoo_on_intervals(
     params: MMOOParameters,
     n_flows: int,
@@ -120,41 +220,36 @@ def mmoo_on_intervals(
     exactly with the event-driven sampler — the importance sampler uses
     this to resume a chain mid-path from known per-flow states.
     """
-    n_flows = check_int(n_flows, "n_flows", minimum=1)
-    n_slots = check_int(n_slots, "n_slots", minimum=1)
-    p12, p21 = params.p12, params.p21
-    if initial_on is not None:
-        if initial_on.shape != (n_flows,):
-            raise ValueError(
-                f"initial_on must have shape ({n_flows},), got {initial_on.shape}"
-            )
-        state_on = initial_on.astype(bool)
-    elif stationary_start:
-        state_on = rng.random(n_flows) < params.on_probability
-    else:
-        state_on = np.zeros(n_flows, dtype=bool)
-
-    flow_ids = np.arange(n_flows, dtype=np.int64)
-    out_flows: list[np.ndarray] = []
-    out_starts: list[np.ndarray] = []
-    out_ends: list[np.ndarray] = []
-    first_pairs = _first_batch_pairs(params, n_slots)
-    for start_on in (True, False):
-        group = flow_ids[state_on] if start_on else flow_ids[~state_on]
-        if group.size:
-            _phase_intervals(
-                group, start_on, p12, p21, n_slots, rng, first_pairs,
-                out_flows, out_starts, out_ends,
-            )
-
-    if not out_flows:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy()
-    return (
-        np.concatenate(out_flows),
-        np.concatenate(out_starts),
-        np.concatenate(out_ends),
+    found, _ = _sample(
+        params, n_flows, n_slots, rng, stationary_start, initial_on,
+        intervals=True, aggregate=False,
     )
+    assert found is not None
+    return found
+
+
+def mmoo_on_intervals_and_arrivals(
+    params: MMOOParameters,
+    n_flows: int,
+    n_slots: int,
+    rng: np.random.Generator,
+    *,
+    stationary_start: bool = True,
+    initial_on: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(flows, starts, ends, arrivals)`` of one sample path.
+
+    The intervals of :func:`mmoo_on_intervals` together with their
+    per-slot aggregate (``intervals_to_aggregate(starts, ends, n_slots,
+    params.peak)``), built in the same pass — the importance sampler
+    needs both.
+    """
+    found, arrivals = _sample(
+        params, n_flows, n_slots, rng, stationary_start, initial_on,
+        intervals=True, aggregate=True,
+    )
+    assert found is not None and arrivals is not None
+    return (*found, arrivals)
 
 
 def mmoo_aggregate_arrivals(
@@ -179,10 +274,12 @@ def mmoo_aggregate_arrivals(
         default — matches the stationarity assumption of the analysis) or
         start all flows OFF (False).
     """
-    _, starts, ends = mmoo_on_intervals(
-        params, n_flows, n_slots, rng, stationary_start=stationary_start
+    _, arrivals = _sample(
+        params, n_flows, n_slots, rng, stationary_start, None,
+        intervals=False, aggregate=True,
     )
-    return intervals_to_aggregate(starts, ends, n_slots, params.peak)
+    assert arrivals is not None
+    return arrivals
 
 
 def intervals_to_aggregate(

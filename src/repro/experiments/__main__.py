@@ -406,10 +406,13 @@ def _format_kernel_trace(registry) -> str:
         return "unused" if value is None else ("C" if value else "Python")
 
     fallbacks = registry.counter("simulation.kernel_fallbacks")
+    sampler_fallbacks = registry.counter("simulation.sampler_fallbacks")
     return (
         f"[trace] kernels: cprobe={path('cprobe.available')} "
         f"simulation={path('simulation.kernel_available')} "
-        f"(simulation fallback calls={fallbacks:.0f})"
+        f"sampler={path('simulation.sampler_available')} "
+        f"(simulation fallback calls={fallbacks:.0f}, "
+        f"sampler fallback calls={sampler_fallbacks:.0f})"
     )
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
-from repro.arrivals.processes import intervals_to_aggregate, mmoo_on_intervals
+from repro.arrivals.processes import mmoo_on_intervals_and_arrivals
 from repro.simulation.engine import SimulationConfig, _policy_factory
 from repro.simulation.network import TandemNetwork, TandemResult
 from repro.simulation.vectorized import _serve_fifo, run_tandem_vectorized
@@ -320,13 +320,12 @@ def simulate_tandem_mmoo_rare(
                 sampled.append(None)
                 continue
             initial = rng.random(n_flows) < config.traffic.on_probability
-            flows, starts, ends = mmoo_on_intervals(
-                tilted.params, n_flows, n_slots, rng, initial_on=initial
+            # the tilted chain keeps the base chain's peak
+            sampled.append(
+                mmoo_on_intervals_and_arrivals(
+                    tilted.params, n_flows, n_slots, rng, initial_on=initial
+                )
             )
-            arrivals = intervals_to_aggregate(
-                starts, ends, n_slots, config.traffic.peak
-            )
-            sampled.append((flows, starts, ends, arrivals))
 
     tau = _stopping_slot(sampled, config, level)
 
@@ -352,12 +351,9 @@ def simulate_tandem_mmoo_rare(
                     step < config.traffic.p22,
                     step < config.traffic.p12,
                 )
-                _, tail_starts, tail_ends = mmoo_on_intervals(
+                *_, tail = mmoo_on_intervals_and_arrivals(
                     config.traffic, n_flows, tail_slots, rng,
                     initial_on=on_next,
-                )
-                tail = intervals_to_aggregate(
-                    tail_starts, tail_ends, tail_slots, config.traffic.peak
                 )
                 arrivals = np.concatenate([arrivals[: tau + 1], tail])
             stitched.append(arrivals)
