@@ -52,4 +52,4 @@ def test_validation_single_simulation(benchmark):
         return simulate_tandem_mmoo(config)
 
     result = benchmark.pedantic(compute, rounds=1, iterations=1)
-    assert result.through_delays.total_mass > 0
+    assert result.route_delays["through"].total_mass > 0

@@ -24,8 +24,8 @@ from repro.scheduling.schedulability import (
     min_feasible_delay,
 )
 from repro.service.leftover import deterministic_leftover_service
-from repro.simulation.network import TandemNetwork
-from repro.simulation.schedulers import FIFOPolicy
+from repro.simulation.network import DagNetwork
+from repro.topology import Topology
 
 CAPACITY = 100.0  # Mbps
 ENVELOPES = {
@@ -49,14 +49,14 @@ def single_node_bounds() -> None:
 def tightness_demo() -> None:
     d = min_feasible_delay(FIFO(), ENVELOPES, CAPACITY, "video")
     slots = 50
-    net = TandemNetwork(CAPACITY, 1, lambda t, c: FIFOPolicy())
+    net = DagNetwork(Topology.line(1, capacity=CAPACITY, n_through=1))
     result = net.run(
-        adversarial_arrivals(ENVELOPES["video"], slots),
-        [adversarial_arrivals(ENVELOPES["bulk"], slots)],
+        {"through": adversarial_arrivals(ENVELOPES["video"], slots)},
+        {"0": adversarial_arrivals(ENVELOPES["bulk"], slots)},
     )
     print(
         f"\ngreedy arrival pattern on FIFO: simulated worst delay "
-        f"{result.through_delays.max():.0f} ms vs bound {d:.2f} ms "
+        f"{result.route_delays['through'].max():.0f} ms vs bound {d:.2f} ms "
         "(tight up to slot granularity)"
     )
 

@@ -52,7 +52,7 @@ def main() -> None:
             capacity=CAPACITY, slots=SLOTS, scheduler=sim_name, seed=17,
             **extra,
         )
-        delays = simulate_tandem_mmoo(config).through_delays
+        delays = simulate_tandem_mmoo(config).route_delays["through"]
         print(
             f"{label:>10} {bound_text:>12} "
             f"{delays.quantile(1 - EPSILON):>12.1f} "

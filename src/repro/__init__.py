@@ -66,7 +66,6 @@ _EXPORTS = {
     "pay_bursts_only_once": "repro.network",
     "mgf_delay_bound": "repro.singlenode",
     "packetize_service": "repro.service",
-    "TandemNetwork": "repro.simulation",
     "Topology": "repro.topology",
     "NodeSpec": "repro.topology",
     "Route": "repro.topology",

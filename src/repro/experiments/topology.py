@@ -31,13 +31,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.config import DEFAULT_BACKEND, grids
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
+from repro.experiments.validation import aggregate_trials, trial_summary
 from repro.simulation.engine import simulate_topology_mmoo, spawn_trial_seeds
-from repro.simulation.metrics import order_statistics_ci
 from repro.topology import Topology, build_scenario, extract_route
 from repro.topology.routes import route_delay_bound_mmoo, route_is_homogeneous
 
@@ -243,57 +241,21 @@ def topology_spec(
 def rows_to_topology(rows: Sequence[dict]) -> list[TopologyRow]:
     """Aggregate kind-tagged sweep rows into :class:`TopologyRow` records.
 
-    Bound and trial rows are joined on the route name; per route the
-    trial quantiles collapse to their median with an order-statistics CI
-    and a count of bound violations.  Output order follows the bound
-    rows' grid order.
+    Bound and trial rows are joined on the route name; see
+    :func:`~repro.experiments.validation.aggregate_trials`.  Output
+    order follows the bound rows' grid order.
     """
-    bounds: dict[str, dict] = {}
-    trials: dict[str, list[dict]] = {}
-    order: list[str] = []
-    for row in rows:
-        route = str(row["route"])
-        if row.get("kind") == "trial":
-            trials.setdefault(route, []).append(row)
-        else:
-            if route not in bounds:
-                order.append(route)
-            bounds[route] = row
-
-    out: list[TopologyRow] = []
-    for route in order:
-        bound_row = bounds[route]
-        trial_rows = sorted(
-            trials.get(route, []), key=lambda r: int(r.get("trial", 0))
+    return [
+        TopologyRow(
+            route=route,
+            hops=int(bound_row["hops"]),
+            homogeneous=bool(bound_row["homogeneous"]),
+            **fields,
         )
-        if not trial_rows:
-            raise ValueError(f"no trial rows for route {route!r}")
-        bound = float(bound_row["bound"])
-        slack = float(bound_row["slack_allowed"])
-        quantiles = [float(r["simulated_quantile"]) for r in trial_rows]
-        lo, hi = order_statistics_ci(quantiles, p=0.5, confidence=0.95)
-        out.append(
-            TopologyRow(
-                route=route,
-                hops=int(bound_row["hops"]),
-                homogeneous=bool(bound_row["homogeneous"]),
-                bound=bound,
-                simulated_quantile=float(np.median(quantiles)),
-                simulated_max=max(
-                    float(r["simulated_max"]) for r in trial_rows
-                ),
-                slack_allowed=slack,
-                n_trials=len(trial_rows),
-                quantile_lo=lo,
-                quantile_hi=hi,
-                bound_violations=sum(
-                    q > bound + slack + _SOUND_EPS for q in quantiles
-                ),
-                trial_seeds=tuple(int(r["seed"]) for r in trial_rows),
-                engine=str(trial_rows[0].get("engine", "auto")),
-            )
+        for route, bound_row, fields in aggregate_trials(
+            rows, lambda row: str(row["route"]), engine="auto"
         )
-    return out
+    ]
 
 
 def topology_summary(rows: Sequence[TopologyRow]) -> list[dict]:
@@ -303,17 +265,7 @@ def topology_summary(rows: Sequence[TopologyRow]) -> list[dict]:
             "route": row.route,
             "hops": row.hops,
             "homogeneous": row.homogeneous,
-            "bound": row.bound,
-            "simulated_quantile": row.simulated_quantile,
-            "quantile_lo": row.quantile_lo,
-            "quantile_hi": row.quantile_hi,
-            "simulated_max": row.simulated_max,
-            "slack_allowed": row.slack_allowed,
-            "n_trials": row.n_trials,
-            "bound_violations": row.bound_violations,
-            "trial_seeds": list(row.trial_seeds),
-            "engine": row.engine,
-            "sound": row.sound,
+            **trial_summary(row),
         }
         for row in rows
     ]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -96,6 +96,10 @@ class ValidationRow:
             <= self.bound + self.slack_allowed + _SOUND_EPS
         )
 
+
+#: What bound and trial rows join on: (scheduler, hops) here, the route
+#: name in the topology experiment.
+PointKey = TypeVar("PointKey", bound=Hashable)
 
 BOUND_CELL_FN = "repro.experiments.validation:validation_bound_cell"
 TRIAL_CELL_FN = "repro.experiments.validation:validation_trial_cell"
@@ -215,7 +219,7 @@ def validation_trial_cell(
         hops=hops, capacity=setting.capacity, slots=slots,
         scheduler=sim_name, seed=seed, engine=engine, **config_kwargs,
     )
-    delays = simulate_tandem_mmoo(config).through_delays
+    delays = simulate_tandem_mmoo(config).route_delays["through"]
     return {
         "rows": [
             {
@@ -291,62 +295,97 @@ def validation_spec(
     )
 
 
-def rows_to_validation(rows: Sequence[dict]) -> list[ValidationRow]:
-    """Aggregate kind-tagged sweep rows into :class:`ValidationRow` records.
+def aggregate_trials(
+    rows: Sequence[dict], key: Callable[[dict], PointKey], *, engine: str
+) -> list[tuple[PointKey, dict, dict]]:
+    """Join kind-tagged bound and trial rows and aggregate each point.
 
-    Bound and trial rows are joined on (scheduler, hops); per point the
-    trial quantiles collapse to their median with an order-statistics CI
-    and a count of bound violations.  Output order follows the bound
-    rows' grid order.
+    Rows join on ``key(row)``; per point the trial quantiles collapse to
+    their median with a distribution-free 95% order-statistics CI and a
+    count of bound violations.  Returns ``(key, bound_row, fields)`` in
+    the bound rows' grid order, where ``fields`` holds the trial
+    aggregate shared by :class:`ValidationRow` and
+    :class:`~repro.experiments.topology.TopologyRow`; ``engine`` is the
+    fallback for trial rows that do not name theirs.
     """
-    bounds: dict[tuple[str, int], dict] = {}
-    trials: dict[tuple[str, int], list[dict]] = {}
-    order: list[tuple[str, int]] = []
+    bounds: dict[PointKey, dict] = {}
+    trials: dict[PointKey, list[dict]] = {}
     for row in rows:
-        key = (str(row["scheduler"]), int(row["hops"]))
         if row.get("kind") == "trial":
-            trials.setdefault(key, []).append(row)
+            trials.setdefault(key(row), []).append(row)
         else:
-            if key not in bounds:
-                order.append(key)
-            bounds[key] = row
+            bounds[key(row)] = row
 
-    out: list[ValidationRow] = []
-    for key in order:
-        bound_row = bounds[key]
+    out = []
+    for point, bound_row in bounds.items():
         trial_rows = sorted(
-            trials.get(key, []), key=lambda r: int(r.get("trial", 0))
+            trials.get(point, []), key=lambda r: int(r.get("trial", 0))
         )
         if not trial_rows:
-            raise ValueError(
-                f"no trial rows for validation point {key}"
-            )
+            raise ValueError(f"no trial rows for point {point!r}")
         bound = float(bound_row["bound"])
         slack = float(bound_row["slack_allowed"])
         quantiles = [float(r["simulated_quantile"]) for r in trial_rows]
         lo, hi = order_statistics_ci(quantiles, p=0.5, confidence=0.95)
-        out.append(
-            ValidationRow(
-                scheduler=key[0],
-                hops=key[1],
-                utilization=float(bound_row["utilization"]),
-                bound=bound,
-                simulated_quantile=float(np.median(quantiles)),
-                simulated_max=max(
-                    float(r["simulated_max"]) for r in trial_rows
-                ),
-                slack_allowed=slack,
-                n_trials=len(trial_rows),
-                quantile_lo=lo,
-                quantile_hi=hi,
-                bound_violations=sum(
-                    q > bound + slack + _SOUND_EPS for q in quantiles
-                ),
-                trial_seeds=tuple(int(r["seed"]) for r in trial_rows),
-                engine=str(trial_rows[0].get("engine", "chunk")),
-            )
-        )
+        fields = {
+            "bound": bound,
+            "simulated_quantile": float(np.median(quantiles)),
+            "simulated_max": max(
+                float(r["simulated_max"]) for r in trial_rows
+            ),
+            "slack_allowed": slack,
+            "n_trials": len(trial_rows),
+            "quantile_lo": lo,
+            "quantile_hi": hi,
+            "bound_violations": sum(
+                q > bound + slack + _SOUND_EPS for q in quantiles
+            ),
+            "trial_seeds": tuple(int(r["seed"]) for r in trial_rows),
+            "engine": str(trial_rows[0].get("engine", engine)),
+        }
+        out.append((point, bound_row, fields))
     return out
+
+
+def trial_summary(row) -> dict:
+    """The trial-aggregate fields of a :class:`ValidationRow` or
+    :class:`~repro.experiments.topology.TopologyRow` as plain values
+    (the JSON artifact's tail after the point's own keys)."""
+    return {
+        "bound": row.bound,
+        "simulated_quantile": row.simulated_quantile,
+        "quantile_lo": row.quantile_lo,
+        "quantile_hi": row.quantile_hi,
+        "simulated_max": row.simulated_max,
+        "slack_allowed": row.slack_allowed,
+        "n_trials": row.n_trials,
+        "bound_violations": row.bound_violations,
+        "trial_seeds": list(row.trial_seeds),
+        "engine": row.engine,
+        "sound": row.sound,
+    }
+
+
+def rows_to_validation(rows: Sequence[dict]) -> list[ValidationRow]:
+    """Aggregate kind-tagged sweep rows into :class:`ValidationRow` records.
+
+    Bound and trial rows are joined on (scheduler, hops); see
+    :func:`aggregate_trials`.  Output order follows the bound rows' grid
+    order.
+    """
+    return [
+        ValidationRow(
+            scheduler=scheduler,
+            hops=hops,
+            utilization=float(bound_row["utilization"]),
+            **fields,
+        )
+        for (scheduler, hops), bound_row, fields in aggregate_trials(
+            rows,
+            lambda row: (str(row["scheduler"]), int(row["hops"])),
+            engine="chunk",
+        )
+    ]
 
 
 def validation_summary(rows: Sequence[ValidationRow]) -> list[dict]:
@@ -356,17 +395,7 @@ def validation_summary(rows: Sequence[ValidationRow]) -> list[dict]:
             "scheduler": row.scheduler,
             "hops": row.hops,
             "utilization": row.utilization,
-            "bound": row.bound,
-            "simulated_quantile": row.simulated_quantile,
-            "quantile_lo": row.quantile_lo,
-            "quantile_hi": row.quantile_hi,
-            "simulated_max": row.simulated_max,
-            "slack_allowed": row.slack_allowed,
-            "n_trials": row.n_trials,
-            "bound_violations": row.bound_violations,
-            "trial_seeds": list(row.trial_seeds),
-            "engine": row.engine,
-            "sound": row.sound,
+            **trial_summary(row),
         }
         for row in rows
     ]
@@ -502,7 +531,7 @@ def rare_validation_batch_cell(
         trial = simulate_tandem_mmoo_rare(config, threshold, tilted=tilted)
         log_weights.append(trial.log_weight)
         exceed_fractions.append(
-            trial.result.through_delays.exceed_fraction(threshold)
+            trial.result.route_delays["through"].exceed_fraction(threshold)
         )
         taus.append(trial.tau)
     return {

@@ -139,7 +139,10 @@ class BoundService:
         The body is a bound query plus a ``target`` (max tolerable
         delay in ms, or backlog in kbit for ``kind="backlog"``).  The
         verdict is sound with respect to the paper's bounds: admissible
-        only when the bound is feasible (finite) and within target.
+        only when the bound is feasible (finite), within target, and —
+        for EDF — its deadline fixed point converged.  An unconverged
+        EDF answer bounds a different deadline assignment than the one
+        queried, so the verdict says ``"converged": false`` and rejects.
         """
         self.registry.add("service.requests.admissible")
         if not isinstance(body, dict):
@@ -157,7 +160,8 @@ class BoundService:
         query = self.parse({k: v for k, v in body.items() if k != "target"})
         row = await self.answer(query)
         bound = row["delay"] if query.kind == "delay" else row["backlog"]
-        admissible = bool(row["feasible"]) and bound <= target
+        converged = bool(row.get("edf", {}).get("edf_converged", True))
+        admissible = converged and bool(row["feasible"]) and bound <= target
         self.registry.add(
             "service.verdicts.admitted"
             if admissible
@@ -169,6 +173,7 @@ class BoundService:
             "bound": bound,
             "target": target,
             "feasible": bool(row["feasible"]),
+            "converged": converged,
             "key": row["key"],
             "cached": row["cached"],
         }

@@ -11,6 +11,16 @@ Schedulers: FIFO, static priority (and BMUX as its special case), EDF —
 the Delta-schedulers analyzed by the paper — plus GPS, which is *not* a
 Delta-scheduler and is included for empirical contrast.
 
+Every run is a feed-forward :class:`repro.topology.Topology`; the
+paper's Fig. 1 tandem is its line case.  :func:`simulate_topology_mmoo`
+samples MMOO arrivals and runs them on the chunk engine
+(:class:`DagNetwork`) or the vectorized fast path
+(:func:`run_tandem_vectorized` for lines, :func:`run_topology_vectorized`
+for all-FIFO DAGs), returning a :class:`DagResult`.
+:class:`SimulationConfig` describes one tandem run and
+:func:`simulate_tandem_mmoo` runs its :attr:`SimulationConfig.topology`;
+:func:`simulate_tandem_mmoo_rare` is the importance-sampled variant.
+
 The validation experiments check that simulated delay quantiles stay below
 the analytic bounds at the corresponding violation probability.
 """
@@ -27,8 +37,6 @@ from repro.simulation.node import Link
 from repro.simulation.network import (
     DagNetwork,
     DagResult,
-    TandemNetwork,
-    TandemResult,
     default_policy_factory,
 )
 from repro.simulation.metrics import (
@@ -45,11 +53,9 @@ from repro.simulation.vectorized import (
 from repro.simulation.engine import (
     ENGINES,
     SimulationConfig,
-    TrialResult,
     resolve_topology_engine,
     sample_topology_arrivals,
     simulate_tandem_mmoo,
-    simulate_tandem_mmoo_trials,
     simulate_topology_mmoo,
     spawn_trial_seeds,
 )
@@ -74,8 +80,6 @@ __all__ = [
     "Link",
     "DagNetwork",
     "DagResult",
-    "TandemNetwork",
-    "TandemResult",
     "default_policy_factory",
     "DelayRecorder",
     "BacklogRecorder",
@@ -86,11 +90,9 @@ __all__ = [
     "run_topology_vectorized",
     "ENGINES",
     "SimulationConfig",
-    "TrialResult",
     "resolve_topology_engine",
     "sample_topology_arrivals",
     "simulate_tandem_mmoo",
-    "simulate_tandem_mmoo_trials",
     "simulate_topology_mmoo",
     "spawn_trial_seeds",
     "TiltedMMOO",

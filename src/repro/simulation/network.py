@@ -4,8 +4,7 @@ The general simulator is :class:`DagNetwork`: a slot loop in topological
 order over any validated :class:`repro.topology.Topology` — routes
 traverse their node sequences, node-local cross traffic joins at each
 node and leaves right after it.  The paper's Fig. 1 tandem is the
-degenerate line case, kept as the thin :class:`TandemNetwork` wrapper
-with its original interface (and bit-for-bit its original behavior).
+degenerate line case, :meth:`repro.topology.Topology.line`.
 
 Store-and-forward timing: fluid served at a node in slot ``t`` arrives
 at the next node of its route in slot ``t + 1`` — a conservative
@@ -14,14 +13,14 @@ convention, so under light load an ``H``-hop route sees exactly
 ``H - 1`` slots of end-to-end delay (validation comparisons allow this
 slack).
 
-Within one slot the offer order is fixed — and for a line topology
-identical to the historical tandem loop: first every node's local cross
-traffic (in topological order), then each route's external arrivals at
-its first node (in route declaration order), then the chunks forwarded
-from the previous slot (per node, in topological order).  Cross traffic
-before through traffic is the adversarial convention under which greedy
-envelope patterns attain the worst-case bounds (Theorem 2), and a
-conservative one for validating probabilistic bounds.
+Within one slot the offer order is fixed: first every node's local
+cross traffic (in topological order), then each route's external
+arrivals at its first node (in route declaration order), then the
+chunks forwarded from the previous slot (per node, in topological
+order).  Cross traffic before through traffic is the adversarial
+convention under which greedy envelope patterns attain the worst-case
+bounds (Theorem 2), and a conservative one for validating
+probabilistic bounds.
 """
 
 from __future__ import annotations
@@ -46,20 +45,12 @@ from repro.utils.validation import check_int
 
 FlowId = Hashable
 
-THROUGH = "through"
-
 #: Fluid below this threshold counts as drained.
 _DRAIN_EPS = 1e-6
 
 
-def cross_flow_id(node_index: int) -> str:
-    """Flow identifier of the cross aggregate joining at node ``node_index``
-    of a tandem (the historical naming, kept for tandem compatibility)."""
-    return f"cross{node_index}"
-
-
 def dag_cross_flow_id(node_name: str) -> str:
-    """Default flow identifier of the cross aggregate local to a DAG node."""
+    """Flow identifier of the cross aggregate local to a DAG node."""
     return f"cross:{node_name}"
 
 
@@ -79,8 +70,7 @@ def default_policy_factory(
     Route aggregates all share the "through" role (BMUX de-prioritizes
     them, SP prioritizes them, EDF gives them the through deadline, GPS
     the through weight); the node-local cross aggregate takes the cross
-    role.  For a single route this reproduces the historical tandem
-    policies exactly.
+    role.
     """
     if spec.scheduler == "fifo":
         return FIFOPolicy()
@@ -119,22 +109,6 @@ class DagResult:
     topology: Topology
 
 
-@dataclass(frozen=True)
-class TandemResult:
-    """Collected measurements of a tandem run.
-
-    Frozen: instances cross the process-pool boundary in
-    :func:`repro.simulation.engine.simulate_tandem_mmoo_trials` (lint
-    rule RPR004), so they must stay immutable value objects.
-    """
-
-    through_delays: DelayRecorder
-    node_backlogs: tuple[BacklogRecorder, ...]
-    cross_delays: tuple[DelayRecorder, ...]
-    slots: int
-    hops: int
-
-
 class DagNetwork:
     """A feed-forward network of store-and-forward links.
 
@@ -151,10 +125,10 @@ class DagNetwork:
         ``False`` switches every link to the non-preemptive packet model.
     packet_size:
         Split each slot's external arrivals into packets of this size.
-    cross_id:
-        Naming hook mapping a node name to its local cross-flow
-        identifier (default :func:`dag_cross_flow_id`).  Route names and
-        cross identifiers must not collide.
+
+    A node's local cross aggregate is the flow
+    :func:`dag_cross_flow_id` of its name; route names must not collide
+    with those identifiers.
     """
 
     def __init__(
@@ -164,7 +138,6 @@ class DagNetwork:
         *,
         preemptive: bool = True,
         packet_size: float | None = None,
-        cross_id: Callable[[str], str] | None = None,
     ) -> None:
         self.topology = topology
         self.preemptive = bool(preemptive)
@@ -172,8 +145,9 @@ class DagNetwork:
             raise ValueError("packet_size must be > 0")
         self.packet_size = packet_size
         factory = policy_factory or default_policy_factory
-        cross_id = cross_id or dag_cross_flow_id
-        self._cross_ids = {n.name: cross_id(n.name) for n in topology.nodes}
+        self._cross_ids = {
+            n.name: dag_cross_flow_id(n.name) for n in topology.nodes
+        }
         route_names = {route.name for route in topology.routes}
         collisions = route_names & set(self._cross_ids.values())
         if collisions:
@@ -334,102 +308,4 @@ class DagNetwork:
             node_backlogs=backlog_recs,
             slots=n_slots,
             topology=self.topology,
-        )
-
-
-class TandemNetwork:
-    """The Fig. 1 topology: ``hops`` links, per-node fresh cross traffic.
-
-    A thin wrapper over :class:`DagNetwork` on a line topology whose
-    nodes are named ``"0" .. "H-1"`` and whose cross flows keep the
-    historical identifiers ``cross0 .. cross{H-1}``; the slot loop,
-    offer order, and recorders are byte-for-byte those of the original
-    hard-wired tandem.
-
-    Parameters
-    ----------
-    capacity:
-        Per-slot link rate (same at each node).
-    policy_factory:
-        Called once per node with the node's flow identifiers
-        ``(THROUGH, cross_flow_id(h))`` and must return the node's
-        :class:`SchedulerPolicy`.
-    hops:
-        Path length ``H``.
-    """
-
-    def __init__(
-        self,
-        capacity: float,
-        hops: int,
-        policy_factory: Callable[[str, str], SchedulerPolicy],
-        *,
-        preemptive: bool = True,
-        packet_size: float | None = None,
-    ) -> None:
-        self.hops = check_int(hops, "hops", minimum=1)
-        self.capacity = float(capacity)
-        self.preemptive = bool(preemptive)
-        topology = Topology.line(
-            self.hops, capacity=self.capacity, n_through=1, n_cross=1,
-            route_name=THROUGH,
-        )
-        self._dag = DagNetwork(
-            topology,
-            lambda spec, route_ids, cross_id: policy_factory(
-                route_ids[0], cross_id
-            ),
-            preemptive=preemptive,
-            packet_size=packet_size,
-            cross_id=lambda name: cross_flow_id(int(name)),
-        )
-        self.packet_size = self._dag.packet_size
-        self.links = [self._dag.links[str(h)] for h in range(self.hops)]
-
-    def run(
-        self,
-        through_arrivals: Sequence[float],
-        cross_arrivals: Sequence[Sequence[float]],
-        *,
-        drain: bool = True,
-        record_backlog: bool = False,
-    ) -> TandemResult:
-        """Simulate the tandem on per-slot arrival arrays.
-
-        Parameters
-        ----------
-        through_arrivals:
-            ``through_arrivals[t]`` = through fluid entering node 1 at
-            slot ``t``.
-        cross_arrivals:
-            ``cross_arrivals[h][t]`` = cross fluid entering node ``h+1``
-            at slot ``t``; must have ``hops`` rows.
-        drain:
-            Keep simulating (without new arrivals) until all through
-            traffic has left the network, so every bit's delay is
-            measured.
-        record_backlog:
-            Collect per-slot backlog samples at every node.
-        """
-        cross = list(cross_arrivals)
-        if len(cross) != self.hops:
-            raise ValueError(
-                f"need {self.hops} cross arrival rows, got {len(cross)}"
-            )
-        result = self._dag.run(
-            {THROUGH: through_arrivals},
-            {str(h): cross[h] for h in range(self.hops)},
-            drain=drain,
-            record_backlog=record_backlog,
-        )
-        return TandemResult(
-            through_delays=result.route_delays[THROUGH],
-            node_backlogs=tuple(
-                result.node_backlogs[str(h)] for h in range(self.hops)
-            ),
-            cross_delays=tuple(
-                result.cross_delays[str(h)] for h in range(self.hops)
-            ),
-            slots=result.slots,
-            hops=self.hops,
         )

@@ -58,8 +58,8 @@ import numpy as np
 from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
 from repro.arrivals.processes import mmoo_on_intervals_and_arrivals
-from repro.simulation.engine import SimulationConfig, _policy_factory
-from repro.simulation.network import TandemNetwork, TandemResult
+from repro.simulation.engine import SimulationConfig
+from repro.simulation.network import DagNetwork, DagResult
 from repro.simulation.vectorized import _serve_fifo, run_tandem_vectorized
 from repro.utils.numeric import bisect_increasing, safe_exp
 from repro.utils.validation import check_int, check_positive
@@ -255,17 +255,21 @@ class RareTrialResult:
     tau:
         The stopping slot (``slots - 1`` when the proxy never crossed).
     result:
-        The scheduler simulation on the stitched sample path.
+        The simulation of the config's line topology on the stitched
+        sample path; its through delays are
+        ``result.route_delays["through"]``.
     """
 
     seed: int
     log_weight: float
     tau: int
-    result: TandemResult
+    result: DagResult
 
     def weighted_exceed_fraction(self, threshold: float) -> float:
         """``w * f``: the trial's contribution to ``P(delay > threshold)``."""
-        fraction = self.result.through_delays.exceed_fraction(threshold)
+        fraction = self.result.route_delays["through"].exceed_fraction(
+            threshold
+        )
         if fraction == 0.0:
             return 0.0
         return safe_exp(self.log_weight) * fraction
@@ -291,8 +295,8 @@ def simulate_tandem_mmoo_rare(
 ) -> RareTrialResult:
     """Run one tilt-until-hit trial of ``config`` for level ``threshold``.
 
-    Mirrors :func:`repro.simulation.engine.simulate_tandem_mmoo` — same
-    topology, same schedulers, same engines — but samples the through
+    Mirrors :func:`repro.simulation.engine.simulate_tandem_mmoo` — the
+    same ``config.topology`` on the same engines — but samples the through
     and cross aggregates from the tilted chain until the stopping time
     and returns the trial's log likelihood-ratio weight alongside the
     simulation result.  ``threshold`` is the delay level (in slots) the
@@ -358,25 +362,23 @@ def simulate_tandem_mmoo_rare(
                 arrivals = np.concatenate([arrivals[: tau + 1], tail])
             stitched.append(arrivals)
 
+    topology = config.topology
     with obs.trace(f"rare.run.{config.engine}"):
         if config.engine == "vectorized":
-            result = run_tandem_vectorized(
-                stitched[0],
-                stitched[1:],
-                capacity=config.capacity,
-                scheduler=config.scheduler,
-                edf_deadline_through=config.edf_deadline_through,
-                edf_deadline_cross=config.edf_deadline_cross,
-            )
+            result = run_tandem_vectorized(stitched[0], stitched[1:], topology)
         else:
-            network = TandemNetwork(
-                config.capacity,
-                config.hops,
-                _policy_factory(config),
+            network = DagNetwork(
+                topology,
                 preemptive=config.preemptive,
                 packet_size=config.packet_size,
             )
-            result = network.run(stitched[0], stitched[1:])
+            result = network.run(
+                {topology.routes[0].name: stitched[0]},
+                {
+                    node.name: row
+                    for node, row in zip(topology.nodes, stitched[1:])
+                },
+            )
     if obs.enabled():
         obs.add("rare.trials")
         obs.observe("rare.tau", float(tau))
@@ -480,7 +482,10 @@ def estimate_tail(
         raise ValueError("estimate_tail needs at least one trial")
     return estimate_tail_from_arrays(
         [t.log_weight for t in trials],
-        [t.result.through_delays.exceed_fraction(threshold) for t in trials],
+        [
+            t.result.route_delays["through"].exceed_fraction(threshold)
+            for t in trials
+        ],
         bootstrap_resamples=bootstrap_resamples,
         bootstrap_seed=bootstrap_seed,
     )

@@ -1,4 +1,4 @@
-"""Vectorized fluid fast path for the tandem simulator.
+"""Vectorized fluid fast path: line topologies (the tandem) and FIFO DAGs.
 
 The chunk simulator (:mod:`repro.simulation.network`) moves Python
 ``Chunk`` objects through per-node heaps — exact, but far too slow for
@@ -41,7 +41,7 @@ import numpy as np
 from repro import obs
 from repro.simulation import ckernels
 from repro.simulation.metrics import BacklogRecorder, DelayRecorder
-from repro.simulation.network import DagResult, TandemResult
+from repro.simulation.network import DagResult
 from repro.topology.model import Topology
 
 #: Fluid smaller than this is treated as zero (matches the chunk engine).
@@ -400,40 +400,51 @@ def _check_edf_deadline(value: float, name: str) -> int:
 def run_tandem_vectorized(
     through_arrivals: np.ndarray,
     cross_arrivals: list[np.ndarray],
+    topology: Topology,
     *,
-    capacity: float,
-    scheduler: str,
-    edf_deadline_through: float = 1.0,
-    edf_deadline_cross: float = 10.0,
     record_backlog: bool = False,
-) -> TandemResult:
-    """Simulate the Fig. 1 tandem on arrival arrays, fully vectorized.
+) -> DagResult:
+    """Simulate a line topology on arrival arrays, fully vectorized.
 
-    Same topology and timing as :meth:`TandemNetwork.run` with ``drain``
-    on: ``hops = len(cross_arrivals)`` store-and-forward links of rate
-    ``capacity``, fresh cross traffic at every node, and every bit of
-    through (and cross) traffic followed to departure.  Returns a
-    :class:`TandemResult` whose recorders match the chunk engine's
-    within one slot.
+    ``topology`` must be a tandem (:meth:`Topology.as_tandem`): ``hops``
+    store-and-forward links of one capacity and scheduler, whose route
+    takes ``through_arrivals`` and whose ``h``-th node takes the fresh
+    cross traffic ``cross_arrivals[h]``.  Same timing as
+    :class:`~repro.simulation.network.DagNetwork` with ``drain`` on:
+    every bit of through (and cross) traffic is followed to departure.
+    Returns a :class:`DagResult` whose recorders match the chunk
+    engine's within one slot.
     """
+    tandem = topology.as_tandem()
+    if tandem is None:
+        raise ValueError(
+            "run_tandem_vectorized needs a line topology "
+            "(Topology.as_tandem); use run_topology_vectorized"
+        )
+    scheduler = tandem.scheduler
+    capacity = tandem.capacity
     if scheduler not in VECTORIZED_SCHEDULERS:
         raise ValueError(
             f"the vectorized engine supports {VECTORIZED_SCHEDULERS}, "
             f"got {scheduler!r} (use the chunk engine instead)"
         )
-    if capacity <= 0:
-        raise ValueError("capacity must be > 0")
     through = np.asarray(through_arrivals, dtype=float)
     cross = [np.asarray(row, dtype=float) for row in cross_arrivals]
     hops = len(cross)
-    if hops < 1:
-        raise ValueError("need at least one cross arrival row (one hop)")
+    if hops != tandem.hops:
+        raise ValueError(
+            f"need {tandem.hops} cross arrival rows, got {hops}"
+        )
     n_slots = len(through)
     if any(len(row) != n_slots for row in cross):
         raise ValueError("all arrival arrays must have equal length")
     if scheduler == "edf":
-        d_through = _check_edf_deadline(edf_deadline_through, "edf_deadline_through")
-        d_cross = _check_edf_deadline(edf_deadline_cross, "edf_deadline_cross")
+        d_through = _check_edf_deadline(
+            tandem.edf_deadline_through, "edf_deadline_through"
+        )
+        d_cross = _check_edf_deadline(
+            tandem.edf_deadline_cross, "edf_deadline_cross"
+        )
 
     if obs.enabled():
         obs.add("simulation.vectorized.calls")
@@ -474,13 +485,15 @@ def run_tandem_vectorized(
 
     exit_curve = node_input  # final departures, already shifted by one slot
     # undo the trailing shift so exit slots are the actual service slots
-    through_delays = _delay_recorder(through, exit_curve[1:])
-    return TandemResult(
-        through_delays=through_delays,
-        node_backlogs=tuple(backlog_recorders),
-        cross_delays=tuple(cross_recorders),
+    names = [node.name for node in topology.nodes]
+    return DagResult(
+        route_delays={
+            tandem.route.name: _delay_recorder(through, exit_curve[1:])
+        },
+        cross_delays=dict(zip(names, cross_recorders)),
+        node_backlogs=dict(zip(names, backlog_recorders)),
         slots=n_slots,
-        hops=hops,
+        topology=topology,
     )
 
 
@@ -501,9 +514,7 @@ def run_topology_vectorized(
     topological position).  Departure order *within* one upstream slot
     is attributed by that precedence rather than by the chunk heap's
     exact interleaving, so the two engines agree within one slot (the
-    same cross-engine convention the tandem fast path documents); a
-    line topology run through :func:`run_tandem_vectorized` instead is
-    byte-identical to the chunk engine's tandem.
+    same cross-engine convention the tandem fast path documents).
 
     Only FIFO nodes are supported: multi-class priority or EDF splits
     across many routes have no closed-form attribution here — use the

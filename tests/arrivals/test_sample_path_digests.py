@@ -106,9 +106,9 @@ def _rare_trial_arrays(monkeypatch):
     stitched = []
     run = rare.run_tandem_vectorized
 
-    def spy(through, cross, **kwargs):
+    def spy(through, cross, *args, **kwargs):
         stitched.append((through, *cross))
-        return run(through, cross, **kwargs)
+        return run(through, cross, *args, **kwargs)
 
     monkeypatch.setattr(rare, "run_tandem_vectorized", spy)
     config = SimulationConfig(

@@ -89,8 +89,8 @@ class TestE2EBacklog:
         is conservative against the bound — it must still win.
         """
         from repro.arrivals.processes import mmoo_aggregate_arrivals
-        from repro.simulation.network import TandemNetwork
-        from repro.simulation.schedulers import FIFOPolicy
+        from repro.simulation.network import DagNetwork
+        from repro.topology import Topology
 
         traffic = MMOOParameters.paper_defaults()
         n = 300
@@ -103,9 +103,15 @@ class TestE2EBacklog:
         cross = [
             mmoo_aggregate_arrivals(traffic, n, 10_000, rng) for _ in range(2)
         ]
-        net = TandemNetwork(C, 2, lambda t, c: FIFOPolicy())
-        res = net.run(through, cross, record_backlog=True)
-        net_backlog = sum(rec.quantile(1 - epsilon) for rec in res.node_backlogs)
+        net = DagNetwork(Topology.line(2, capacity=C, n_through=n))
+        res = net.run(
+            {"through": through},
+            {str(h): row for h, row in enumerate(cross)},
+            record_backlog=True,
+        )
+        net_backlog = sum(
+            rec.quantile(1 - epsilon) for rec in res.node_backlogs.values()
+        )
         assert net_backlog <= bound.backlog
 
 

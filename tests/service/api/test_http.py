@@ -76,6 +76,34 @@ def test_nonconverged_edf_lane_counted_in_metrics(harness, monkeypatch):
     assert snap["counters"]["e2e.edf_iterations"] == 1.0
 
 
+@pytest.mark.filterwarnings("ignore:EDF deadline fixed point")
+def test_unconverged_edf_is_not_admissible(harness, monkeypatch):
+    """An EDF answer whose deadline fixed point did not converge bounds
+    another deadline assignment: however loose the target, the verdict
+    rejects it and says so."""
+    from repro.service.api import cells
+
+    query = {
+        **CHEAP_QUERY, "scheduler": "EDF", "hops": 5,
+        "n_through": 100, "n_cross": 236, "s_grid": 8, "gamma_grid": 8,
+        "target": 1e9,
+    }
+    with harness.client() as client:
+        converged = client.admissible(query)
+    assert converged["converged"] is True
+    assert converged["admissible"] is True
+
+    monkeypatch.setattr(
+        cells, "EDFLaneSpec", functools.partial(cells.EDFLaneSpec, max_iter=1)
+    )
+    with harness.client() as client:
+        verdict = client.admissible({**query, "n_cross": 235})
+    assert verdict["feasible"] is True
+    assert verdict["bound"] <= verdict["target"]
+    assert verdict["converged"] is False
+    assert verdict["admissible"] is False
+
+
 def test_infeasible_bound_serializes_as_infinity(harness):
     """An overloaded hop has no finite bound; the JSON round-trips it."""
     with harness.client() as client:

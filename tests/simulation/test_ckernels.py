@@ -28,6 +28,7 @@ from repro.simulation.vectorized import (
     delays_between,
     run_tandem_vectorized,
 )
+from repro.topology import Topology
 
 
 def assert_same_bytes(got, want):
@@ -182,18 +183,20 @@ def _tandem(scheduler):
     rng = np.random.default_rng(5)
     through = rng.exponential(0.9, size=2_000)
     cross = [rng.exponential(0.9, size=2_000) for _ in range(3)]
-    return run_tandem_vectorized(
-        through, cross, capacity=2.0, scheduler=scheduler,
+    topology = Topology.line(
+        3, capacity=2.0, n_through=1, scheduler=scheduler,
         edf_deadline_through=1.0, edf_deadline_cross=10.0,
-        record_backlog=True,
+    )
+    return run_tandem_vectorized(
+        through, cross, topology, record_backlog=True
     )
 
 
 def _recorders(result):
     return (
-        vars(result.through_delays),
-        [vars(r) for r in result.cross_delays],
-        [list(r.samples()) for r in result.node_backlogs],
+        vars(result.route_delays["through"]),
+        [vars(r) for r in result.cross_delays.values()],
+        [list(r.samples()) for r in result.node_backlogs.values()],
     )
 
 

@@ -1,4 +1,4 @@
-"""Tests for the tandem network and metrics."""
+"""Tests for the tandem (a line topology on the chunk engine) and metrics."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,23 @@ import pytest
 from repro.arrivals.mmoo import MMOOParameters
 from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
 from repro.simulation.metrics import BacklogRecorder, DelayRecorder
-from repro.simulation.network import TandemNetwork
-from repro.simulation.schedulers import FIFOPolicy
+from repro.simulation.network import DagNetwork
+from repro.topology import Topology
 
 
-def fifo_factory(through_id, cross_id):
-    return FIFOPolicy()
+def fifo_line(capacity, hops):
+    """The Fig. 1 tandem of FIFO links as a line topology."""
+    return Topology.line(hops, capacity=capacity, n_through=1, n_cross=1)
+
+
+def run_line(capacity, through, cross, **kwargs):
+    """Run a FIFO line with one cross row per hop on the chunk engine."""
+    network = DagNetwork(fifo_line(capacity, len(cross)))
+    return network.run(
+        {"through": through},
+        {str(h): row for h, row in enumerate(cross)},
+        **kwargs,
+    )
 
 
 class TestDelayRecorder:
@@ -64,48 +75,53 @@ class TestTandemDeterministic:
     def test_pipeline_delay_under_light_load(self):
         # 1 unit/slot through a capacity-10 pipeline: the only delay is the
         # store-and-forward +1 per extra hop
-        net = TandemNetwork(10.0, 3, fifo_factory)
         through = np.ones(50)
         cross = [np.zeros(50) for _ in range(3)]
-        result = net.run(through, cross)
-        assert result.through_delays.max() == 2.0
-        assert result.through_delays.total_mass == pytest.approx(50.0)
+        result = run_line(10.0, through, cross)
+        assert result.route_delays["through"].max() == 2.0
+        assert result.route_delays["through"].total_mass == pytest.approx(50.0)
 
     def test_conservation_with_cross_traffic(self):
-        net = TandemNetwork(5.0, 2, fifo_factory)
         rng = np.random.default_rng(0)
         through = rng.uniform(0.0, 2.0, 100)
         cross = [rng.uniform(0.0, 2.0, 100) for _ in range(2)]
-        result = net.run(through, cross)
-        assert result.through_delays.total_mass == pytest.approx(through.sum())
+        result = run_line(5.0, through, cross)
+        assert result.route_delays["through"].total_mass == pytest.approx(
+            through.sum()
+        )
         for h in range(2):
-            assert result.cross_delays[h].total_mass == pytest.approx(
+            assert result.cross_delays[str(h)].total_mass == pytest.approx(
                 cross[h].sum()
             )
 
     def test_single_node_queue_buildup(self):
         # 3 units/slot into capacity 2: backlog grows by 1/slot for 10
         # slots, then drains; worst delay = ceil(10/2) = 5
-        net = TandemNetwork(2.0, 1, fifo_factory)
         through = np.concatenate([np.full(10, 3.0), np.zeros(20)])
         cross = [np.zeros(30)]
-        result = net.run(through, cross)
-        assert result.through_delays.max() == pytest.approx(5.0)
+        result = run_line(2.0, through, cross)
+        assert result.route_delays["through"].max() == pytest.approx(5.0)
 
     def test_backlog_recording(self):
-        net = TandemNetwork(2.0, 1, fifo_factory)
         through = np.concatenate([np.full(5, 4.0), np.zeros(10)])
-        result = net.run(through, [np.zeros(15)], record_backlog=True)
-        backlog = result.node_backlogs[0]
+        result = run_line(2.0, through, [np.zeros(15)], record_backlog=True)
+        backlog = result.node_backlogs["0"]
         # after slot 4 (sampled post-service): 5*4 arrived, 5*2 served
         assert backlog.max() == pytest.approx(10.0)
 
     def test_row_count_validation(self):
-        net = TandemNetwork(2.0, 2, fifo_factory)
+        net = DagNetwork(fifo_line(2.0, 2))
+        with pytest.raises(ValueError):  # a cross row for a third node
+            net.run(
+                {"through": np.ones(5)},
+                {"0": np.zeros(5), "1": np.zeros(5), "2": np.zeros(5)},
+            )
+        with pytest.raises(ValueError):  # no through row
+            net.run({}, {"0": np.zeros(5), "1": np.zeros(5)})
         with pytest.raises(ValueError):
-            net.run(np.ones(5), [np.zeros(5)])
-        with pytest.raises(ValueError):
-            net.run(np.ones(5), [np.zeros(5), np.zeros(4)])
+            net.run(
+                {"through": np.ones(5)}, {"0": np.zeros(5), "1": np.zeros(4)}
+            )
 
 
 class TestSimulateTandemMMOO:
@@ -118,8 +134,10 @@ class TestSimulateTandemMMOO:
         )
         a = simulate_tandem_mmoo(cfg)
         b = simulate_tandem_mmoo(cfg)
-        assert a.through_delays.mean() == b.through_delays.mean()
-        assert a.through_delays.max() == b.through_delays.max()
+        assert (
+            a.route_delays["through"].mean() == b.route_delays["through"].mean()
+        )
+        assert a.route_delays["through"].max() == b.route_delays["through"].max()
 
     def test_zero_cross_traffic(self):
         cfg = SimulationConfig(
@@ -127,7 +145,7 @@ class TestSimulateTandemMMOO:
             capacity=100.0, slots=2000, scheduler="fifo", seed=3,
         )
         result = simulate_tandem_mmoo(cfg)
-        assert result.through_delays.total_mass > 0
+        assert result.route_delays["through"].total_mass > 0
 
     def test_scheduler_ordering_at_high_load(self):
         """SP (through favored) <= EDF-favored <= FIFO <= BMUX."""
@@ -138,9 +156,9 @@ class TestSimulateTandemMMOO:
                 capacity=100.0, slots=12_000, scheduler=scheduler, seed=7,
                 edf_deadline_through=1.0, edf_deadline_cross=10.0,
             )
-            delays[scheduler] = simulate_tandem_mmoo(cfg).through_delays.quantile(
-                0.999
-            )
+            delays[scheduler] = simulate_tandem_mmoo(cfg).route_delays[
+                "through"
+            ].quantile(0.999)
         assert delays["sp"] <= delays["edf"] + 1e-9
         assert delays["edf"] <= delays["fifo"] + 1e-9
         assert delays["fifo"] <= delays["bmux"] + 1e-9
@@ -155,7 +173,9 @@ class TestSimulateTandemMMOO:
                 capacity=100.0, slots=12_000, scheduler="gps", seed=9,
                 gps_weight_through=w, gps_weight_cross=1.0,
             )
-            results[w] = simulate_tandem_mmoo(cfg).through_delays.quantile(0.999)
+            results[w] = simulate_tandem_mmoo(cfg).route_delays[
+                "through"
+            ].quantile(0.999)
         assert results[5.0] <= results[0.2]
 
     def test_config_validation(self):
@@ -190,8 +210,7 @@ class TestStoreAndForwardConvention:
     @pytest.mark.parametrize("hops", [1, 2, 5])
     def test_chunk_engine_impulse_delay(self, hops):
         through, cross = self._impulse(hops)
-        network = TandemNetwork(100.0, hops, fifo_factory)
-        rec = network.run(through, cross).through_delays
+        rec = run_line(100.0, through, cross).route_delays["through"]
         assert rec.count() == 1
         assert rec.max() == float(hops - 1)
 
@@ -201,6 +220,6 @@ class TestStoreAndForwardConvention:
 
         through, cross = self._impulse(hops)
         rec = run_tandem_vectorized(
-            through, cross, capacity=100.0, scheduler="fifo"
-        ).through_delays
+            through, cross, fifo_line(100.0, hops)
+        ).route_delays["through"]
         assert rec.max() == float(hops - 1)

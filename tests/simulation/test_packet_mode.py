@@ -104,7 +104,7 @@ class TestPacketizedTandem:
             traffic=self.TRAFFIC, n_through=300, n_cross=300, hops=2,
             capacity=100.0, slots=8_000, scheduler="sp", seed=13, **kwargs,
         )
-        return simulate_tandem_mmoo(config).through_delays
+        return simulate_tandem_mmoo(config).route_delays["through"]
 
     def test_conservation_in_packet_mode(self):
         fluid = self._delays()

@@ -207,8 +207,8 @@ class TestSimulateTandemMmooRare:
         assert first.log_weight == second.log_weight
         assert first.tau == second.tau
         assert (
-            first.result.through_delays.total_mass
-            == second.result.through_delays.total_mass
+            first.result.route_delays["through"].total_mass
+            == second.result.route_delays["through"].total_mass
         )
 
     def test_both_engines_run(self):
@@ -226,7 +226,10 @@ class TestSimulateTandemMmooRare:
         whole = estimate_tail(trials, 25.0)
         parts = estimate_tail_from_arrays(
             [t.log_weight for t in trials],
-            [t.result.through_delays.exceed_fraction(25.0) for t in trials],
+            [
+                t.result.route_delays["through"].exceed_fraction(25.0)
+                for t in trials
+            ],
         )
         assert whole == parts
 
@@ -255,7 +258,7 @@ class TestUnbiasedness:
         fractions = np.empty(naive_trials)
         for k in range(naive_trials):
             config = _small_config(900_000 + k, slots=self.SLOTS)
-            delays = simulate_tandem_mmoo(config).through_delays
+            delays = simulate_tandem_mmoo(config).route_delays["through"]
             fractions[k] = delays.exceed_fraction(self.THRESHOLD)
         p_naive = fractions.mean()
         se_naive = fractions.std() / math.sqrt(naive_trials)

@@ -17,8 +17,8 @@ from repro.network.e2e import e2e_delay_bound_mmoo
 from repro.scheduling.delta import FIFO
 from repro.scheduling.schedulability import adversarial_arrivals, min_feasible_delay
 from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
-from repro.simulation.network import TandemNetwork
-from repro.simulation.schedulers import FIFOPolicy
+from repro.simulation.network import DagNetwork
+from repro.topology import Topology
 
 TRAFFIC = MMOOParameters.paper_defaults()
 CAPACITY = 100.0
@@ -29,7 +29,7 @@ def run_sim(scheduler, n_through, n_cross, hops, slots=20_000, seed=5, **kw):
         traffic=TRAFFIC, n_through=n_through, n_cross=n_cross, hops=hops,
         capacity=CAPACITY, slots=slots, scheduler=scheduler, seed=seed, **kw,
     )
-    return simulate_tandem_mmoo(config).through_delays
+    return simulate_tandem_mmoo(config).route_delays["through"]
 
 
 class TestBoundsHoldEmpirically:
@@ -94,11 +94,11 @@ class TestTheorem2Necessity:
         }
         d_exact = min_feasible_delay(FIFO(), envs, CAPACITY, "through")
         n_slots = 60
-        net = TandemNetwork(CAPACITY, 1, lambda t, c: FIFOPolicy())
+        net = DagNetwork(Topology.line(1, capacity=CAPACITY, n_through=1))
         through = adversarial_arrivals(envs["through"], n_slots)
         cross = adversarial_arrivals(envs["cross0"], n_slots)
-        result = net.run(through, [cross])
-        worst = result.through_delays.max()
+        result = net.run({"through": through}, {"0": cross})
+        worst = result.route_delays["through"].max()
         # slot granularity: the fluid bound (300/100 = 3) is achieved
         assert worst <= math.ceil(d_exact + 1e-9)
         assert worst >= math.floor(d_exact - 1e-9)
@@ -111,7 +111,7 @@ class TestTheorem2Necessity:
         d_exact = min_feasible_delay(FIFO(), envs, CAPACITY, "through")
         rng = np.random.default_rng(2)
         n_slots = 200
-        net = TandemNetwork(CAPACITY, 1, lambda t, c: FIFOPolicy())
+        net = DagNetwork(Topology.line(1, capacity=CAPACITY, n_through=1))
         # random sub-envelope traffic: never exceeds the bound
         through = np.minimum(
             rng.uniform(0, 40, n_slots), adversarial_arrivals(envs["through"], n_slots)
@@ -119,5 +119,5 @@ class TestTheorem2Necessity:
         cross = np.minimum(
             rng.uniform(0, 60, n_slots), adversarial_arrivals(envs["cross0"], n_slots)
         )
-        result = net.run(through, [cross])
-        assert result.through_delays.max() <= math.ceil(d_exact + 1e-9)
+        result = net.run({"through": through}, {"0": cross})
+        assert result.route_delays["through"].max() <= math.ceil(d_exact + 1e-9)

@@ -12,17 +12,29 @@ import numpy as np
 import pytest
 
 from repro.arrivals.mmoo import MMOOParameters
-from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
+from repro.simulation.engine import (
+    SimulationConfig,
+    resolve_topology_engine,
+    simulate_tandem_mmoo,
+)
 from repro.simulation.vectorized import (
     VECTORIZED_SCHEDULERS,
     aggregate_service,
     delays_between,
     run_tandem_vectorized,
 )
+from repro.topology import NodeSpec, Route, Topology
 
 TRAFFIC = MMOOParameters.paper_defaults()
 CAPACITY = 20.0
 N_HALF = 60  # 120 flows * 0.15 / 20 = 90% utilization
+
+
+def line(hops, scheduler="fifo", capacity=1.0, **deadlines):
+    """A line topology for driving :func:`run_tandem_vectorized`."""
+    return Topology.line(
+        hops, capacity=capacity, n_through=1, scheduler=scheduler, **deadlines
+    )
 
 
 def run_engine(engine, scheduler, hops, slots=2_000, seed=11):
@@ -40,8 +52,8 @@ class TestCrossValidation:
     @pytest.mark.parametrize("scheduler", VECTORIZED_SCHEDULERS)
     @pytest.mark.parametrize("hops", [1, 2, 5])
     def test_through_delays_match(self, scheduler, hops):
-        chunk = run_engine("chunk", scheduler, hops).through_delays
-        vec = run_engine("vectorized", scheduler, hops).through_delays
+        chunk = run_engine("chunk", scheduler, hops).route_delays["through"]
+        vec = run_engine("vectorized", scheduler, hops).route_delays["through"]
         assert vec.total_mass == pytest.approx(chunk.total_mass, rel=1e-6)
         assert abs(vec.max() - chunk.max()) <= 1.0
         assert abs(vec.mean() - chunk.mean()) <= 1.0
@@ -54,7 +66,9 @@ class TestCrossValidation:
     def test_cross_delays_match(self, scheduler):
         chunk = run_engine("chunk", scheduler, 2)
         vec = run_engine("vectorized", scheduler, 2)
-        for c_rec, v_rec in zip(chunk.cross_delays, vec.cross_delays):
+        assert list(chunk.cross_delays) == list(vec.cross_delays)
+        for node, c_rec in chunk.cross_delays.items():
+            v_rec = vec.cross_delays[node]
             # the chunk engine stops draining once the through traffic is
             # out, stranding a sliver of terminal cross backlog, so the
             # masses agree only approximately
@@ -89,10 +103,9 @@ class TestDeterministicKernels:
         # 2 units arrive at slot 0 on a unit-rate link: the first unit
         # departs in slot 0 (delay 0), the second in slot 1 (delay 1)
         result = run_tandem_vectorized(
-            np.array([2.0, 0.0, 0.0]), [np.zeros(3)],
-            capacity=1.0, scheduler="fifo",
+            np.array([2.0, 0.0, 0.0]), [np.zeros(3)], line(1)
         )
-        delays = result.through_delays
+        delays = result.route_delays["through"]
         assert delays.total_mass == pytest.approx(2.0)
         assert delays.quantile(0.5) == 0.0
         assert delays.max() == 1.0
@@ -100,84 +113,76 @@ class TestDeterministicKernels:
     def test_sp_through_unaffected_by_cross(self):
         through = np.array([1.0, 1.0, 1.0, 0.0])
         cross = np.array([5.0, 0.0, 0.0, 0.0])
-        result = run_tandem_vectorized(
-            through, [cross], capacity=1.0, scheduler="sp"
-        )
+        result = run_tandem_vectorized(through, [cross], line(1, "sp"))
         # through has strict priority and never exceeds capacity alone
-        assert result.through_delays.max() == 0.0
+        assert result.route_delays["through"].max() == 0.0
 
     def test_bmux_cross_unaffected_by_through(self):
         through = np.array([5.0, 0.0, 0.0, 0.0, 0.0])
         cross = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        result = run_tandem_vectorized(
-            through, [cross], capacity=1.0, scheduler="bmux"
-        )
-        (cross_rec,) = result.cross_delays
+        result = run_tandem_vectorized(through, [cross], line(1, "bmux"))
+        (cross_rec,) = result.cross_delays.values()
         assert cross_rec.max() == 0.0
         # through waits behind all cross traffic
-        assert result.through_delays.max() >= 4.0
+        assert result.route_delays["through"].max() >= 4.0
 
     def test_edf_equal_deadlines_is_fifo(self):
         rng = np.random.default_rng(9)
         through = rng.uniform(0.0, 2.0, size=300)
         cross = rng.uniform(0.0, 2.0, size=300)
         fifo = run_tandem_vectorized(
-            through, [cross], capacity=2.5, scheduler="fifo"
-        )
+            through, [cross], line(1, capacity=2.5)
+        ).route_delays["through"]
         edf = run_tandem_vectorized(
-            through, [cross], capacity=2.5, scheduler="edf",
-            edf_deadline_through=3.0, edf_deadline_cross=3.0,
-        )
+            through, [cross], line(
+                1, "edf", capacity=2.5,
+                edf_deadline_through=3.0, edf_deadline_cross=3.0,
+            ),
+        ).route_delays["through"]
         for p in (0.5, 0.9, 0.999):
-            assert edf.through_delays.quantile(p) == pytest.approx(
-                fifo.through_delays.quantile(p)
-            )
-        assert edf.through_delays.total_mass == pytest.approx(
-            fifo.through_delays.total_mass
-        )
+            assert edf.quantile(p) == pytest.approx(fifo.quantile(p))
+        assert edf.total_mass == pytest.approx(fifo.total_mass)
 
     def test_edf_prefers_tighter_deadline(self):
         through = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         cross = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         tight = run_tandem_vectorized(
-            through, [cross], capacity=1.0, scheduler="edf",
-            edf_deadline_through=0.0, edf_deadline_cross=10.0,
-        )
+            through, [cross],
+            line(1, "edf", edf_deadline_through=0.0, edf_deadline_cross=10.0),
+        ).route_delays["through"]
         loose = run_tandem_vectorized(
-            through, [cross], capacity=1.0, scheduler="edf",
-            edf_deadline_through=10.0, edf_deadline_cross=0.0,
-        )
-        assert tight.through_delays.max() < loose.through_delays.max()
+            through, [cross],
+            line(1, "edf", edf_deadline_through=10.0, edf_deadline_cross=0.0),
+        ).route_delays["through"]
+        assert tight.max() < loose.max()
 
     def test_mass_conserved_with_drain(self):
         # everything offered eventually departs, even past the horizon
         through = np.full(10, 2.0)
         cross = np.full(10, 2.0)
-        result = run_tandem_vectorized(
-            through, [cross, cross], capacity=1.0, scheduler="fifo"
-        )
-        assert result.through_delays.total_mass == pytest.approx(20.0)
-        for rec in result.cross_delays:
+        result = run_tandem_vectorized(through, [cross, cross], line(2))
+        assert result.route_delays["through"].total_mass == pytest.approx(20.0)
+        for rec in result.cross_delays.values():
             assert rec.total_mass == pytest.approx(20.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            run_tandem_vectorized(
-                np.ones(3), [np.ones(3)], capacity=1.0, scheduler="gps"
-            )
+            run_tandem_vectorized(np.ones(3), [np.ones(3)], line(1, "gps"))
+        with pytest.raises(ValueError):
+            run_tandem_vectorized(np.ones(3), [], line(1))
+        with pytest.raises(ValueError):
+            run_tandem_vectorized(np.ones(3), [np.ones(4)], line(1))
         with pytest.raises(ValueError):
             run_tandem_vectorized(
-                np.ones(3), [], capacity=1.0, scheduler="fifo"
+                np.ones(3), [np.ones(3)],
+                line(1, "edf", edf_deadline_through=0.5),
             )
-        with pytest.raises(ValueError):
-            run_tandem_vectorized(
-                np.ones(3), [np.ones(4)], capacity=1.0, scheduler="fifo"
-            )
-        with pytest.raises(ValueError):
-            run_tandem_vectorized(
-                np.ones(3), [np.ones(3)], capacity=1.0, scheduler="edf",
-                edf_deadline_through=0.5,
-            )
+        two_routes = Topology(
+            nodes=(NodeSpec("a", 1.0),),
+            routes=(Route("r1", ("a",)), Route("r2", ("a",))),
+        )
+        with pytest.raises(ValueError, match="line topology"):
+            run_tandem_vectorized(np.ones(3), [np.ones(3)], two_routes)
 
 
 class TestDelaysBetween:
@@ -281,6 +286,38 @@ class TestEngineSelection:
         # offered through mass must agree exactly
         chunk = simulate_tandem_mmoo(self.base(seed=3))
         vec = simulate_tandem_mmoo(self.base(seed=3, engine="vectorized"))
-        assert vec.through_delays.total_mass == pytest.approx(
-            chunk.through_delays.total_mass
+        assert vec.route_delays["through"].total_mass == pytest.approx(
+            chunk.route_delays["through"].total_mass
         )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"scheduler": "wfq"},
+            {"scheduler": "gps", "preemptive": False},
+            {"engine": "vectorized", "scheduler": "gps"},
+            {"engine": "vectorized", "packet_size": 1.5},
+            {"engine": "vectorized", "preemptive": False},
+        ],
+        ids=[
+            "unknown-scheduler", "nonpreemptive-gps", "vectorized-gps",
+            "vectorized-packets", "vectorized-nonpreemptive",
+        ],
+    )
+    def test_bad_config_fails_at_construction(self, bad):
+        with pytest.raises(ValueError) as raised:
+            self.base(**bad)
+        if bad.get("scheduler") == "wfq":
+            return  # the line topology itself cannot be built
+        # the config's verdict is the topology engine resolver's
+        topology = Topology.line(
+            1, capacity=10.0, n_through=4, n_cross=4,
+            scheduler=bad.get("scheduler", "fifo"),
+        )
+        with pytest.raises(ValueError) as resolved:
+            resolve_topology_engine(
+                topology, bad.get("engine", "chunk"),
+                preemptive=bad.get("preemptive", True),
+                packet_size=bad.get("packet_size"),
+            )
+        assert str(raised.value) == str(resolved.value)

@@ -102,8 +102,8 @@ class TestDelayBound:
         """Empirical check at a single node with genuinely independent
         through and cross aggregates."""
         from repro.arrivals.processes import mmoo_aggregate_arrivals
-        from repro.simulation.network import TandemNetwork
-        from repro.simulation.schedulers import FIFOPolicy
+        from repro.simulation.network import DagNetwork
+        from repro.topology import Topology
 
         n = 300
         epsilon = 1e-3
@@ -111,9 +111,9 @@ class TestDelayBound:
         rng = np.random.default_rng(21)
         through = mmoo_aggregate_arrivals(TRAFFIC, n, 25_000, rng)
         cross = mmoo_aggregate_arrivals(TRAFFIC, n, 25_000, rng)
-        net = TandemNetwork(CAPACITY, 1, lambda t, c: FIFOPolicy())
-        result = net.run(through, [cross])
-        assert result.through_delays.quantile(1 - epsilon) <= d_bound
+        net = DagNetwork(Topology.line(1, capacity=CAPACITY, n_through=n))
+        result = net.run({"through": through}, {"0": cross})
+        assert result.route_delays["through"].quantile(1 - epsilon) <= d_bound
 
 
 class TestAgainstEBBModel:

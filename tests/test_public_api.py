@@ -52,6 +52,34 @@ class TestSubpackageAllsResolve:
             assert hasattr(module, name), f"{module_name}.{name} missing"
 
 
+class TestTandemIsALineTopology:
+    """The tandem-only simulation names are gone: a tandem is a line
+    :class:`repro.topology.Topology` run by the topology engine."""
+
+    REMOVED = (
+        "TandemNetwork",
+        "TandemResult",
+        "TrialResult",
+        "simulate_tandem_mmoo_trials",
+    )
+
+    @pytest.mark.parametrize("module_name", ["repro", "repro.simulation"])
+    def test_removed_names_not_exported(self, module_name):
+        module = importlib.import_module(module_name)
+        for name in self.REMOVED:
+            assert name not in module.__all__
+            assert not hasattr(module, name)
+
+    def test_line_topology_names_exported(self):
+        import repro.simulation as simulation
+
+        for name in ("DagNetwork", "DagResult", "run_tandem_vectorized",
+                     "simulate_tandem_mmoo", "simulate_topology_mmoo"):
+            assert name in simulation.__all__
+        assert "DagNetwork" in repro.__all__
+        assert "Topology" in repro.__all__
+
+
 class TestDocstrings:
     @pytest.mark.parametrize(
         "module_name",
