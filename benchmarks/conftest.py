@@ -25,3 +25,20 @@ def emit(output_dir: Path, name: str, table: str) -> None:
     header = f"\n===== {name} =====\n"
     print(header + table)
     (output_dir / f"{name}.txt").write_text(table)
+
+
+def record_rates(benchmark, unit: str, count: float) -> None:
+    """Put ``count`` per second in ``extra_info``: the median rate and
+    the rates at the time quartiles.
+
+    Under ``--benchmark-disable`` the function runs once and no timing
+    statistics exist, so nothing is recorded.
+    """
+    if benchmark.stats is None:
+        return
+    stats = benchmark.stats.stats
+    benchmark.extra_info[f"{unit}_per_s_median"] = round(count / stats.median)
+    benchmark.extra_info[f"{unit}_per_s_iqr"] = [
+        round(count / stats.q3),
+        round(count / stats.q1),
+    ]

@@ -12,16 +12,34 @@ backend now runs on the lane engine's compiled probes and is no longer
 the slow reference this gate measures against.  One benchmark per
 figure, so the regression gate watches each grid's vectorized runtime
 separately.
+
+One rung below (L0 of the benchmark ladder), the exact-solve row times
+:func:`~repro.network.vectorized.batched_solve_exact` alone on one
+figure-shaped EDF grid — 36 γ rows of a 10-hop path in the ``Delta <= 0``
+case of Eq. (38) — on the compiled kernel and on its numpy fallback,
+over enough rounds for a median and quartiles, in rows per second.
 """
 
 import math
 import sys
 import time
 
+import numpy as np
+import pytest
+from conftest import record_rates
+
+from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.config import grids, paper_setting, setting_to_params
 from repro.experiments.example1 import fig2_cell
 from repro.experiments.example2 import fig3_cell
 from repro.experiments.example3 import fig4_cell
+from repro.network import cprobe
+from repro.network.e2e import mmoo_ebb_pair
+from repro.network.vectorized import (
+    _log_grid,
+    batched_sigma_for_epsilon,
+    batched_solve_exact,
+)
 from tests.network import reference_search
 
 SPEEDUP_FLOOR = 10.0
@@ -108,3 +126,40 @@ def test_fig3_bound_grid_speedup(benchmark, monkeypatch):
 def test_fig4_bound_grid_speedup(benchmark, monkeypatch):
     """Fig. 4 representative cells (incl. additive): numpy >= 10x scalar."""
     _gate(benchmark, monkeypatch, fig4_cell, FIG4_CELLS)
+
+
+SOLVE_HOPS = 10
+SOLVE_ROWS = 36
+
+
+def _edf_solve_grid():
+    """The exact-solve input of one Fig. 2 EDF cell's γ grid (H = 10,
+    U = 50%): per-hop rates, cross rates, one Delta <= 0, sigmas."""
+    through, cross = mmoo_ebb_pair(
+        MMOOParameters.paper_defaults(), 100, 233, 0.02
+    )
+    headroom = 100.0 - cross.rate - through.rate
+    gamma_max = headroom / (SOLVE_HOPS + 1)
+    g = np.array(
+        _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), SOLVE_ROWS)
+    )
+    sigma = batched_sigma_for_epsilon(through, cross, SOLVE_HOPS, g, 1e-9)
+    r_svc = 100.0 - np.arange(SOLVE_HOPS)[None, :] * g[:, None]
+    r_cross = (cross.rate + g)[:, None]
+    return (r_svc, r_cross, -70.0, sigma), {}
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_solve_exact(benchmark, monkeypatch, path):
+    """Eq. (38) exact solve of one EDF γ grid: rows per second, C kernel
+    vs. numpy body."""
+    if path == "python":
+        monkeypatch.setattr(cprobe.KERNEL, "load", lambda: None)
+    elif not cprobe.available():
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+    delay, _, _ = benchmark.pedantic(
+        batched_solve_exact, setup=_edf_solve_grid,
+        rounds=2000 if path == "c" else 300, iterations=1, warmup_rounds=1,
+    )
+    assert np.isfinite(delay).all()
+    record_rates(benchmark, "rows", SOLVE_ROWS)

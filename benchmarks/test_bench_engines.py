@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import emit
+from conftest import emit, record_rates
 
 from repro.arrivals import csampler, processes
 from repro.arrivals.mmoo import MMOOParameters
@@ -100,14 +100,7 @@ def test_edf_slot_kernel(benchmark, monkeypatch, path):
         rounds=30 if path == "python" else 200, iterations=1,
         warmup_rounds=1,
     )
-    stats = benchmark.stats.stats
-    benchmark.extra_info["slots_per_s_median"] = round(
-        SLOT_KERNEL_SLOTS / stats.median
-    )
-    benchmark.extra_info["slots_per_s_iqr"] = [
-        round(SLOT_KERNEL_SLOTS / stats.q3),
-        round(SLOT_KERNEL_SLOTS / stats.q1),
-    ]
+    record_rates(benchmark, "slots", SLOT_KERNEL_SLOTS)
 
 
 SAMPLER_FLOWS = 300
@@ -152,10 +145,5 @@ def test_mmoo_sampler(benchmark, monkeypatch, path):
         mmoo_aggregate_arrivals, setup=_sampler_args,
         rounds=60 if path == "c" else 30, iterations=1, warmup_rounds=1,
     )
-    stats = benchmark.stats.stats
     benchmark.extra_info["draws"] = draws
-    benchmark.extra_info["draws_per_s_median"] = round(draws / stats.median)
-    benchmark.extra_info["draws_per_s_iqr"] = [
-        round(draws / stats.q3),
-        round(draws / stats.q1),
-    ]
+    record_rates(benchmark, "draws", draws)

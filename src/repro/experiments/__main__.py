@@ -405,13 +405,15 @@ def _format_kernel_trace(registry) -> str:
         value = registry.gauge(gauge)
         return "unused" if value is None else ("C" if value else "Python")
 
+    cprobe_fallbacks = registry.counter("cprobe.fallbacks")
     fallbacks = registry.counter("simulation.kernel_fallbacks")
     sampler_fallbacks = registry.counter("simulation.sampler_fallbacks")
     return (
         f"[trace] kernels: cprobe={path('cprobe.available')} "
         f"simulation={path('simulation.kernel_available')} "
         f"sampler={path('simulation.sampler_available')} "
-        f"(simulation fallback calls={fallbacks:.0f}, "
+        f"(cprobe fallback requests={cprobe_fallbacks:.0f}, "
+        f"simulation fallback calls={fallbacks:.0f}, "
         f"sampler fallback calls={sampler_fallbacks:.0f})"
     )
 
