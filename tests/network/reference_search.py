@@ -43,7 +43,11 @@ from repro.network.e2e import (
     mmoo_ebb_pair,
 )
 from repro.network.vectorized import _e2e_probe, _log_grid, e2e_delay_grid
-from repro.utils.numeric import grid_then_golden, refine_grid_minimum
+from repro.utils.numeric import (
+    golden_section_min,
+    grid_then_golden,
+    refine_grid_minimum,
+)
 from repro.utils.validation import check_int, check_positive, check_probability
 
 Method = Literal["exact", "paper"]
@@ -69,10 +73,16 @@ def optimize_gamma_e2e(
         through, cross, hops, capacity, delta, epsilon, np.asarray(xs)
     )
     return refine_grid_minimum(
-        lambda g: _e2e_probe(through, cross, hops, capacity, delta, epsilon, g),
+        lambda lo, hi: golden_section_min(
+            lambda g: _e2e_probe(
+                through, cross, hops, capacity, delta, epsilon, g
+            ),
+            lo,
+            hi,
+            tol=tol,
+        ),
         xs,
         fs.tolist(),
-        tol=tol,
     )
 
 

@@ -76,11 +76,16 @@ class TestGridThenGolden:
             grid_then_golden(lambda x: x, 0.0, 1.0, log_spaced=True)
 
 
+def _golden(f):
+    """The refinement ``grid_then_golden`` hands to ``refine_grid_minimum``."""
+    return lambda lo, hi: golden_section_min(f, lo, hi)
+
+
 class TestRefineGridMinimum:
     def test_refines_within_bracketing_cells(self):
         f = lambda x: (x - 2.6) ** 2
         xs = [0.0, 1.0, 2.0, 3.0, 4.0]
-        x, fx = refine_grid_minimum(f, xs, [f(x) for x in xs])
+        x, fx = refine_grid_minimum(_golden(f), xs, [f(x) for x in xs])
         assert x == pytest.approx(2.6, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-9)
 
@@ -88,32 +93,32 @@ class TestRefineGridMinimum:
         f = lambda x: min((x - 1.0) ** 2 + 0.5, (x - 8.0) ** 2)
         xs = [10.0 * i / 40.0 for i in range(41)]
         expected = grid_then_golden(f, 0.0, 10.0, grid_points=41)
-        assert refine_grid_minimum(f, xs, [f(x) for x in xs]) == expected
+        assert refine_grid_minimum(_golden(f), xs, [f(x) for x in xs]) == expected
 
     def test_nonfinite_best_returned_unrefined(self):
         # an all-infeasible grid must pass inf through, not call golden
         xs = [1.0, 2.0, 3.0]
-        x, fx = refine_grid_minimum(lambda x: math.inf, xs, [math.inf] * 3)
+        x, fx = refine_grid_minimum(_golden(lambda x: math.inf), xs, [math.inf] * 3)
         assert x == 1.0
         assert math.isinf(fx)
 
     def test_keeps_grid_point_when_refinement_no_better(self):
         # fs deliberately below func: refinement cannot improve on fs[best]
         xs = [0.0, 1.0, 2.0]
-        x, fx = refine_grid_minimum(lambda x: 5.0, xs, [3.0, 1.0, 3.0])
+        x, fx = refine_grid_minimum(_golden(lambda x: 5.0), xs, [3.0, 1.0, 3.0])
         assert (x, fx) == (1.0, 1.0)
 
     def test_boundary_minimum_brackets_one_sided(self):
         f = lambda x: x
         xs = [0.0, 1.0, 2.0]
-        x, fx = refine_grid_minimum(f, xs, [f(x) for x in xs])
+        x, fx = refine_grid_minimum(_golden(f), xs, [f(x) for x in xs])
         assert x == pytest.approx(0.0, abs=1e-6)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            refine_grid_minimum(lambda x: x, [1.0, 2.0], [1.0])
+            refine_grid_minimum(_golden(lambda x: x), [1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
-            refine_grid_minimum(lambda x: x, [], [])
+            refine_grid_minimum(_golden(lambda x: x), [], [])
 
 
 class TestMinimizePiecewiseLinear:
