@@ -10,12 +10,16 @@ Reads a ``pytest-benchmark --benchmark-json`` file, extracts the mean
 wall-clock of every benchmark, and compares it against
 ``benchmarks/BENCH_BASELINE.json``.  Because absolute timings shift with
 the host (a CI runner is not the machine the baseline was recorded on),
-the comparison is *normalized* by default: the median ratio
-current/baseline over all shared benchmarks estimates the machine-speed
-factor, and a benchmark regresses only if it is slower than
-``baseline * machine_factor * (1 + tolerance)`` — i.e. it got slower
-*relative to the rest of the suite*.  ``--raw`` compares absolute means
-instead.  Exit status 1 on any regression (the CI gate), 0 otherwise.
+the comparison is *normalized* by default: a machine-speed factor
+scales every baseline row, and a benchmark regresses only if it is
+slower than ``baseline * machine_factor * (1 + tolerance)``.  The factor
+is the current/baseline ratio of the calibration row
+(``benchmarks/test_bench_calibration.py``, a fixed workload that imports
+nothing from the package, so no change to the program can move it) when
+both files carry it; otherwise the median ratio over all shared
+benchmarks, which a change that speeds up many rows drags down with it.
+``--raw`` compares absolute means instead.  Exit status 1 on any
+regression (the CI gate), 0 otherwise.
 Benchmarks present only on one side also fail the gate: a baseline row
 without a current run is ``missing``, and a current benchmark without a
 baseline row is ``UNBASELINED`` (re-baseline with ``--update`` so new
@@ -34,6 +38,8 @@ from pathlib import Path
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_BASELINE.json"
 BASELINE_SCHEMA = "repro.bench-baseline/1"
+#: The row whose current/baseline ratio is the machine-speed factor.
+CALIBRATION = "benchmarks/test_bench_calibration.py::test_calibration"
 
 
 def load_means(path: Path) -> dict[str, float]:
@@ -60,6 +66,19 @@ def write_baseline(means: dict[str, float], path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def machine_factor(
+    current: dict[str, float], baseline: dict[str, float], shared: list[str]
+) -> tuple[float, str]:
+    """``(factor, where it came from)``: the calibration row's ratio when
+    both sides carry it, else the median ratio over ``shared``."""
+    if CALIBRATION in current and CALIBRATION in baseline:
+        return current[CALIBRATION] / baseline[CALIBRATION], "calibration row"
+    return (
+        statistics.median(current[n] / baseline[n] for n in shared),
+        "median current/baseline ratio",
+    )
+
+
 def compare(
     current: dict[str, float],
     baseline: dict[str, float],
@@ -71,12 +90,11 @@ def compare(
     shared = sorted(set(current) & set(baseline))
     if not shared:
         return (["no shared benchmarks between current run and baseline"], [])
-    factor = 1.0
+    factor, source = 1.0, "raw comparison"
     if normalize:
-        factor = statistics.median(current[n] / baseline[n] for n in shared)
+        factor, source = machine_factor(current, baseline, shared)
     lines = [
-        f"machine-speed factor: {factor:.3f} "
-        f"({'median current/baseline ratio' if normalize else 'raw comparison'})",
+        f"machine-speed factor: {factor:.3f} ({source})",
         f"tolerance: +{tolerance:.0%} on the normalized baseline",
         "",
         f"{'benchmark':<60} {'base(s)':>9} {'cur(s)':>9} {'ratio':>7} {'status':>10}",

@@ -17,7 +17,12 @@ One rung below (L0 of the benchmark ladder), the exact-solve row times
 :func:`~repro.network.vectorized.batched_solve_exact` alone on one
 figure-shaped EDF grid — 36 γ rows of a 10-hop path in the ``Delta <= 0``
 case of Eq. (38) — on the compiled kernel and on its numpy fallback,
-over enough rounds for a median and quartiles, in rows per second.
+over enough rounds for a median and quartiles, in rows per second.  The
+grid-row rung beside it times
+:func:`~repro.network.vectorized.e2e_delay_grid_rows` on one
+figure-shaped FIFO batch — the 12 ``s`` lanes of a Fig. 2 ``H = 10``
+cell, 12 γ points each — on the compiled kernel and on its Python
+fallback, in rows (lanes) per second.
 """
 
 import math
@@ -39,6 +44,7 @@ from repro.network.vectorized import (
     _log_grid,
     batched_sigma_for_epsilon,
     batched_solve_exact,
+    e2e_delay_grid_rows,
 )
 from tests.network import reference_search
 
@@ -163,3 +169,41 @@ def test_solve_exact(benchmark, monkeypatch, path):
     )
     assert np.isfinite(delay).all()
     record_rates(benchmark, "rows", SOLVE_ROWS)
+
+
+GRID_LANES = 12
+
+
+def _fifo_grid_rows():
+    """One engine round of a Fig. 2 FIFO cell (H = 10, U = 50%): its 12
+    ``s`` lanes, each with its 12-point log γ grid."""
+    traffic = MMOOParameters.paper_defaults()
+    throughs, crosses, rows = [], [], []
+    for s in np.geomspace(2e-6, 0.02, GRID_LANES).tolist():
+        through, cross = mmoo_ebb_pair(traffic, 100, 233, s)
+        gamma_max = (100.0 - cross.rate - through.rate) / (SOLVE_HOPS + 1)
+        throughs.append(through)
+        crosses.append(cross)
+        rows.append(
+            _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
+        )
+    zeros = [0.0] * GRID_LANES
+    return (
+        throughs, crosses, SOLVE_HOPS, 100.0, zeros, 1e-9, np.array(rows)
+    ), {}
+
+
+@pytest.mark.parametrize("path", ["c", "python"])
+def test_grid_rows(benchmark, monkeypatch, path):
+    """FIFO γ-grid rows of one Fig. 2 cell: rows per second, C kernel
+    vs. Python body."""
+    if path == "python":
+        monkeypatch.setattr(cprobe.KERNEL, "load", lambda: None)
+    elif not cprobe.available():
+        pytest.skip("no C compiler: the compiled kernel is unavailable")
+    delays = benchmark.pedantic(
+        e2e_delay_grid_rows, setup=_fifo_grid_rows,
+        rounds=2000 if path == "c" else 200, iterations=1, warmup_rounds=1,
+    )
+    assert np.isfinite(delays).all()
+    record_rates(benchmark, "rows", GRID_LANES)

@@ -10,8 +10,14 @@ expression trees *operation for operation* — the Eq. (33) sigma chain,
 the FIFO/BMUX closed forms (Eqs. 43-44), and the slope-sweep exact
 theta minimization with its near-minimum re-evaluation window — and
 compiles it on first use with the system C compiler.  The same unit
-holds two more mirrors:
+holds three more mirrors:
 
+* :func:`grid_rows` — the per-point work of
+  :func:`repro.network.vectorized.e2e_delay_grid_rows` (the γ grid row
+  of every (lane, s) search): the Eq. (32) feasibility mask, the probe's
+  own sigma (NaN or ``+inf`` marks a dead point, a live one is clamped
+  like the probe's), and the probe's BMUX/FIFO closed forms, or for an
+  Eq. (38) row the sigma and hop rates the exact solve takes;
 * :func:`solve_exact` — the per-lane work of
   :func:`repro.network.vectorized.batched_solve_exact` (the Eq. (38)
   exact breakpoint enumeration on every γ grid row of an EDF/SP cell):
@@ -28,15 +34,17 @@ Bitwise contract
 The C kernel computes the identical IEEE-754 double sequence as the
 Python and numpy bodies: same operations in the same association
 order, libm ``expm1``/``log``/``exp`` (the same functions CPython's
-``math`` module calls in-process), and strict FP semantics
+``math`` module calls in-process; the γ grid's Python body therefore
+uses ``math`` too, not numpy, whose vectorized ``log``/``exp``/``expm1``
+differ from libm in the last bits), and strict FP semantics
 (``-fno-fast-math -ffp-contract=off``, no reassociation, no FMA
 contraction).  Where the additive probe would raise in Python (a
 division by zero, ``math.log`` of a non-positive number, an overflowing
 ``math.exp``), :func:`additive_golden` hands the request back to
 Python, which then raises the same exception.  The test suite pins value equality against
 ``_e2e_probe`` over randomized parameters in every ``Delta`` case, and
-byte equality of :func:`solve_exact` and :func:`additive_golden`
-against their oracles.
+byte equality of :func:`grid_rows`, :func:`solve_exact` and
+:func:`additive_golden` against their oracles.
 
 Availability
 ------------
@@ -50,7 +58,7 @@ entry point transparently runs its Python (or numpy) body instead —
 identical results, just slower.  So do paths longer than
 :data:`MAX_HOPS`.  While :mod:`repro.obs` is enabled, every request
 served that way adds one to the ``cprobe.fallbacks`` counter (a probe,
-a refinement, or a lane of the exact solve).
+a refinement, a γ grid row, or a lane of the exact solve).
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ __all__ = [
     "golden_values",
     "additive_golden",
     "solve_exact",
+    "grid_rows",
     "CTX_FIELDS",
 ]
 
@@ -98,7 +107,6 @@ MAX_HOPS = 1024
 
 _C_SOURCE = r"""
 #include <math.h>
-#include <stdlib.h>
 
 #define TPRE 0
 #define TDEC 1
@@ -115,8 +123,9 @@ _C_SOURCE = r"""
 #define MAX_HOPS 1024
 #define SWEEP_WINDOW 1e-9
 
-/* mirror of vectorized._sigma_fast (inf on underflow) */
-static double sigma_fast(const double *c, int hops, double gamma)
+/* mirror of vectorized._sigma_raw: sigma before the clamp at zero
+ * (inf on underflow); the probe and the grid each clamp it their way */
+static double sigma_raw(const double *c, int hops, double gamma)
 {
     double geo_t = -expm1(-c[TDEC] * gamma);
     double geo_c = -expm1(-c[CDEC] * gamma);
@@ -135,9 +144,7 @@ static double sigma_fast(const double *c, int hops, double gamma)
     log_m += log(last * c[CDEC]) / (c[CDEC] * w);
     double prefactor = exp(log_m);
     double alpha = 1.0 / w;
-    double sigma = log(prefactor / c[EPS]) / alpha;
-    /* Python max(0.0, v): returns 0.0 unless v > 0.0 (incl. v = NaN) */
-    return sigma > 0.0 ? sigma : 0.0;
+    return log(prefactor / c[EPS]) / alpha;
 }
 
 /* mirror of vectorized._fifo_closed_form (Eq. 44) */
@@ -210,16 +217,23 @@ static double objective_homog(double capacity, double r, double delta,
     return x + total;
 }
 
-/* events sort like Python tuples: by x, ties by change */
-static int ev_cmp(const void *pa, const void *pb)
+/* events.sort() on (x, change) pairs: Python compares tuples by x, ties
+ * by change, and sorts stably, as this insertion sort does.  A few dozen
+ * events per probe, so it beats qsort's call per comparison */
+static void sort_events(double *ev, int n)
 {
-    const double *a = (const double *)pa;
-    const double *b = (const double *)pb;
-    if (a[0] < b[0]) return -1;
-    if (a[0] > b[0]) return 1;
-    if (a[1] < b[1]) return -1;
-    if (a[1] > b[1]) return 1;
-    return 0;
+    for (int i = 1; i < n; i++) {
+        double x = ev[2 * i], change = ev[2 * i + 1];
+        int j = i - 1;
+        while (j >= 0 && (ev[2 * j] > x
+                          || (ev[2 * j] == x && ev[2 * j + 1] > change))) {
+            ev[2 * j + 2] = ev[2 * j];
+            ev[2 * j + 3] = ev[2 * j + 1];
+            j--;
+        }
+        ev[2 * j + 2] = x;
+        ev[2 * j + 3] = change;
+    }
 }
 
 /* mirror of vectorized._sweep_homogeneous (delay value only) */
@@ -323,7 +337,7 @@ static double sweep_homog(double capacity, double r, double delta,
         }
     }
 
-    qsort(events, n_ev, 2 * sizeof(double), ev_cmp);
+    sort_events(events, n_ev);
 
     double cand_x[3 * MAX_HOPS + 9];
     double cand_a[3 * MAX_HOPS + 9];
@@ -372,7 +386,9 @@ static double probe_one(const double *c, double gamma)
         return NAN;
     if ((hops + 1) * gamma >= c[CAP] - c[CRATE] - c[TRATE])
         return INFINITY;
-    double sigma = sigma_fast(c, hops, gamma);
+    double sigma = sigma_raw(c, hops, gamma);
+    /* Python max(0.0, v): returns 0.0 unless v > 0.0 (incl. v = NaN) */
+    sigma = sigma > 0.0 ? sigma : 0.0;
     if (!isfinite(sigma))
         return INFINITY;
     double delta = c[DELTA];
@@ -391,6 +407,56 @@ void probe_values(long n, const double *ctx, const long *idx,
 {
     for (long i = 0; i < n; i++)
         out[i] = probe_one(ctx + NF * idx[i], gammas[i]);
+}
+
+/* the grid forms of vectorized.e2e_delay_grid_rows */
+#define FORM_BMUX 0
+#define FORM_FIFO 1
+#define FORM_EXACT 2
+
+/* mirror of vectorized._grid_rows_python: one gamma row per context,
+ * gammas and out (lanes, grid).  A point is dead (inf) when Eq. (32)
+ * fails or sigma_raw is NaN or +inf; a live one clamps sigma like the
+ * probe and takes the BMUX (Eq. 43) or FIFO (Eq. 44) form.  FORM_EXACT
+ * stores the sigma itself (inf when dead) plus the Eq. (38) rates r_svc
+ * (lanes * grid, hops) and r_cross (lanes * grid) for the exact solve.
+ * Returns -1 for a hop count the stack buffers cannot hold. */
+long grid_rows(long lanes, long grid, long form, const double *ctx,
+               const double *gammas, double *out, double *r_svc,
+               double *r_cross)
+{
+    for (long l = 0; l < lanes; l++) {
+        const double *c = ctx + NF * l;
+        int hops = (int)c[HOPS];
+        if (hops < 1 || hops > MAX_HOPS)
+            return -1;
+        double headroom = c[CAP] - c[CRATE] - c[TRATE];
+        for (long p = l * grid; p < (l + 1) * grid; p++) {
+            double gamma = gammas[p];
+            double sigma = INFINITY;
+            if ((hops + 1) * gamma < headroom) {
+                double v = sigma_raw(c, hops, gamma);
+                if (!isnan(v) && v != INFINITY)
+                    sigma = v > 0.0 ? v : 0.0;
+            }
+            if (form == FORM_EXACT) {
+                out[p] = sigma;
+                for (int k = 0; k < hops; k++)
+                    r_svc[p * hops + k] = c[CAP] - k * gamma;
+                r_cross[p] = c[CRATE] + gamma;
+            } else if (sigma == INFINITY) {
+                out[p] = INFINITY;
+            } else if (form == FORM_BMUX) {
+                double denom = (c[CAP] - (hops - 1) * gamma)
+                               - (c[CRATE] + gamma);
+                out[p] = denom > 0.0 ? sigma / denom : INFINITY;
+            } else {
+                out[p] = fifo_closed_form(hops, c[CAP], c[CRATE], gamma,
+                                          sigma);
+            }
+        }
+    }
+    return 0;
 }
 
 /* (sqrt(5) - 1) / 2, same double as Python's _GOLDEN (IEEE sqrt is
@@ -770,15 +836,11 @@ KERNEL = CKernel(
     "cprobe",
     _C_SOURCE,
     {
-        "probe_values": (
-            [ctypes.c_long, _as_double, _as_long, _as_double, _as_double],
-            None,
-        ),
+        "probe_values": ([ctypes.c_long, _ptr, _ptr, _ptr, _ptr], None),
         "golden_values": (
             [
-                ctypes.c_long, _as_double, _as_long, _as_double,
-                _as_double, ctypes.c_double, ctypes.c_long, _as_double,
-                _as_double,
+                ctypes.c_long, _ptr, _ptr, _ptr, _ptr, ctypes.c_double,
+                ctypes.c_long, _ptr, _ptr,
             ],
             None,
         ),
@@ -797,6 +859,13 @@ KERNEL = CKernel(
             ],
             ctypes.c_long,
         ),
+        "grid_rows": (
+            [
+                ctypes.c_long, ctypes.c_long, ctypes.c_long, _ptr, _ptr,
+                _ptr, _ptr, _ptr,
+            ],
+            ctypes.c_long,
+        ),
     },
     report=_report,
 )
@@ -804,6 +873,10 @@ KERNEL = CKernel(
 #: The Eq. (38) cases of ``vectorized._delta_case``, as the C kernel
 #: numbers them.
 _CASES = {"ninf": 0, "pinf": 1, "le0": 2, "mid": 3}
+
+#: The grid forms of ``vectorized.e2e_delay_grid_rows``, as the C kernel
+#: numbers them.
+_FORMS = {"bmux": 0, "fifo": 1, "exact": 2}
 
 
 def _count_fallbacks(requests: int) -> None:
@@ -950,14 +1023,14 @@ def golden_values(
     out_f = np.empty(n, dtype=np.float64)
     lib.golden_values(
         n,
-        ctx.ctypes.data_as(_as_double),
-        idx.ctypes.data_as(_as_long),
-        lo.ctypes.data_as(_as_double),
-        hi.ctypes.data_as(_as_double),
+        ctx.ctypes.data,
+        idx.ctypes.data,
+        lo.ctypes.data,
+        hi.ctypes.data,
         tol,
         max_iter,
-        out_x.ctypes.data_as(_as_double),
-        out_f.ctypes.data_as(_as_double),
+        out_x.ctypes.data,
+        out_f.ctypes.data,
     )
     bad = np.isnan(out_x)
     if bad.any():
@@ -995,10 +1068,10 @@ def probe_values(
     out = np.empty(n, dtype=np.float64)
     lib.probe_values(
         n,
-        ctx.ctypes.data_as(_as_double),
-        idx.ctypes.data_as(_as_long),
-        g.ctypes.data_as(_as_double),
-        out.ctypes.data_as(_as_double),
+        ctx.ctypes.data,
+        idx.ctypes.data,
+        g.ctypes.data,
+        out.ctypes.data,
     )
     bad = np.isnan(out)
     if bad.any():
@@ -1124,3 +1197,60 @@ def solve_exact(
         out.ctypes.data,
     )
     return out[:, 0], out[:, 1], out[:, 2:], n_bad
+
+
+def grid_rows(
+    throughs: Sequence[EBB],
+    crosses: Sequence[EBB],
+    hops: int,
+    capacity: float,
+    epsilon: float,
+    gammas: np.ndarray,
+    form: str,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None:
+    """The per-point work of ``vectorized.e2e_delay_grid_rows`` in C.
+
+    ``gammas`` is a ``(lanes, grid)`` float64 array, one row per
+    ``(throughs[i], crosses[i])`` pair, and ``form`` one of ``"bmux"``
+    (Eq. 43), ``"fifo"`` (Eq. 44) or ``"exact"`` (Eq. 38).  Returns
+    ``(out, r_svc, r_cross)`` byte-identical to
+    ``vectorized._grid_rows_python``: ``out`` holds the delays of a
+    closed form, or for ``"exact"`` the sigmas that go with the rates
+    ``r_svc`` ``(lanes * grid, hops)`` and ``r_cross`` ``(lanes * grid,)``
+    (both ``None`` for a closed form).  Returns ``None`` — counted in
+    ``cprobe.fallbacks``, one per row — when the Python body must run:
+    no kernel, or a path beyond :data:`MAX_HOPS`.
+    """
+    lanes, grid = gammas.shape
+    lib = KERNEL.load() if 1 <= hops <= MAX_HOPS else None
+    if lib is None:
+        _count_fallbacks(lanes)
+        return None
+    # context rows as in ProbeTable; the grid reads no delta
+    ctx = np.array(
+        [
+            (
+                t.prefactor, t.decay, t.rate, c.prefactor, c.decay, c.rate,
+                hops, capacity, 0.0, epsilon,
+            )
+            for t, c in zip(throughs, crosses)
+        ],
+        dtype=np.float64,
+    )
+    g = np.ascontiguousarray(gammas, dtype=np.float64)
+    out = np.empty((lanes, grid), dtype=np.float64)
+    r_svc = r_cross = None
+    if form == "exact":
+        r_svc = np.empty((lanes * grid, hops), dtype=np.float64)
+        r_cross = np.empty(lanes * grid, dtype=np.float64)
+    lib.grid_rows(
+        lanes,
+        grid,
+        _FORMS[form],
+        ctx.ctypes.data,
+        g.ctypes.data,
+        out.ctypes.data,
+        None if r_svc is None else r_svc.ctypes.data,
+        None if r_cross is None else r_cross.ctypes.data,
+    )
+    return out, r_svc, r_cross

@@ -347,9 +347,13 @@ def mmoo_ebb_pair(
     MMOO entry point shares this one construction so bounds computed
     through different layers agree bitwise.
     """
-    through = traffic.ebb(n_through, s)
+    if n_through < 1:
+        raise ValueError("n_flows must be >= 1")
+    # one eb(s) for both: the doubles of two `traffic.ebb` calls
+    eb = traffic.effective_bandwidth(s)
+    through = EBB(1.0, n_through * eb, s)
     if n_cross > 0:
-        cross = traffic.ebb(n_cross, s)
+        cross = EBB(1.0, n_cross * eb, s)
     else:
         cross = EBB(1.0, 1e-12, s)
     return through, cross

@@ -17,9 +17,15 @@ same mathematics as array operations:
   numpy body, which stays as its fallback and oracle;
 * :func:`batched_sigma_for_epsilon` — the Eq. (33) combination and its
   inversion at ``epsilon`` over a ``gamma`` grid;
-* :func:`e2e_delay_grid` / :func:`additive_delay_grid` — whole-grid
-  evaluation of the end-to-end and node-by-node objectives, with
-  closed-form fast paths for BMUX (Eq. (43)) and FIFO (Eq. (44));
+* :func:`e2e_delay_grid_rows` / :func:`e2e_delay_grid` — the end-to-end
+  objective over the ``gamma`` grids of many lanes (or one): per point,
+  the probe's own ``sigma`` and its closed forms for BMUX (Eq. (43)) and
+  FIFO (Eq. (44)), in generated C
+  (:func:`repro.network.cprobe.grid_rows`) or in Python; other
+  ``Delta`` rows hand ``sigma`` and the hop rates to
+  :func:`batched_solve_exact`;
+* :func:`additive_delay_grid` — whole-grid evaluation of the
+  node-by-node objective;
 * :func:`optimize_gamma_additive` — the grid-then-refine search of the
   additive bound: one batched grid sweep, then golden-section
   refinement of the argmin bracket over the scalar probe, in generated
@@ -37,7 +43,12 @@ Every kernel mirrors the scalar code's floating-point expression trees
 values agree with the scalar objective to the last few ulps and the
 grid-then-refine search follows the same trajectory as
 :func:`repro.utils.numeric.grid_then_golden` except at exact
-floating-point ties.  The optimized ``gamma``/``s`` is then re-evaluated
+floating-point ties.  The end-to-end ``gamma`` grid evaluates ``sigma``
+with libm (C) or ``math`` (Python), bitwise like the probe, not with
+numpy: numpy's AVX-512 ``log``/``exp``/``expm1`` differ from libm in the
+last bits, and a grid value only steers the search (its argmin and the
+comparison with the refined point) — the value a search returns is
+always the probe's.  The optimized ``gamma``/``s`` is then re-evaluated
 through the *scalar* ``..._at_gamma`` functions, so the numpy backend's
 returned bounds match the scalar backend's to well within 1e-9 relative
 (the randomized cross-validation suite pins this).  Two deliberate
@@ -356,11 +367,16 @@ def batched_sigma_for_epsilon(
     return sigma
 
 
-def _sigma_fast(
+def _sigma_raw(
     through: EBB, cross: EBB, hops: int, gamma: float, epsilon: float
 ) -> float:
-    """Scalar mirror of :func:`batched_sigma_for_epsilon` (``inf`` on
-    underflow), bitwise-equal to the scalar ``sigma_for_epsilon`` chain."""
+    """Scalar mirror of :func:`batched_sigma_for_epsilon` before its clamp
+    at zero (``inf`` on underflow), bitwise-equal to the scalar
+    ``sigma_for_epsilon`` chain.
+
+    Callers clamp it themselves: the probe turns a NaN into 0, the γ
+    grid marks that point dead.
+    """
     geo_t = -math.expm1(-through.decay * gamma)
     geo_c = -math.expm1(-cross.decay * gamma)
     if geo_t <= 0.0 or geo_c <= 0.0:
@@ -380,7 +396,7 @@ def _sigma_fast(
     log_m += math.log(last * cross.decay) / (cross.decay * w)
     prefactor = safe_exp(log_m)
     alpha = 1.0 / w
-    return max(0.0, math.log(prefactor / epsilon) / alpha)
+    return math.log(prefactor / epsilon) / alpha
 
 
 # --------------------------------------------------------------------- #
@@ -738,57 +754,17 @@ def e2e_delay_grid(
     gammas,
 ) -> np.ndarray:
     """The :func:`~repro.network.e2e.e2e_delay_bound_at_gamma` objective
-    over a whole ``gamma`` grid, as one batch of array operations.
+    over a whole ``gamma`` grid: one row of :func:`e2e_delay_grid_rows`.
 
-    Infeasible lanes (Eq. (32) violated, ``sigma`` underflow) are ``inf``,
-    matching the scalar ``_INFEASIBLE`` convention.  BMUX and FIFO take
-    the closed forms Eq. (43)/(44); other ``Delta`` go through
+    Infeasible points (Eq. (32) violated, ``sigma`` underflow) are
+    ``inf``, matching the scalar ``_INFEASIBLE`` convention.  BMUX and
+    FIFO take the closed forms Eq. (43)/(44); other ``Delta`` go through
     :func:`batched_solve_exact`.
     """
     g = np.asarray(gammas, dtype=float)
-    feasible = (hops + 1) * g < capacity - cross.rate - through.rate
-    sigma = batched_sigma_for_epsilon(through, cross, hops, g, epsilon)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if delta == math.inf:
-            # Eq. (43): d = sigma / (R_H - r), flat-segment value of the
-            # exact breakpoint minimum
-            denom = (capacity - (hops - 1) * g) - (cross.rate + g)
-            delays = np.where(denom > 0.0, sigma / denom, np.inf)
-        elif delta == 0.0:
-            delays = _fifo_grid(hops, capacity, cross.rate, g, sigma)
-        else:
-            h_index = np.arange(hops, dtype=float)
-            r_svc = capacity - h_index[None, :] * g[..., None]
-            r_cross = (cross.rate + g)[..., None]
-            delays, _, _ = batched_solve_exact(r_svc, r_cross, delta, sigma)
-        delays = np.where(feasible & np.isfinite(sigma), delays, np.inf)
-    if obs.enabled():
-        obs.add("vectorized.grid_points", int(g.size))
-        obs.add("vectorized.grid_infeasible", int(np.isinf(delays).sum()))
-    return delays
-
-
-def _fifo_grid(
-    hops: int, capacity: float, rho_cross: float, g: np.ndarray, sigma
-) -> np.ndarray:
-    """Eq. (44) over a gamma grid (vector mirror of ``fifo_delay``)."""
-    h = np.arange(1, hops + 1, dtype=float)  # (H,)
-    r_svc = capacity - (h - 1.0) * g[:, None]  # (G, H)
-    r = (rho_cross + g)[:, None]
-    terms = (r_svc - r) / r_svc
-    tails = np.zeros((len(g), hops + 1))
-    tails[:, :-1] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
-    k = np.argmax(tails < 1.0, axis=1)  # first K with tail < 1
-    denom = capacity - rho_cross - k * g
-    x = sigma / denom
-    beyond = h[None, :] > k[:, None]
-    contrib = np.where(
-        beyond, (h[None, :] - k[:, None]) * g[:, None] * x[:, None] / r_svc, 0.0
-    )
-    total = x + contrib.sum(axis=1)
-    total_k0 = (sigma[:, None] / r_svc).sum(axis=1)
-    delays = np.where(k == 0, total_k0, total)
-    return np.where(denom > 0.0, delays, np.inf)
+    return e2e_delay_grid_rows(
+        [through], [cross], hops, capacity, [delta], epsilon, g.reshape(1, -1)
+    ).reshape(g.shape)
 
 
 def e2e_delay_grid_rows(
@@ -800,13 +776,18 @@ def e2e_delay_grid_rows(
     epsilon: float,
     gammas,
 ) -> np.ndarray:
-    """Row-stacked :func:`e2e_delay_grid`: many lanes, one array program.
+    """Row-stacked :func:`e2e_delay_grid`: many lanes, one kernel call.
 
-    Row ``i`` of the ``(lanes, grid)`` result equals
-    ``e2e_delay_grid(throughs[i], crosses[i], hops, capacity, deltas[i],
-    epsilon, gammas[i])`` bitwise: every kernel expression is elementwise
-    (or row-local, for the candidate solves), so stacking lanes into
-    taller arrays evaluates the identical IEEE sequence per row.  All
+    Row ``i`` of the ``(lanes, grid)`` result is the γ grid of
+    ``(throughs[i], crosses[i], deltas[i])`` over ``gammas[i]``; every
+    point is computed alone, so a row's bytes do not depend on the rows
+    stacked with it.  A point is ``inf`` when Eq. (32) fails or its
+    ``sigma`` (the probe's :func:`_sigma_raw`) is NaN or ``+inf``;
+    otherwise ``sigma`` is clamped at zero as in the probe.  BMUX and
+    FIFO rows then take the probe's closed forms (Eqs. 43-44); other
+    ``Delta`` rows go through :func:`batched_solve_exact`.  The points
+    run in :func:`repro.network.cprobe.grid_rows` when the kernel loads,
+    else in :func:`_grid_rows_python`, with the same bytes.  All
     ``deltas`` must fall in the same Eq. (38) case (the batch planner
     groups lanes accordingly); ``hops``, ``capacity`` and ``epsilon`` are
     shared across the stack.
@@ -815,78 +796,75 @@ def e2e_delay_grid_rows(
     if g.ndim != 2:
         raise ValueError("gammas must be (lanes, grid)")
     lanes, grid = g.shape
-    delta_row = np.asarray(deltas, dtype=float)
-    case = _delta_case(float(delta_row[0]))
-    if any(_delta_case(float(d)) != case for d in delta_row[1:]):
+    case = _delta_case(float(deltas[0]))
+    if any(_delta_case(float(d)) != case for d in deltas[1:]):
         raise ValueError("all deltas must share one Eq. (38) case")
-    tp = np.array([t.prefactor for t in throughs])[:, None]
-    td = np.array([t.decay for t in throughs])[:, None]
-    tr = np.array([t.rate for t in throughs])[:, None]
-    cp = np.array([c.prefactor for c in crosses])[:, None]
-    cd = np.array([c.decay for c in crosses])[:, None]
-    cr = np.array([c.rate for c in crosses])[:, None]
-
-    feasible = (hops + 1) * g < (capacity - cr) - tr
-    # sigma: batched_sigma_for_epsilon with per-row EBB constants.  The
-    # scalar `w` accumulation stays a scalar loop per row (same floats).
-    w_rows = np.empty((lanes, 1))
-    for i, (t, c) in enumerate(zip(throughs, crosses)):
-        w = 1.0 / t.decay
-        for _ in range(hops):
-            w += 1.0 / c.decay
-        w_rows[i, 0] = w
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        geo_t = -np.expm1(-td * g)
-        geo_c = -np.expm1(-cd * g)
-        log_m = np.log(w_rows) + np.log((tp / geo_t) * td) / (td * w_rows)
-        last = cp / geo_c
-        inflated = last / geo_c
-        term_inflated = np.log(inflated * cd) / (cd * w_rows)
-        for _ in range(hops - 1):
-            log_m = log_m + term_inflated
-        log_m = log_m + np.log(last * cd) / (cd * w_rows)
-        prefactor = np.exp(log_m)
-        alpha = 1.0 / w_rows
-        sigma = np.maximum(0.0, np.log(prefactor / epsilon) / alpha)
-        sigma = np.where((geo_t <= 0.0) | (geo_c <= 0.0), np.inf, sigma)
-
-        any_zero = bool(np.any(delta_row == 0.0))
-        if any_zero and not np.all(delta_row == 0.0):
-            # the scalar path dispatches delta == 0 to the Eq. (44)
-            # closed form; mixing it with the exact solve would break
-            # the bitwise contract for the zero rows
-            raise ValueError("cannot mix delta == 0 with other deltas")
-        if case == "pinf":
-            denom = (capacity - (hops - 1) * g) - (cr + g)
-            delays = np.where(denom > 0.0, sigma / denom, np.inf)
-        elif any_zero:
-            delays = _fifo_grid(
-                hops,
-                capacity,
-                np.repeat(cr[:, 0], grid),
-                g.reshape(lanes * grid),
-                sigma.reshape(lanes * grid),
-            ).reshape(lanes, grid)
-        else:
-            h_index = np.arange(hops, dtype=float)
-            g_flat = g.reshape(lanes * grid)
-            r_svc = capacity - h_index[None, :] * g_flat[:, None]
-            r_cross = (cr + g).reshape(lanes * grid)[:, None]
-            d_flat = np.repeat(delta_row, grid)[:, None]
-            delays, _, _ = batched_solve_exact(
-                r_svc,
-                r_cross,
-                np.broadcast_to(d_flat, r_svc.shape),
-                sigma.reshape(lanes * grid),
-                case=case,
-            )
-            delays = delays.reshape(lanes, grid)
-        delays = np.where(feasible & np.isfinite(sigma), delays, np.inf)
+    any_zero = any(d == 0.0 for d in deltas)
+    if any_zero and not all(d == 0.0 for d in deltas):
+        # the scalar path dispatches delta == 0 to the Eq. (44) closed
+        # form; mixing it with the exact solve would break the bitwise
+        # contract for the zero rows
+        raise ValueError("cannot mix delta == 0 with other deltas")
+    form = "bmux" if case == "pinf" else "fifo" if any_zero else "exact"
+    args = (throughs, crosses, hops, capacity, epsilon, g, form)
+    points = cprobe.grid_rows(*args)
+    if points is None:
+        points = _grid_rows_python(*args)
+    delays, r_svc, r_cross = points
+    if form == "exact":
+        d_flat = np.repeat(np.asarray(deltas, dtype=float), grid)[:, None]
+        solved, _, _ = batched_solve_exact(
+            r_svc,
+            r_cross[:, None],
+            np.broadcast_to(d_flat, r_svc.shape),
+            delays.reshape(lanes * grid),
+            case=case,
+        )
+        # a dead point's sigma is inf, which the solve turns into inf
+        delays = solved.reshape(lanes, grid)
     if obs.enabled():
         obs.add("vectorized.grid_row_calls")
         obs.add("vectorized.grid_row_lanes", lanes)
         obs.add("vectorized.grid_points", int(g.size))
     return delays
+
+
+def _grid_rows_python(
+    throughs: Sequence[EBB],
+    crosses: Sequence[EBB],
+    hops: int,
+    capacity: float,
+    epsilon: float,
+    g: np.ndarray,
+    form: str,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The Python body of :func:`repro.network.cprobe.grid_rows` (its
+    fallback and oracle): ``(out, r_svc, r_cross)``, point by point."""
+    lanes, grid = g.shape
+    out = np.empty((lanes, grid))
+    for i, (through, cross) in enumerate(zip(throughs, crosses)):
+        headroom = capacity - cross.rate - through.rate
+        for j, gamma in enumerate(g[i].tolist()):
+            sigma = math.inf
+            if (hops + 1) * gamma < headroom:
+                v = _sigma_raw(through, cross, hops, gamma, epsilon)
+                if v == v and v != math.inf:
+                    sigma = max(0.0, v)
+            if form == "exact" or sigma == math.inf:
+                out[i, j] = sigma
+            elif form == "bmux":
+                denom = (capacity - (hops - 1) * gamma) - (cross.rate + gamma)
+                out[i, j] = sigma / denom if denom > 0.0 else math.inf
+            else:
+                out[i, j] = _fifo_closed_form(
+                    hops, capacity, cross.rate, gamma, sigma
+                )
+    if form != "exact":
+        return out, None, None
+    g_flat = g.reshape(lanes * grid)
+    r_svc = capacity - np.arange(hops, dtype=float)[None, :] * g_flat[:, None]
+    r_cross = np.repeat([c.rate for c in crosses], grid) + g_flat
+    return out, r_svc, r_cross
 
 
 def _e2e_probe(
@@ -901,7 +879,7 @@ def _e2e_probe(
     """Fast scalar mirror of the ``e2e_delay_bound_at_gamma`` objective."""
     if (hops + 1) * gamma >= capacity - cross.rate - through.rate:
         return math.inf
-    sigma = _sigma_fast(through, cross, hops, gamma, epsilon)
+    sigma = max(0.0, _sigma_raw(through, cross, hops, gamma, epsilon))
     if not math.isfinite(sigma):
         return math.inf
     if delta == math.inf:

@@ -13,6 +13,7 @@ from repro.network.e2e import (
     e2e_delay_bound_at_gamma,
     e2e_delay_bound_edf,
     e2e_delay_bound_mmoo,
+    mmoo_ebb_pair,
     sigma_for_epsilon,
 )
 
@@ -141,6 +142,23 @@ class TestMMOO:
         # (N0 + Nc) * 0.1486 >= 100
         r = e2e_delay_bound_mmoo(self.TRAFFIC, 400, 300, 2, C, 0.0, 1e-9)
         assert not r.feasible
+
+    def test_ebb_pair_computes_eb_once(self, monkeypatch):
+        """The pair equals two `MMOOParameters.ebb` calls, built from one
+        effective-bandwidth evaluation."""
+        s = 0.013
+        expected = (self.TRAFFIC.ebb(100, s), self.TRAFFIC.ebb(236, s))
+        calls = []
+        real = MMOOParameters.effective_bandwidth
+        monkeypatch.setattr(
+            MMOOParameters, "effective_bandwidth",
+            lambda traffic, x: calls.append(x) or real(traffic, x),
+        )
+        assert mmoo_ebb_pair(self.TRAFFIC, 100, 236, s) == expected
+        assert calls == [s]
+        assert mmoo_ebb_pair(self.TRAFFIC, 100, 0, s)[1] == EBB(1.0, 1e-12, s)
+        with pytest.raises(ValueError, match="n_flows"):
+            mmoo_ebb_pair(self.TRAFFIC, 0, 236, s)
 
 
 class TestEDFFixedPoint:

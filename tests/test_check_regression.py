@@ -118,6 +118,51 @@ class TestGate:
         assert rc == 1
 
 
+CAL = check_regression.CALIBRATION
+#: Nine suite rows plus the calibration row, all 1 s at baseline.
+ROWS = [f"bench_{i}" for i in range(9)]
+
+
+@pytest.fixture
+def calibrated_baseline(tmp_path):
+    base = tmp_path / "CALIBRATED.json"
+    check_regression.write_baseline({CAL: 1.0, **dict.fromkeys(ROWS, 1.0)}, base)
+    return base
+
+
+class TestCalibrationFactor:
+    """The machine factor comes from the calibration row, which no change
+    to the program can move, when both files carry it."""
+
+    def run(self, tmp_path, baseline, means):
+        current = write(tmp_path, "pr.json", pytest_bench_json(means))
+        return check_regression.main([str(current), "--baseline", str(baseline)])
+
+    def test_third_of_rows_faster_flags_nothing(
+        self, tmp_path, calibrated_baseline, capsys
+    ):
+        # the change speeds up three rows by 40%; the six it does not
+        # touch spread with host noise, the slowest by +25%
+        untouched = [0.85, 0.9, 1.0, 1.1, 1.2, 1.25]
+        means = dict(zip(ROWS, [0.6] * 3 + untouched))
+        assert self.run(tmp_path, calibrated_baseline, {CAL: 1.0, **means}) == 0
+        assert "1.000 (calibration row)" in capsys.readouterr().out
+        # without the calibration row the median over all rows (0.90
+        # here) moves with the change and holds the untouched rows to a
+        # tighter bound: the +20% and +25% ones are flagged
+        _, flagged = check_regression.compare(
+            means, dict.fromkeys(ROWS, 1.0), tolerance=0.30, normalize=True
+        )
+        assert flagged == ["bench_7", "bench_8"]
+
+    def test_untouched_row_slower_is_flagged(self, tmp_path, calibrated_baseline):
+        # a uniformly 2x slower host, one untouched row 50% slower on top
+        means = {CAL: 2.0, **dict.fromkeys(ROWS, 2.0), "bench_4": 3.0}
+        assert self.run(tmp_path, calibrated_baseline, means) == 1
+        means["bench_4"] = 2.0
+        assert self.run(tmp_path, calibrated_baseline, means) == 0
+
+
 class TestLoadMeans:
     def test_reads_pytest_benchmark_format(self, tmp_path):
         path = write(tmp_path, "run.json", pytest_bench_json({"x": 2.5}))
