@@ -42,7 +42,7 @@ from repro.network import cprobe
 from repro.network.e2e import mmoo_ebb_pair
 from repro.network.vectorized import (
     _log_grid,
-    batched_sigma_for_epsilon,
+    _sigma_raw,
     batched_solve_exact,
     e2e_delay_grid_rows,
 )
@@ -149,7 +149,10 @@ def _edf_solve_grid():
     g = np.array(
         _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), SOLVE_ROWS)
     )
-    sigma = batched_sigma_for_epsilon(through, cross, SOLVE_HOPS, g, 1e-9)
+    sigma = np.array([
+        max(0.0, _sigma_raw(through, cross, SOLVE_HOPS, gamma, 1e-9))
+        for gamma in g.tolist()
+    ])
     r_svc = 100.0 - np.arange(SOLVE_HOPS)[None, :] * g[:, None]
     r_cross = (cross.rate + g)[:, None]
     return (r_svc, r_cross, -70.0, sigma), {}

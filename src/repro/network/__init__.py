@@ -72,12 +72,9 @@ from repro.network.sensitivity import (
 )
 from repro.network.vectorized import (
     additive_delay_grid,
-    batched_sigma_for_epsilon,
     batched_solve_exact,
-    batched_theta_for_x,
     e2e_delay_grid,
     optimize_gamma_additive,
-    solve_exact_fast,
 )
 
 
@@ -151,10 +148,7 @@ __all__ = [
     "is_superlinear",
     "check_backend",
     "additive_delay_grid",
-    "batched_sigma_for_epsilon",
     "batched_solve_exact",
-    "batched_theta_for_x",
     "e2e_delay_grid",
     "optimize_gamma_additive",
-    "solve_exact_fast",
 ]

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network.convolution import network_service_curve
-from repro.network.e2e import (
-    _max_feasible_s,
-    check_backend,
-    mmoo_ebb_pair,
-    sigma_for_epsilon,
-)
+from repro.network.e2e import _max_feasible_s, mmoo_ebb_pair, sigma_for_epsilon
 from repro.network.optimization import homogeneous_hops, solve_exact
 from repro.scheduling.delta import CustomDelta
 from repro.service.leftover import leftover_service_curve
@@ -61,17 +56,8 @@ def e2e_backlog_bound_at_gamma(
     delta: float,
     epsilon: float,
     gamma: float,
-    *,
-    backend: str = "scalar",
 ) -> BacklogResult:
-    """End-to-end backlog bound for a fixed rate degradation ``gamma``.
-
-    ``backend="numpy"`` swaps the theta-optimization to the O(H log H)
-    slope sweep (:func:`repro.network.vectorized.solve_exact_fast`),
-    which returns the same ``x``/``thetas`` as :func:`solve_exact`; the
-    service-curve machinery is shared.
-    """
-    check_backend(backend)
+    """End-to-end backlog bound for a fixed rate degradation ``gamma``."""
     hops = check_int(hops, "hops", minimum=1)
     check_positive(capacity, "capacity")
     check_probability(epsilon, "epsilon")
@@ -82,12 +68,8 @@ def e2e_backlog_bound_at_gamma(
     except ValueError:
         return _INFEASIBLE
 
-    if backend == "numpy":
-        from repro.network.vectorized import solve_exact_fast as solver
-    else:
-        solver = solve_exact
     # thetas: reuse the delay-optimal point (any choice is valid)
-    solution = solver(
+    solution = solve_exact(
         homogeneous_hops(hops, capacity, gamma, cross.rate, delta), sigma
     )
     scheduler = CustomDelta({("through", "cross"): delta})
@@ -114,14 +96,11 @@ def e2e_backlog_bound(
     *,
     gamma: float | None = None,
     gamma_grid: int = 24,
-    backend: str = "numpy",
 ) -> BacklogResult:
     """End-to-end backlog bound, optimizing ``gamma`` numerically."""
-    check_backend(backend)
     if gamma is not None:
         return e2e_backlog_bound_at_gamma(
-            through, cross, hops, capacity, delta, epsilon, gamma,
-            backend=backend,
+            through, cross, hops, capacity, delta, epsilon, gamma
         )
     headroom = capacity - cross.rate - through.rate
     if headroom <= 0:
@@ -129,8 +108,7 @@ def e2e_backlog_bound(
     gamma_max = headroom / (hops + 1)
     g_best, _ = grid_then_golden(
         lambda g: e2e_backlog_bound_at_gamma(
-            through, cross, hops, capacity, delta, epsilon, g,
-            backend=backend,
+            through, cross, hops, capacity, delta, epsilon, g
         ).backlog,
         gamma_max * 1e-6,
         gamma_max * (1.0 - 1e-9),
@@ -138,8 +116,7 @@ def e2e_backlog_bound(
         log_spaced=True,
     )
     return e2e_backlog_bound_at_gamma(
-        through, cross, hops, capacity, delta, epsilon, g_best,
-        backend=backend,
+        through, cross, hops, capacity, delta, epsilon, g_best
     )
 
 
@@ -154,7 +131,6 @@ def e2e_backlog_bound_mmoo(
     *,
     s_grid: int = 16,
     gamma_grid: int = 16,
-    backend: str = "numpy",
 ) -> BacklogResult:
     """Backlog bound for MMOO aggregates, optimizing ``(s, gamma)``."""
     n_through = check_int(n_through, "n_through", minimum=1)
@@ -167,7 +143,7 @@ def e2e_backlog_bound_mmoo(
         through, cross = mmoo_ebb_pair(traffic, n_through, n_cross, s)
         return e2e_backlog_bound(
             through, cross, hops, capacity, delta, epsilon,
-            gamma_grid=gamma_grid, backend=backend,
+            gamma_grid=gamma_grid,
         )
 
     s_best, _ = grid_then_golden(

@@ -124,7 +124,9 @@ _C_SOURCE = r"""
 #define SWEEP_WINDOW 1e-9
 
 /* mirror of vectorized._sigma_raw: sigma before the clamp at zero
- * (inf on underflow); the probe and the grid each clamp it their way */
+ * (inf on underflow); the probe and the grid each clamp it their way.
+ * Inverted as log(M / eps) / alpha, so it is within 1e-15 relative of
+ * e2e.sigma_for_epsilon's (log M - log eps) / alpha, not bitwise */
 static double sigma_raw(const double *c, int hops, double gamma)
 {
     double geo_t = -expm1(-c[TDEC] * gamma);
@@ -147,7 +149,8 @@ static double sigma_raw(const double *c, int hops, double gamma)
     return log(prefactor / c[EPS]) / alpha;
 }
 
-/* mirror of vectorized._fifo_closed_form (Eq. 44) */
+/* mirror of optimization.fifo_delay (Eq. 44) past its argument checks,
+ * on the paths the probe admits, which Eq. (32) keeps unsaturated */
 static double fifo_closed_form(int hops, double capacity, double rho_cross,
                                double gamma, double sigma)
 {
@@ -178,7 +181,9 @@ static double fifo_closed_form(int hops, double capacity, double rho_cross,
     return total;
 }
 
-/* mirror of vectorized._objective_homogeneous */
+/* mirror of vectorized._hop_objective on the homogeneous triples
+ * (C - k gamma, rho_c + gamma, delta): the case dispatch is hoisted out
+ * of the hop loop, the doubles are the same */
 static double objective_homog(double capacity, double r, double delta,
                               double sigma, int hops, double gamma, double x)
 {
@@ -236,7 +241,9 @@ static void sort_events(double *ev, int n)
     }
 }
 
-/* mirror of vectorized._sweep_homogeneous (delay value only) */
+/* mirror of vectorized._sweep_solve on the homogeneous triples
+ * (C - k gamma, rho_c + gamma, delta), as the probe calls it (delay
+ * value only) */
 static double sweep_homog(double capacity, double r, double delta,
                           double sigma, int hops, double gamma)
 {
@@ -1148,7 +1155,7 @@ def solve_exact(
     r_cross: np.ndarray,
     delta: np.ndarray,
     sigma: np.ndarray,
-    case: str | None,
+    case: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
     """The Eq. (38) exact solve of ``vectorized.batched_solve_exact`` in C.
 
@@ -1157,8 +1164,8 @@ def solve_exact(
     ``sigma`` is ``(lanes,)`` and ``case`` the lanes' shared Eq. (38)
     case.  Returns ``(delay, x, thetas, saturated lanes)``,
     byte-identical to the numpy body, or ``None`` — counted in
-    ``cprobe.fallbacks`` — when the numpy body must run: no kernel, no
-    known ``case``, or a path beyond :data:`MAX_HOPS`.
+    ``cprobe.fallbacks`` — when the numpy body must run: no kernel, or
+    a path beyond :data:`MAX_HOPS`.
     """
     lanes, hops = r_svc.shape
     if (
@@ -1168,10 +1175,7 @@ def solve_exact(
         or any(a.dtype != np.float64 for a in (r_svc, r_cross, delta, sigma))
     ):
         raise ValueError("solve_exact needs float64 (lanes, hops) arrays")
-    kind = None if case is None else _CASES.get(case)
-    lib = (
-        KERNEL.load() if kind is not None and 1 <= hops <= MAX_HOPS else None
-    )
+    lib = KERNEL.load() if 1 <= hops <= MAX_HOPS else None
     if lib is None:
         _count_fallbacks(lanes)
         return None
@@ -1187,7 +1191,7 @@ def solve_exact(
     n_bad = lib.solve_exact(
         lanes,
         hops,
-        kind,
+        _CASES[case],
         _EPS,
         r_svc.ctypes.data,
         r_cross.ctypes.data,

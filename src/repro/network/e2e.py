@@ -20,7 +20,7 @@ fixed-point iteration.
 
 The MMOO (s, gamma) search and the EDF fixed point live in one place, the
 lane engine of :mod:`repro.network.lanes`: :func:`e2e_delay_bound_mmoo`
-and :func:`e2e_delay_bound_edf` are one-lane calls into it, and the numpy
+and :func:`e2e_delay_bound_edf` are one-lane calls into it, and the exact
 ``gamma`` search of :func:`e2e_delay_bound` is one of its ``gamma``
 chains.  The engine builds on this module's result types, so those
 functions import it at call time.
@@ -237,7 +237,6 @@ def e2e_delay_bound(
     gamma: float | None = None,
     method: Method = "exact",
     gamma_grid: int = 48,
-    backend: Backend = "numpy",
 ) -> E2EResult:
     """End-to-end delay bound for EBB traffic over a homogeneous path.
 
@@ -260,16 +259,13 @@ def e2e_delay_bound(
         numerically over ``(0, (C - rho_c - rho)/(H+1))`` (Eq. (32)).
     method:
         ``"exact"`` (breakpoint enumeration) or ``"paper"`` (Eqs. 40-42).
-    backend:
-        ``"numpy"`` (default) runs the ``gamma`` search as one ``gamma``
-        chain of the lane engine (:func:`repro.network.lanes.gamma_search`:
-        a batched grid row, then golden-section refinement over the
-        probe); ``"scalar"`` probes :func:`e2e_delay_bound_at_gamma`
-        point by point.  Both re-evaluate the optimum through the scalar
-        path, so the returned bounds agree to well within 1e-9 relative.
-        ``method="paper"`` always uses the scalar search.
+        The exact ``gamma`` search is one ``gamma`` chain of the lane
+        engine (:func:`repro.network.lanes.gamma_search`: a grid row,
+        then golden-section refinement over the probe); the paper's
+        procedure probes :func:`e2e_delay_bound_at_gamma` point by
+        point.  Either way the optimum is re-evaluated through
+        :func:`e2e_delay_bound_at_gamma`.
     """
-    check_backend(backend)
     if gamma is not None:
         return e2e_delay_bound_at_gamma(
             through, cross, hops, capacity, delta, epsilon, gamma, method=method
@@ -280,7 +276,7 @@ def e2e_delay_bound(
     if headroom <= 0:
         return _INFEASIBLE
 
-    if backend == "numpy" and method == "exact":
+    if method == "exact":
         from repro.network.lanes import gamma_search
 
         g_best, _ = gamma_search(

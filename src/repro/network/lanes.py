@@ -7,7 +7,7 @@ which runs a grid-then-golden search over ``gamma``, each probe of which
 solves the Eq. (38) theta optimization.  The per-cell entry points
 :func:`repro.network.e2e.e2e_delay_bound_mmoo` and
 :func:`repro.network.e2e.e2e_delay_bound_edf` are one-lane calls into
-:func:`mmoo_bound_lanes` and :func:`edf_bound_lanes`, and the numpy
+:func:`mmoo_bound_lanes` and :func:`edf_bound_lanes`, and the exact
 ``gamma`` search of :func:`repro.network.e2e.e2e_delay_bound` is one
 ``gamma`` chain (:func:`gamma_search`).  Across a sweep grid the cells
 are independent, so the searches of many cells advance in lockstep,
@@ -453,6 +453,9 @@ def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
     check_int(spec.hops, "hops", minimum=1)
     check_positive(spec.capacity, "capacity")
     check_probability(spec.epsilon, "epsilon")
+    # the grid_then_golden oracle of every search needs 3 grid points
+    check_int(spec.s_grid, "s_grid", minimum=3)
+    check_int(spec.gamma_grid, "gamma_grid", minimum=3)
     check_backend(spec.backend)
 
 
@@ -467,8 +470,8 @@ def gamma_search(
 ) -> tuple[float, float]:
     """One numpy ``gamma`` chain: ``(gamma_best, delay_at_gamma_best)``.
 
-    The search behind :func:`~repro.network.e2e.e2e_delay_bound`'s
-    numpy backend; the caller guarantees positive headroom.
+    The search behind :func:`~repro.network.e2e.e2e_delay_bound` with
+    ``method="exact"``; the caller guarantees positive headroom.
     """
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)

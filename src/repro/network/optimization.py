@@ -288,20 +288,30 @@ def fifo_delay(
 
     ``K`` is the smallest index satisfying Eq. (40); then
     ``d = sigma/(C - rho_c - K gamma) * (1 + sum_{h>K} (h-K) gamma /
-    (C - (h-1) gamma))``.
+    (C - (h-1) gamma))``.  A saturated path (``C - rho_c - H gamma <=
+    0``) has no finite bound and returns ``inf``, as in
+    :func:`bmux_delay`.
     """
-    params = homogeneous_hops(hops, capacity, gamma, rho_cross, 0.0)
-    tail = _paper_k(params)
-    k = next((kk for kk in range(hops + 1) if tail[kk] < 1.0), hops)
+    if hops < 1:
+        raise ValueError("hops must be >= 1")
+    check_positive(capacity, "capacity")
+    check_non_negative(gamma, "gamma")
+    check_non_negative(rho_cross, "rho_cross")
+    if capacity - rho_cross - hops * gamma <= 0:
+        return math.inf
+    # the Eq. (40) tail sums of _paper_k over the homogeneous hops
+    r = rho_cross + gamma
+    tails = [0.0] * (hops + 1)
+    for k in range(hops - 1, -1, -1):
+        r_svc = capacity - k * gamma
+        tails[k] = tails[k + 1] + (r_svc - r) / r_svc
+    k = next((kk for kk in range(hops + 1) if tails[kk] < 1.0), hops)
     if k == 0:
         # Eq. (41) sets X = 0; every theta_h = sigma / (C - (h-1) gamma)
         return sum(
             sigma / (capacity - (h - 1) * gamma) for h in range(1, hops + 1)
         )
-    denom = capacity - rho_cross - k * gamma
-    if denom <= 0:
-        return math.inf
-    x = sigma / denom
+    x = sigma / (capacity - rho_cross - k * gamma)
     total = x
     for h in range(k + 1, hops + 1):
         total += (h - k) * gamma * x / (capacity - (h - 1) * gamma)

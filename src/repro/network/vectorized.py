@@ -8,15 +8,12 @@ enumerating O(H) breakpoints with O(H) work each — thousands of
 interpreter-level evaluations per curve point.  This module evaluates the
 same mathematics as array operations:
 
-* :func:`batched_theta_for_x` / :func:`batched_solve_exact` — the Eq. (38)
-  case analysis and exact breakpoint minimization over a
-  ``(batch, candidates, hops)`` broadcast, so one call solves the
-  theta-optimization for a whole ``gamma`` grid at once.  For a known
-  ``Delta`` case the per-lane work runs in generated C
+* :func:`batched_solve_exact` — the Eq. (38) exact breakpoint
+  minimization over a ``(lanes, candidates, hops)`` broadcast for one
+  ``Delta`` case, so one call solves the theta-optimization for a whole
+  ``gamma`` grid at once.  The per-lane work runs in generated C
   (:func:`repro.network.cprobe.solve_exact`), byte-identical to the
   numpy body, which stays as its fallback and oracle;
-* :func:`batched_sigma_for_epsilon` — the Eq. (33) combination and its
-  inversion at ``epsilon`` over a ``gamma`` grid;
 * :func:`e2e_delay_grid_rows` / :func:`e2e_delay_grid` — the end-to-end
   objective over the ``gamma`` grids of many lanes (or one): per point,
   the probe's own ``sigma`` and its closed forms for BMUX (Eq. (43)) and
@@ -31,10 +28,11 @@ same mathematics as array operations:
   refinement of the argmin bracket over the scalar probe, in generated
   C when the kernel loads (:func:`repro.network.cprobe.additive_golden`;
   the end-to-end ``gamma`` search runs in :mod:`repro.network.lanes`);
-* :func:`solve_exact_fast` — a drop-in O(H log H) replacement for
-  :func:`~repro.network.optimization.solve_exact` built on a slope-sweep
-  over the sorted breakpoints (used by the backlog probes, where the
-  objective cannot be batched across ``gamma``).
+* ``_e2e_probe`` — the end-to-end objective at one ``gamma``, the
+  Python body of :mod:`repro.network.cprobe`'s probe: ``sigma``, then
+  Eq. (43), Eq. (44) (:func:`~repro.network.optimization.fifo_delay`) or
+  the O(H log H) slope sweep ``_sweep_solve``, which returns
+  :func:`~repro.network.optimization.solve_exact`'s value and argmin.
 
 Equivalence contract with the scalar path
 -----------------------------------------
@@ -67,23 +65,14 @@ import numpy as np
 from repro import obs
 from repro.arrivals.ebb import EBB
 from repro.network import cprobe
-from repro.network.optimization import (
-    _EPS,
-    HopParameters,
-    ThetaSolution,
-    theta_for_x,
-)
+from repro.network.optimization import _EPS, fifo_delay
 from repro.utils.numeric import safe_exp
-from repro.utils.validation import check_non_negative
 
 __all__ = [
-    "batched_theta_for_x",
-    "batched_sigma_for_epsilon",
     "batched_solve_exact",
     "e2e_delay_grid",
     "additive_delay_grid",
     "optimize_gamma_additive",
-    "solve_exact_fast",
 ]
 
 #: Relative half-width of the window of near-minimal sweep candidates that
@@ -98,52 +87,6 @@ _SWEEP_WINDOW = 1e-9
 # --------------------------------------------------------------------- #
 
 
-def batched_theta_for_x(service_rates, cross_rates, deltas, sigmas, xs):
-    """Vectorized :func:`~repro.network.optimization.theta_for_x`.
-
-    All arguments broadcast together; the result has the broadcast shape.
-    Mirrors the scalar case analysis on ``Delta`` exactly (same
-    floating-point expressions), so matching cells agree bitwise up to
-    numpy/libm ulp differences.  Saturated cells (``R <= r`` with
-    ``Delta > -inf``) are *not* rejected here — callers mask them.
-    """
-    r_svc = np.asarray(service_rates, dtype=float)
-    r_cross = np.asarray(cross_rates, dtype=float)
-    delta = np.asarray(deltas, dtype=float)
-    sigma = np.asarray(sigmas, dtype=float)
-    x = np.asarray(xs, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _theta_kernel(r_svc, r_cross, delta, sigma, x)
-
-
-def _theta_kernel(r_svc, r_cross, delta, sigma, x):
-    """The Eq. (38) per-hop theta, elementwise (no errstate guard)."""
-    denom = r_svc - r_cross
-    is_ninf = np.isneginf(delta)
-    is_pinf = np.isposinf(delta)
-    is_le0 = (delta <= 0) & ~is_ninf
-    # delta <= 0: min(Delta, theta) = Delta, bracket clipped at zero
-    clipped = np.maximum(0.0, x + delta)
-    t_le0 = np.maximum(0.0, (sigma + r_cross * clipped) / r_svc - x)
-    # 0 < delta < inf: two branches, switch at theta = Delta
-    theta_low = (sigma - denom * x) / denom
-    theta_high = (sigma + r_cross * (x + delta)) / r_svc - x
-    t_mid = np.where(
-        theta_low <= delta,
-        np.maximum(0.0, theta_low),
-        np.maximum(theta_high, delta),
-    )
-    return np.select(
-        [is_ninf, is_pinf, is_le0],
-        [
-            np.maximum(0.0, sigma / r_svc - x),
-            np.maximum(0.0, sigma / denom - x),
-            t_le0,
-        ],
-        t_mid,
-    )
-
-
 def _delta_case(delta: float) -> str:
     """Classify a scalar ``Delta`` into its Eq. (38) case."""
     if math.isinf(delta):
@@ -152,14 +95,8 @@ def _delta_case(delta: float) -> str:
 
 
 def _theta_case_kernel(case, r_svc, r_cross, delta, sigma, x):
-    """`_theta_kernel` restricted to one known ``Delta`` case.
-
-    Same floating-point expressions as the matching `np.select` branch of
-    :func:`_theta_kernel`; skipping the other branches only avoids work.
-    ``case=None`` falls back to the general kernel.
-    """
-    if case is None:
-        return _theta_kernel(r_svc, r_cross, delta, sigma, x)
+    """:func:`~repro.network.optimization.theta_for_x` elementwise, for
+    one known ``Delta`` case (same floating-point expressions)."""
     if case == "ninf":
         return np.maximum(0.0, sigma / r_svc - x)
     if case == "pinf":
@@ -197,24 +134,24 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
     :class:`HopParameters` constructor raises) or non-finite ``sigma``
     come back with ``delay = inf``.
 
-    When the Eq. (38) case is known (a scalar ``deltas``, or ``case``)
-    and the path has at most :data:`repro.network.cprobe.MAX_HOPS` hops,
-    the lanes are solved by the compiled
-    :func:`repro.network.cprobe.solve_exact`, which returns the same
-    bytes; otherwise, or without a C compiler, by the numpy body.
+    Every lane must fall in one Eq. (38) case of ``Delta``: ``case``
+    names it, else it is read off ``deltas``, and deltas of mixed cases
+    raise :class:`ValueError`.  With at most
+    :data:`repro.network.cprobe.MAX_HOPS` hops the lanes are solved by
+    the compiled :func:`repro.network.cprobe.solve_exact`, which returns
+    the same bytes as the numpy body that runs otherwise, or without a
+    C compiler.
     """
     r_svc = np.asarray(service_rates, dtype=float)
     shape = r_svc.shape
     if not shape:
         raise ValueError("service_rates must have a trailing hop axis")
     delta_in = np.asarray(deltas, dtype=float)
-    # scalar delta fixes the Eq. (38) case for every cell: skip the other
-    # branches entirely (the expressions are the same, so results match
-    # the general path bitwise).  Callers batching many lanes of a shared
-    # case but varying delta (the cross-cell EDF fixed point) pass `case`
-    # explicitly.
     if case is None:
-        case = _delta_case(float(delta_in)) if delta_in.ndim == 0 else None
+        cases = {_delta_case(d) for d in np.unique(delta_in).tolist()}
+        if len(cases) != 1:
+            raise ValueError("all deltas must share one Eq. (38) case")
+        (case,) = cases
     r_cross = np.broadcast_to(np.asarray(cross_rates, dtype=float), shape)
     delta = np.broadcast_to(delta_in, shape)
     sigma = np.broadcast_to(
@@ -254,7 +191,6 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sig1 = sig[:, None]
         denom = r_svc - r_cross
-        is_ninf = np.isneginf(delta)
         if case == "ninf":
             bp = (sig1 / r_svc)[:, :, None]
         elif case == "pinf":
@@ -264,7 +200,7 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
                 [-delta, sig1 / r_svc, (sig1 + r_cross * delta) / denom],
                 axis=-1,
             )
-        elif case == "mid":
+        else:
             bp = np.stack(
                 [
                     sig1 / denom,
@@ -272,28 +208,6 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
                     (sig1 + r_cross * (0.0 + delta)) / r_svc,
                 ],
                 axis=-1,
-            )
-        else:
-            is_pinf = np.isposinf(delta)
-            is_le0 = (delta <= 0) & ~is_ninf
-            is_mid = (delta > 0) & ~is_pinf
-            # the scalar _breakpoints_for_hop set, (lanes, hops, 3)
-            bp = np.full((lanes, hops, 3), np.nan)
-            bp[..., 0] = np.select(
-                [is_ninf, is_pinf, is_le0, is_mid],
-                [sig1 / r_svc, sig1 / denom, -delta, sig1 / denom],
-                np.nan,
-            )
-            bp[..., 1] = np.select(
-                [is_le0, is_mid], [sig1 / r_svc, sig1 / denom - delta], np.nan
-            )
-            bp[..., 2] = np.select(
-                [is_le0, is_mid],
-                [
-                    (sig1 + r_cross * delta) / denom,
-                    (sig1 + r_cross * (0.0 + delta)) / r_svc,
-                ],
-                np.nan,
             )
         n_bp = bp.shape[-1]
         valid = np.isfinite(bp) & (bp > 0.0)
@@ -323,59 +237,26 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
         x_best = np.take_along_axis(cand, take, axis=1)[:, 0]
         thetas = np.take_along_axis(theta, take[:, :, None], axis=1)[:, 0, :]
 
+        is_ninf = np.isneginf(delta)
         saturated = ((r_svc <= r_cross + _EPS) & ~is_ninf) | (r_svc <= 0.0)
         bad = saturated.any(axis=1) | ~np.isfinite(sig) | (sig < 0.0)
         delay = np.where(bad, np.inf, delay)
     return delay, x_best, thetas, int(bad.sum())
 
 
-# --------------------------------------------------------------------- #
-# sigma over a gamma grid
-# --------------------------------------------------------------------- #
-
-
-def batched_sigma_for_epsilon(
-    through: EBB, cross: EBB, hops: int, gammas, epsilon: float
-) -> np.ndarray:
-    """Vectorized :func:`~repro.network.e2e.sigma_for_epsilon` for the
-    homogeneous case (``cross`` applies at every one of ``hops`` nodes).
-
-    Lanes whose geometric factor underflows (where the scalar
-    ``sample_path_bound`` raises) come back as ``inf``.
-    """
-    g = np.asarray(gammas, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        geo_t = -np.expm1(-through.decay * g)
-        geo_c = -np.expm1(-cross.decay * g)
-        # Eq. (33): w accumulated in the scalar bound-list order
-        w = 1.0 / through.decay
-        for _ in range(hops):
-            w += 1.0 / cross.decay
-        log_m = math.log(w) + np.log(
-            (through.prefactor / geo_t) * through.decay
-        ) / (through.decay * w)
-        last = cross.prefactor / geo_c
-        inflated = last / geo_c
-        term_inflated = np.log(inflated * cross.decay) / (cross.decay * w)
-        for _ in range(hops - 1):
-            log_m = log_m + term_inflated
-        log_m = log_m + np.log(last * cross.decay) / (cross.decay * w)
-        prefactor = np.exp(log_m)
-        alpha = 1.0 / w
-        sigma = np.maximum(0.0, np.log(prefactor / epsilon) / alpha)
-        sigma = np.where((geo_t <= 0.0) | (geo_c <= 0.0), np.inf, sigma)
-    return sigma
-
-
 def _sigma_raw(
     through: EBB, cross: EBB, hops: int, gamma: float, epsilon: float
 ) -> float:
-    """Scalar mirror of :func:`batched_sigma_for_epsilon` before its clamp
-    at zero (``inf`` on underflow), bitwise-equal to the scalar
-    ``sigma_for_epsilon`` chain.
+    """``sigma`` of the homogeneous Eq. (33) chain before its clamp at
+    zero (``inf`` when a geometric factor underflows).
 
-    Callers clamp it themselves: the probe turns a NaN into 0, the γ
-    grid marks that point dead.
+    The same Eq. (33) combination as
+    :func:`~repro.network.e2e.sigma_for_epsilon`, but inverted as
+    ``log(M / epsilon) / alpha`` where ``ExponentialBound.inverse`` takes
+    ``(log M - log epsilon) / alpha``: ``max(0, _sigma_raw)`` agrees with
+    ``sigma_for_epsilon`` to within about 1e-15 relative, not bitwise.
+    The C probe computes these very doubles.  Callers clamp it themselves: the probe turns a NaN into 0,
+    the γ grid marks that point dead.
     """
     geo_t = -math.expm1(-through.decay * gamma)
     geo_c = -math.expm1(-cross.decay * gamma)
@@ -400,7 +281,7 @@ def _sigma_raw(
 
 
 # --------------------------------------------------------------------- #
-# slope-sweep exact solve (scalar fast path)
+# slope-sweep exact solve (the probe's Eq. (38) path)
 # --------------------------------------------------------------------- #
 
 
@@ -534,214 +415,9 @@ def _sweep_solve(hops_rrd, sigma: float) -> tuple[float, float]:
     return best_d, best_x
 
 
-def _objective_homogeneous(
-    capacity: float,
-    r: float,
-    delta: float,
-    sigma: float,
-    hops: int,
-    gamma: float,
-    x: float,
-) -> float:
-    """:func:`_hop_objective` on a homogeneous path (same expressions,
-    case dispatch hoisted out of the hop loop)."""
-    total = 0.0
-    if delta == -math.inf:
-        for k in range(hops):
-            t = sigma / (capacity - k * gamma) - x
-            if t > 0.0:
-                total += t
-    elif delta == math.inf:
-        for k in range(hops):
-            t = sigma / ((capacity - k * gamma) - r) - x
-            if t > 0.0:
-                total += t
-    elif delta <= 0:
-        clipped = x + delta
-        if clipped < 0.0:
-            clipped = 0.0
-        numerator = sigma + r * clipped
-        for k in range(hops):
-            t = numerator / (capacity - k * gamma) - x
-            if t > 0.0:
-                total += t
-    else:
-        for k in range(hops):
-            r_svc = capacity - k * gamma
-            denom = r_svc - r
-            theta_low = (sigma - denom * x) / denom
-            if theta_low <= delta:
-                if theta_low > 0.0:
-                    total += theta_low
-            else:
-                t = (sigma + r * (x + delta)) / r_svc - x
-                total += t if t > delta else delta
-    return x + total
-
-
-def _sweep_homogeneous(
-    capacity: float,
-    r: float,
-    delta: float,
-    sigma: float,
-    hops: int,
-    gamma: float,
-) -> tuple[float, float]:
-    """:func:`_sweep_solve` on a homogeneous path.
-
-    Generates the identical event multiset (``r_svc = capacity - k gamma``,
-    shared ``r``/``delta``), so the candidate accumulation, window and
-    re-evaluation reproduce the general sweep bitwise — the per-hop case
-    dispatch and triple construction are just hoisted out of the hot
-    per-probe loop.
-    """
-    events: list[tuple[float, float]] = []
-    d0 = 0.0
-    slope = 1.0
-    if delta == -math.inf:
-        for k in range(hops):
-            k1 = sigma / (capacity - k * gamma)
-            if k1 > 0.0:
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-    elif delta == math.inf:
-        for k in range(hops):
-            denom = (capacity - k * gamma) - r
-            if denom <= 0.0:
-                return math.inf, 0.0
-            k1 = sigma / denom
-            if k1 > 0.0:
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-    elif delta <= 0:
-        a = -delta
-        for k in range(hops):
-            r_svc = capacity - k * gamma
-            k1 = sigma / r_svc
-            denom = r_svc - r
-            if k1 <= 0.0:
-                continue
-            if k1 < a:
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-                events.append((a, 0.0))
-                if denom > 0.0:
-                    k2 = (sigma + r * delta) / denom
-                    if k2 > 0.0 and math.isfinite(k2):
-                        events.append((k2, 0.0))
-            else:
-                if denom <= 0.0:
-                    return math.inf, 0.0
-                ratio = r / r_svc
-                k2 = (sigma + r * delta) / denom
-                d0 += k1
-                if a > 0.0:
-                    slope -= 1.0
-                    events.append((a, ratio))
-                    events.append((k2, 1.0 - ratio))
-                else:
-                    slope += ratio - 1.0
-                    if k2 > 0.0:
-                        events.append((k2, 1.0 - ratio))
-                events.append((k1, 0.0))
-    else:
-        for k in range(hops):
-            r_svc = capacity - k * gamma
-            denom = r_svc - r
-            if denom <= 0.0:
-                return math.inf, 0.0
-            z = sigma / denom
-            if z <= 0.0:
-                continue
-            ratio = r / r_svc
-            bp = z - delta
-            aux = (sigma + r * (0.0 + delta)) / r_svc
-            if bp <= 0.0:
-                d0 += z
-                slope -= 1.0
-                events.append((z, 1.0))
-            else:
-                d0 += (sigma + r * delta) / r_svc
-                slope += ratio - 1.0
-                events.append((bp, -ratio))
-                events.append((z, 1.0))
-            if aux > 0.0 and math.isfinite(aux):
-                events.append((aux, 0.0))
-
-    events.sort()
-    acc = d0
-    acc_min = d0
-    cur = slope
-    prev = 0.0
-    candidates: list[tuple[float, float]] = [(0.0, d0)]
-    for x, change in events:
-        acc += cur * (x - prev)
-        prev = x
-        candidates.append((x, acc))
-        if acc < acc_min:
-            acc_min = acc
-        cur += change
-
-    window = acc_min + _SWEEP_WINDOW * max(1.0, abs(acc_min))
-    best_d = math.inf
-    best_x = 0.0
-    for x, acc in candidates:
-        if acc <= window:
-            d = _objective_homogeneous(capacity, r, delta, sigma, hops, gamma, x)
-            if d < best_d:
-                best_d, best_x = d, x
-    return best_d, best_x
-
-
-def solve_exact_fast(
-    hop_params: Sequence[HopParameters], sigma: float
-) -> ThetaSolution:
-    """O(H log H) drop-in for :func:`~repro.network.optimization.solve_exact`.
-
-    Same candidate set, same objective arithmetic, same first-minimum
-    tie-breaking — validated value- and argmin-equal in the test suite —
-    but via a slope sweep instead of the O(H^2) candidate enumeration.
-    """
-    check_non_negative(sigma, "sigma")
-    hops = list(hop_params)
-    if not hops:
-        raise ValueError("need at least one hop")
-    triples = [(h.service_rate, h.cross_rate, h.delta) for h in hops]
-    delay, x_best = _sweep_solve(triples, sigma)
-    thetas = tuple(theta_for_x(hop, sigma, x_best) for hop in hops)
-    return ThetaSolution(delay, x_best, thetas)
-
-
 # --------------------------------------------------------------------- #
 # end-to-end delay: whole-grid evaluation + fast probes
 # --------------------------------------------------------------------- #
-
-
-def _fifo_closed_form(
-    hops: int, capacity: float, rho_cross: float, gamma: float, sigma: float
-) -> float:
-    """Scalar Eq. (44) mirror of :func:`~repro.network.optimization.fifo_delay`."""
-    r = rho_cross + gamma
-    tails = [0.0] * (hops + 1)
-    for k in range(hops - 1, -1, -1):
-        r_svc = capacity - k * gamma
-        tails[k] = tails[k + 1] + (r_svc - r) / r_svc
-    k = next((kk for kk in range(hops + 1) if tails[kk] < 1.0), hops)
-    if k == 0:
-        return sum(
-            sigma / (capacity - (h - 1) * gamma) for h in range(1, hops + 1)
-        )
-    denom = capacity - rho_cross - k * gamma
-    if denom <= 0:
-        return math.inf
-    x = sigma / denom
-    total = x
-    for h in range(k + 1, hops + 1):
-        total += (h - k) * gamma * x / (capacity - (h - 1) * gamma)
-    return total
 
 
 def e2e_delay_grid(
@@ -856,9 +532,7 @@ def _grid_rows_python(
                 denom = (capacity - (hops - 1) * gamma) - (cross.rate + gamma)
                 out[i, j] = sigma / denom if denom > 0.0 else math.inf
             else:
-                out[i, j] = _fifo_closed_form(
-                    hops, capacity, cross.rate, gamma, sigma
-                )
+                out[i, j] = fifo_delay(hops, capacity, gamma, cross.rate, sigma)
     if form != "exact":
         return out, None, None
     g_flat = g.reshape(lanes * grid)
@@ -886,9 +560,11 @@ def _e2e_probe(
         denom = (capacity - (hops - 1) * gamma) - (cross.rate + gamma)
         return sigma / denom if denom > 0.0 else math.inf
     if delta == 0.0:
-        return _fifo_closed_form(hops, capacity, cross.rate, gamma, sigma)
+        return fifo_delay(hops, capacity, gamma, cross.rate, sigma)
     r = cross.rate + gamma
-    return _sweep_homogeneous(capacity, r, delta, sigma, hops, gamma)[0]
+    return _sweep_solve(
+        [(capacity - k * gamma, r, delta) for k in range(hops)], sigma
+    )[0]
 
 
 def _log_grid(low: float, high: float, points: int) -> list[float]:

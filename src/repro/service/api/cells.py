@@ -126,17 +126,19 @@ def bound_query_cell(
     ``scheduler`` is a :data:`~repro.experiments.config.SCHEDULER_MAP`
     name (FIFO/BMUX/EDF/SP).  The deadline weights only enter for EDF
     (queries normalize them to the paper defaults otherwise, keeping
-    the cache key canonical).
+    the cache key canonical).  ``backend`` selects the delay search's
+    backend; the backlog bound has one path and ignores it.
     """
     peak, p11, p22 = traffic
     mmoo = MMOOParameters(peak, p11, p22)
     _, delta, _ = SCHEDULER_MAP[scheduler]
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
     if kind == "backlog":
         backlog = e2e_backlog_bound_mmoo(
-            mmoo, n_through, n_cross, hops, capacity, delta, epsilon, **grid
+            mmoo, n_through, n_cross, hops, capacity, delta, epsilon,
+            s_grid=s_grid, gamma_grid=gamma_grid,
         )
         return _backlog_payload(scheduler, hops, delta, backlog)
+    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
     if scheduler == "EDF":
         bound = e2e_delay_bound_edf(
             mmoo, n_through, n_cross, hops, capacity, epsilon,

@@ -203,11 +203,11 @@ class BoundQuery:
             weight_through, weight_cross = _DEFAULT_WEIGHTS
         s_grid = _as_int(
             body.get("s_grid", QUICK_GRIDS["s_grid"]), "s_grid",
-            lo=2, hi=_MAX_GRID,
+            lo=3, hi=_MAX_GRID,
         )
         gamma_grid = _as_int(
             body.get("gamma_grid", QUICK_GRIDS["gamma_grid"]), "gamma_grid",
-            lo=2, hi=_MAX_GRID,
+            lo=3, hi=_MAX_GRID,
         )
         backend = body.get("backend", DEFAULT_BACKEND)
         if backend not in BACKENDS:

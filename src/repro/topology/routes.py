@@ -214,7 +214,6 @@ def route_backlog_bound_mmoo(
     *,
     s_grid: int = 16,
     gamma_grid: int = 16,
-    backend: str = "numpy",
 ) -> BacklogResult:
     """End-to-end backlog bound of one route (homogeneous routes only).
 
@@ -223,7 +222,6 @@ def route_backlog_bound_mmoo(
     setting; heterogeneous routes raise a clear :class:`ValueError`
     rather than returning an unsound number.
     """
-    check_backend(backend)
     check_probability(epsilon, "epsilon")
     route = topology.route(route_name)
     hops = extract_route(topology, route_name)
@@ -237,5 +235,5 @@ def route_backlog_bound_mmoo(
         return e2e_backlog_bound_mmoo(
             traffic, route.n_flows, hops[0].n_interfering, len(hops),
             hops[0].node.capacity, hops[0].node.delta, epsilon,
-            s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
+            s_grid=s_grid, gamma_grid=gamma_grid,
         )

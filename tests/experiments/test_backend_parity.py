@@ -10,7 +10,6 @@ only for refinement-order floating-point noise.
 
 import pytest
 
-from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.config import (
     BACKENDS,
@@ -27,7 +26,6 @@ from repro.experiments.validation import (
     validation_bound_cell,
     validation_spec,
 )
-from repro.network.backlog import e2e_backlog_bound_at_gamma
 from repro.network.e2e import e2e_delay_bound_edf
 from repro.topology import Topology
 
@@ -36,8 +34,6 @@ from repro.topology import Topology
 SHARED = {**setting_to_params(paper_setting()), "s_grid": 4, "gamma_grid": 4}
 
 TRAFFIC = MMOOParameters.paper_defaults()
-THROUGH = EBB(1.0, 10.0, 0.7)
-CROSS = EBB(1.0, 40.0, 0.7)
 CAPACITY = 100.0
 
 
@@ -129,40 +125,6 @@ class TestCellParity:
 
 
 class TestKernelParity:
-    def test_e2e_backlog_bound_at_gamma(self):
-        results = {
-            backend: e2e_backlog_bound_at_gamma(
-                THROUGH, CROSS, 3, CAPACITY, 0.0, 1e-6, 0.5,
-                backend=backend,
-            )
-            for backend in BACKENDS
-        }
-        reference = results[BACKENDS[0]]
-        for backend in BACKENDS[1:]:
-            assert results[backend].backlog == pytest.approx(
-                reference.backlog, rel=1e-9
-            )
-
-    def test_route_backlog_bound_mmoo(self):
-        from repro.topology.routes import route_backlog_bound_mmoo
-
-        topo = Topology.line(
-            2, capacity=CAPACITY, n_through=150, n_cross=150,
-            scheduler="fifo",
-        )
-        results = {
-            backend: route_backlog_bound_mmoo(
-                topo, "through", TRAFFIC, 1e-4,
-                s_grid=4, gamma_grid=4, backend=backend,
-            )
-            for backend in BACKENDS
-        }
-        reference = results[BACKENDS[0]]
-        for backend in BACKENDS[1:]:
-            assert results[backend].backlog == pytest.approx(
-                reference.backlog, rel=1e-9
-            )
-
     def test_e2e_delay_bound_edf(self):
         results = {
             backend: e2e_delay_bound_edf(

@@ -2,9 +2,8 @@
 
 :func:`repro.network.vectorized.batched_solve_exact` runs its per-lane
 work in :func:`repro.network.cprobe.solve_exact` whenever the kernel
-loads, the ``Delta`` case is known and the path has at most
-:data:`~repro.network.cprobe.MAX_HOPS` hops; the numpy body stays as the
-fallback.  These properties compare the two byte for byte
+loads and the path has at most :data:`~repro.network.cprobe.MAX_HOPS`
+hops; the numpy body stays as the fallback.  These properties compare the two byte for byte
 (``tobytes()`` of ``delay``, ``x`` and ``thetas``) on the awkward
 inputs: NaN, infinite, negative and zero ``sigma``, saturated hops,
 ``Delta`` of ``+0.0`` and ``-0.0``, and homogeneous paths whose hops
@@ -173,13 +172,13 @@ def test_solve_exact_fallbacks_counted():
         batched_solve_exact(r_svc, 1.0, -1.0, np.ones(3))
     with _numpy_path(), obs.scoped() as fallback:
         batched_solve_exact(r_svc, 1.0, -1.0, np.ones(3))
-    with obs.scoped() as general:
-        # an array Delta without a case runs the general numpy body
+    with obs.scoped() as inferred:
+        # an array Delta without a case: its one case is read off it
         batched_solve_exact(r_svc, 1.0, np.full((3, 4), -1.0), np.ones(3))
     assert fallback.counter("cprobe.fallbacks") == 3
-    assert general.counter("cprobe.fallbacks") == 3
     if cprobe.available():
         assert compiled.counter("cprobe.fallbacks") == 0
+        assert inferred.counter("cprobe.fallbacks") == 0
 
 
 # --------------------------------------------------------------------- #

@@ -143,6 +143,20 @@ class TestMMOO:
         r = e2e_delay_bound_mmoo(self.TRAFFIC, 400, 300, 2, C, 0.0, 1e-9)
         assert not r.feasible
 
+    def test_grids_below_three_points_rejected(self):
+        """The lane engine takes the grids its ``grid_then_golden``
+        oracle takes: at least three points."""
+        for grids in ({"s_grid": 2}, {"gamma_grid": 2}):
+            (name,) = grids
+            with pytest.raises(ValueError, match=name):
+                e2e_delay_bound_mmoo(
+                    self.TRAFFIC, 100, 236, 2, C, 0.0, 1e-9, **grids
+                )
+            with pytest.raises(ValueError, match=name):
+                e2e_delay_bound_edf(
+                    self.TRAFFIC, 100, 236, 2, C, 1e-9, **grids
+                )
+
     def test_ebb_pair_computes_eb_once(self, monkeypatch):
         """The pair equals two `MMOOParameters.ebb` calls, built from one
         effective-bandwidth evaluation."""

@@ -16,7 +16,6 @@ import pytest
 
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
-from repro.network.backlog import e2e_backlog_bound, e2e_backlog_bound_mmoo
 from repro.network.e2e import (
     check_backend,
     e2e_delay_bound,
@@ -26,6 +25,7 @@ from repro.network.e2e import (
 )
 from repro.network.optimization import (
     HopParameters,
+    homogeneous_hops,
     solve_exact,
     theta_for_x,
 )
@@ -34,11 +34,12 @@ from repro.network.pernode import (
     additive_pernode_delay_bound_mmoo,
 )
 from repro.network.vectorized import (
-    batched_sigma_for_epsilon,
+    _delta_case,
+    _sigma_raw,
+    _sweep_solve,
+    _theta_case_kernel,
     batched_solve_exact,
-    batched_theta_for_x,
     e2e_delay_grid,
-    solve_exact_fast,
 )
 from tests.network import reference_search
 
@@ -68,12 +69,15 @@ def random_hops(
 
 class TestBatchedThetaForX:
     def test_matches_scalar_on_all_cases(self):
+        """The numpy Eq. (38) theta of each case is ``theta_for_x``
+        bitwise, hop by hop."""
         rng = random.Random(101)
         for delta in DELTA_CASES:
             hops = [random_hops(rng, 8, delta) for _ in range(16)]
             sigmas = [rng.choice([0.0, rng.uniform(0.01, 40.0)]) for _ in hops]
             xs = [rng.choice([0.0, rng.uniform(0.0, 10.0)]) for _ in hops]
-            batched = batched_theta_for_x(
+            batched = _theta_case_kernel(
+                _delta_case(delta),
                 np.array([[h.service_rate for h in lane] for lane in hops]),
                 np.array([[h.cross_rate for h in lane] for lane in hops]),
                 delta,
@@ -84,10 +88,6 @@ class TestBatchedThetaForX:
                 for j, hop in enumerate(lane):
                     expected = theta_for_x(hop, sigmas[i], xs[i])
                     assert batched[i, j] == expected, (delta, i, j)
-
-    def test_broadcasts(self):
-        out = batched_theta_for_x(10.0, 2.0, 0.0, [[1.0], [2.0]], [0.0, 1.0])
-        assert out.shape == (2, 2)
 
 
 class TestBatchedSolveExact:
@@ -117,6 +117,14 @@ class TestBatchedSolveExact:
         with pytest.raises(ValueError):
             HopParameters(service_rate=5.0, cross_rate=5.0, delta=0.0)
 
+    def test_mixed_delta_cases_raise(self):
+        # one solve runs one Eq. (38) case; le0 and mid lanes must not mix
+        with pytest.raises(ValueError, match="one Eq. \\(38\\) case"):
+            batched_solve_exact(
+                np.full((2, 3), 10.0), 2.0, np.array([[-1.0], [1.0]]),
+                [1.0, 1.0],
+            )
+
     def test_negative_sigma_lane_is_inf(self):
         delay, _, _ = batched_solve_exact(
             np.array([[10.0]]), np.array([[2.0]]), 0.0, [-1.0]
@@ -125,20 +133,40 @@ class TestBatchedSolveExact:
 
 
 class TestSolveExactFast:
+    """The O(H log H) slope sweep of the probe against the scalar solver."""
+
     def test_bitwise_equal_to_solve_exact(self):
         rng = random.Random(7)
         for _ in range(300):
             delta = rng.choice(DELTA_CASES)
-            lane = random_hops(rng, rng.randint(1, 32), delta)
             sigma = rng.choice([0.0, rng.uniform(0.01, 60.0)])
-            fast = solve_exact_fast(lane, sigma)
+            hops = rng.randint(1, 32)
+            if rng.random() < 0.5:
+                lane = random_hops(rng, hops, delta)
+            else:
+                # the probe's homogeneous triples (C - k gamma, rho + gamma)
+                capacity = rng.uniform(10.0, 100.0)
+                rho = rng.uniform(0.0, capacity / 2)
+                gamma = rng.uniform(1e-6, 1.0) * (capacity - rho) / (hops + 1)
+                lane = homogeneous_hops(hops, capacity, gamma, rho, delta)
+            triples = [(h.service_rate, h.cross_rate, h.delta) for h in lane]
+            delay, x = _sweep_solve(triples, sigma)
             exact = solve_exact(lane, sigma)
-            assert fast.delay == exact.delay
-            assert fast.x == exact.x
-            assert fast.thetas == exact.thetas
+            assert delay == exact.delay
+            assert x == exact.x
+            assert tuple(
+                theta_for_x(hop, sigma, x) for hop in lane
+            ) == exact.thetas
 
 
 class TestBatchedSigma:
+    """The probe's ``sigma`` against the scalar ``sigma_for_epsilon``.
+
+    ``_sigma_raw`` inverts at ``epsilon`` as ``log(M / eps) / alpha``,
+    the scalar chain as ``(log M - log eps) / alpha``, so they may differ
+    in the last bits; they are held to 1e-15 relative.
+    """
+
     def test_matches_scalar_chain(self):
         rng = random.Random(303)
         for hops in (1, 2, 5, 17):
@@ -146,30 +174,24 @@ class TestBatchedSigma:
                           rng.uniform(0.2, 3.0))
             cross = EBB(rng.uniform(1.0, 40.0), rng.uniform(0.5, 4.0),
                         rng.uniform(0.2, 3.0))
-            gammas = np.array([rng.uniform(1e-4, 2.0) for _ in range(12)])
-            batch = batched_sigma_for_epsilon(
-                through, cross, hops, gammas, 1e-9
-            )
-            for g, got in zip(gammas, batch):
-                expected = sigma_for_epsilon(
-                    through, [cross] * hops, float(g), 1e-9
-                )
-                assert rel_diff(float(got), expected) <= REL_TOL
+            for _ in range(12):
+                g = rng.uniform(1e-4, 2.0)
+                eps = rng.choice([1e-3, 1e-6, 1e-9])
+                got = max(0.0, _sigma_raw(through, cross, hops, g, eps))
+                expected = sigma_for_epsilon(through, [cross] * hops, g, eps)
+                assert abs(got - expected) <= 1e-15 * abs(expected)
 
     def test_underflow_lane_is_inf(self):
         # decay * gamma underflows to 0: scalar sample_path_bound raises,
-        # the batched kernel returns inf for the affected lane only
+        # the probe's sigma is inf
         through = EBB(2.0, 1.0, 1e-200)
         cross = EBB(2.0, 1.0, 1e-200)
-        batch = batched_sigma_for_epsilon(
-            through, cross, 3, np.array([1e-200, 1.0]), 1e-9
-        )
-        assert math.isinf(float(batch[0]))
+        assert math.isinf(_sigma_raw(through, cross, 3, 1e-200, 1e-9))
         with pytest.raises(ValueError):
             sigma_for_epsilon(through, [cross] * 3, 1e-200, 1e-9)
-        # the second lane does not underflow — the scalar chain returns
-        # inf (vanishing decay) rather than raising, and the lane matches
-        assert math.isinf(float(batch[1]))
+        # at gamma = 1 nothing underflows — the scalar chain returns inf
+        # (vanishing decay) rather than raising, and so does the probe's
+        assert math.isinf(_sigma_raw(through, cross, 3, 1.0, 1e-9))
         assert math.isinf(sigma_for_epsilon(through, [cross] * 3, 1.0, 1e-9))
 
 
@@ -214,13 +236,13 @@ class TestBackendsAgree:
             for delta in DELTA_CASES:
                 through = EBB(3.0, 2.0, 1.1)
                 cross = EBB(4.0, 5.0, 0.9)
-                scalar = e2e_delay_bound(
+                # every gamma probe through the exact scalar objective
+                scalar = reference_search.e2e_delay_bound(
                     through, cross, hops, 60.0, delta, 1e-9,
                     gamma_grid=16, backend="scalar",
                 )
                 vec = e2e_delay_bound(
-                    through, cross, hops, 60.0, delta, 1e-9,
-                    gamma_grid=16, backend="numpy",
+                    through, cross, hops, 60.0, delta, 1e-9, gamma_grid=16
                 )
                 assert rel_diff(vec.delay, scalar.delay) <= REL_TOL
                 # at a flat minimum the two searches may settle on gammas
@@ -230,9 +252,9 @@ class TestBackendsAgree:
     def test_e2e_overloaded_is_infeasible_on_both(self):
         through = EBB(3.0, 8.0, 1.1)
         cross = EBB(4.0, 5.0, 0.9)
-        for backend in ("scalar", "numpy"):
+        for method in ("exact", "paper"):
             result = e2e_delay_bound(
-                through, cross, 3, 10.0, 0.0, 1e-9, backend=backend
+                through, cross, 3, 10.0, 0.0, 1e-9, method=method
             )
             assert not result.feasible
 
@@ -273,32 +295,6 @@ class TestBackendsAgree:
         )
         assert rel_diff(vec.delay, scalar.delay) <= REL_TOL
 
-    def test_backlog(self):
-        through = EBB(3.0, 2.0, 1.1)
-        cross = EBB(4.0, 5.0, 0.9)
-        for delta in (0.0, math.inf):
-            scalar = e2e_backlog_bound(
-                through, cross, 3, 60.0, delta, 1e-9,
-                gamma_grid=8, backend="scalar",
-            )
-            vec = e2e_backlog_bound(
-                through, cross, 3, 60.0, delta, 1e-9,
-                gamma_grid=8, backend="numpy",
-            )
-            assert rel_diff(vec.backlog, scalar.backlog) <= REL_TOL
-
-    def test_backlog_mmoo(self):
-        traffic = MMOOParameters(peak=1.5, p11=0.989, p22=0.9)
-        scalar = e2e_backlog_bound_mmoo(
-            traffic, 20, 40, 2, 20.0, 0.0, 1e-6,
-            s_grid=4, gamma_grid=4, backend="scalar",
-        )
-        vec = e2e_backlog_bound_mmoo(
-            traffic, 20, 40, 2, 20.0, 0.0, 1e-6,
-            s_grid=4, gamma_grid=4, backend="numpy",
-        )
-        assert rel_diff(vec.backlog, scalar.backlog) <= REL_TOL
-
 
 class TestGammaSearchMatchesReference:
     def test_numpy_search_bitwise_equals_reference(self):
@@ -333,14 +329,6 @@ class TestBackendValidation:
         through = EBB(3.0, 2.0, 1.1)
         cross = EBB(4.0, 5.0, 0.9)
         with pytest.raises(ValueError, match="unknown backend"):
-            e2e_delay_bound(
-                through, cross, 2, 60.0, 0.0, 1e-9, backend="bogus"
-            )
-        with pytest.raises(ValueError, match="unknown backend"):
             additive_pernode_delay_bound(
                 through, cross, 2, 60.0, 1e-9, backend="bogus"
-            )
-        with pytest.raises(ValueError, match="unknown backend"):
-            e2e_backlog_bound(
-                through, cross, 2, 60.0, 0.0, 1e-9, backend="bogus"
             )

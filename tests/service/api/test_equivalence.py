@@ -131,7 +131,7 @@ def test_backlog_served_equals_direct(shared_harness, backend):
     mmoo = MMOOParameters(*PAPER_TRAFFIC)
     direct = e2e_backlog_bound_mmoo(
         mmoo, PATH["n_through"], PATH["n_cross"], PATH["hops"], 100.0,
-        SCHEDULER_MAP["SP"][1], 1e-9, backend=backend, **GRID,
+        SCHEDULER_MAP["SP"][1], 1e-9, **GRID,
     )
     assert row["kind"] == "backlog"
     assert row["backlog"] == direct.backlog

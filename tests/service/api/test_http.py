@@ -132,6 +132,18 @@ def test_validation_errors_are_structured_400s(harness):
             raise AssertionError("expected ServiceError")
 
 
+def test_two_point_grid_is_a_400(harness):
+    """A 2-point grid passes no solver's grid-then-golden search, so the
+    query is rejected up front, not failed in the solve."""
+    with harness.client() as client:
+        status, payload = client.request(
+            "POST", "/v1/bounds",
+            {**CHEAP_QUERY, "kind": "backlog", "gamma_grid": 2},
+        )
+    assert status == 400
+    assert payload["error"]["field"] == "gamma_grid"
+
+
 def test_admissible_requires_numeric_target(harness):
     with harness.client() as client:
         status, payload = client.request(

@@ -76,6 +76,8 @@ def test_non_edf_weights_are_canonicalized():
         (q(s_grid=1), "s_grid"),
         (q(gamma_grid=10**6), "gamma_grid"),
         (q(scheduler="EDF", deadline_weight_cross=0.0), "deadline_weight_cross"),
+        (q(s_grid=2), "s_grid"),
+        (q(gamma_grid=2), "gamma_grid"),
     ],
 )
 def test_rejections_name_the_field(body, field):
