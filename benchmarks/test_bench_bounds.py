@@ -17,7 +17,9 @@ One rung below (L0 of the benchmark ladder), the exact-solve row times
 :func:`~repro.network.vectorized.batched_solve_exact` alone on one
 figure-shaped EDF grid — 36 γ rows of a 10-hop path in the ``Delta <= 0``
 case of Eq. (38) — on the compiled kernel and on its numpy fallback,
-over enough rounds for a median and quartiles, in rows per second.  The
+over enough rounds for a median and quartiles, in rows per second; the
+scalar-solve row times the same rows one at a time through
+:func:`~repro.network.optimization.solve_exact`.  The
 grid-row rung beside it times
 :func:`~repro.network.vectorized.e2e_delay_grid_rows` on one
 figure-shaped FIFO batch — the 12 ``s`` lanes of a Fig. 2 ``H = 10``
@@ -40,6 +42,7 @@ from repro.experiments.example2 import fig3_cell
 from repro.experiments.example3 import fig4_cell
 from repro.network import cprobe
 from repro.network.e2e import mmoo_ebb_pair
+from repro.network.optimization import HopParameters, solve_exact
 from repro.network.vectorized import (
     _log_grid,
     _sigma_raw,
@@ -171,6 +174,36 @@ def test_solve_exact(benchmark, monkeypatch, path):
         rounds=2000 if path == "c" else 300, iterations=1, warmup_rounds=1,
     )
     assert np.isfinite(delay).all()
+    record_rates(benchmark, "rows", SOLVE_ROWS)
+
+
+def _scalar_solve_rows():
+    """The rows of :func:`_edf_solve_grid` as scalar solves: per γ, the
+    ``H = 10`` homogeneous ``Delta <= 0`` hops and their sigma."""
+    (r_svc, r_cross, delta, sigma), _ = _edf_solve_grid()
+    rows = [
+        ([HopParameters(r, cross, delta) for r in rates], s)
+        for rates, cross, s in zip(
+            r_svc.tolist(), r_cross[:, 0].tolist(), sigma.tolist()
+        )
+    ]
+    return (rows,), {}
+
+
+def _solve_rows(rows):
+    return [solve_exact(hops, sigma).delay for hops, sigma in rows]
+
+
+def test_scalar_solve_exact(benchmark):
+    """Eq. (38) scalar solve (the slope sweep of
+    ``optimization.solve_exact``) of the same EDF γ grid, one row per
+    call: rows per second.  The delays are the batched solve's bytes."""
+    delays = benchmark.pedantic(
+        _solve_rows, setup=_scalar_solve_rows,
+        rounds=300, iterations=1, warmup_rounds=1,
+    )
+    args, _ = _edf_solve_grid()
+    assert delays == batched_solve_exact(*args)[0].tolist()
     record_rates(benchmark, "rows", SOLVE_ROWS)
 
 

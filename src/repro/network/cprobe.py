@@ -7,10 +7,10 @@ refinement step of every (lane, s) search chain.  At that volume the
 Python interpreter is the bottleneck, not the math.  This module emits a
 small C translation unit that mirrors the probe's floating-point
 expression trees *operation for operation* — the Eq. (33) sigma chain,
-the FIFO/BMUX closed forms (Eqs. 43-44), and the slope-sweep exact
-theta minimization with its near-minimum re-evaluation window — and
-compiles it on first use with the system C compiler.  The same unit
-holds three more mirrors:
+the FIFO/BMUX closed forms (Eqs. 43-44), and the Eq. (38) slope sweep
+of :func:`repro.network.optimization.solve_exact` with its near-minimum
+re-evaluation window — and compiles it on first use with the system C
+compiler.  The same unit holds three more mirrors:
 
 * :func:`grid_rows` — the per-point work of
   :func:`repro.network.vectorized.e2e_delay_grid_rows` (the γ grid row
@@ -18,12 +18,14 @@ holds three more mirrors:
   own sigma (NaN or ``+inf`` marks a dead point, a live one is clamped
   like the probe's), and the probe's BMUX/FIFO closed forms, or for an
   Eq. (38) row the sigma and hop rates the exact solve takes;
-* :func:`solve_exact` — the per-lane work of
+* :func:`solve_exact` — the lanes of
   :func:`repro.network.vectorized.batched_solve_exact` (the Eq. (38)
-  exact breakpoint enumeration on every γ grid row of an EDF/SP cell):
-  the breakpoint set, the ascending sort, the per-candidate theta with
-  the sequential hop sum, the first-minimum argmin and the saturation
-  mask, with numpy's ``np.maximum`` NaN propagation and ±0 choice;
+  exact solve on every γ grid row of an EDF/SP cell): the same slope
+  sweep once per lane, the thetas at its argmin with numpy's
+  ``np.maximum`` NaN propagation and ±0 choice, and the numpy body's
+  saturation mask.  That numpy body, a breakpoint enumeration, is its
+  fallback and oracle: same delay bytes on every lane, same ``x`` and
+  thetas on every lane the mask keeps;
 * :func:`additive_golden` — the golden-section refinement of the
   node-by-node additive bound
   (:func:`repro.network.vectorized.optimize_gamma_additive`) over
@@ -41,10 +43,10 @@ differ from libm in the last bits), and strict FP semantics
 contraction).  Where the additive probe would raise in Python (a
 division by zero, ``math.log`` of a non-positive number, an overflowing
 ``math.exp``), :func:`additive_golden` hands the request back to
-Python, which then raises the same exception.  The test suite pins value equality against
-``_e2e_probe`` over randomized parameters in every ``Delta`` case, and
-byte equality of :func:`grid_rows`, :func:`solve_exact` and
-:func:`additive_golden` against their oracles.
+Python, which then raises the same exception.  The test suite pins
+value equality against ``_e2e_probe`` over randomized parameters in
+every ``Delta`` case, and byte equality of :func:`grid_rows`,
+:func:`solve_exact` and :func:`additive_golden` against their oracles.
 
 Availability
 ------------
@@ -107,6 +109,7 @@ MAX_HOPS = 1024
 
 _C_SOURCE = r"""
 #include <math.h>
+#include <string.h>
 
 #define TPRE 0
 #define TDEC 1
@@ -181,189 +184,216 @@ static double fifo_closed_form(int hops, double capacity, double rho_cross,
     return total;
 }
 
-/* mirror of vectorized._hop_objective on the homogeneous triples
- * (C - k gamma, rho_c + gamma, delta): the case dispatch is hoisted out
- * of the hop loop, the doubles are the same */
-static double objective_homog(double capacity, double r, double delta,
-                              double sigma, int hops, double gamma, double x)
+/* numpy's np.maximum(a, b): a when a is NaN or a > b, else b -- so a NaN
+ * operand propagates, and of two equal zeros the second one wins */
+static inline double np_maximum(double a, double b)
 {
-    double total = 0.0;
-    if (delta == -INFINITY) {
-        for (int k = 0; k < hops; k++) {
-            double t = sigma / (capacity - k * gamma) - x;
-            if (t > 0.0) total += t;
+    return (isnan(a) || a > b) ? a : b;
+}
+
+/* the Eq. (38) cases of vectorized._delta_case */
+#define CASE_NINF 0
+#define CASE_PINF 1
+#define CASE_LE0 2
+#define CASE_MID 3
+
+static long delta_case(double delta)
+{
+    if (isinf(delta))
+        return delta > 0.0 ? CASE_PINF : CASE_NINF;
+    return delta <= 0.0 ? CASE_LE0 : CASE_MID;
+}
+
+/* optimization.theta_for_x at one (hop, x) of a known case, with numpy's
+ * np.maximum as in vectorized._theta_case_kernel, so the thetas of
+ * solve_exact are the numpy body's bytes.  Python's max() differs only
+ * on a -0.0, which adds to a +0.0 sum as +0.0, and on NaN, which no
+ * lane the saturation mask keeps produces: the sums in sweep_solve are
+ * the Python sweep's doubles */
+static inline double theta_case(long kind, double r_svc, double r_cross,
+                                double delta, double sigma, double x)
+{
+    if (kind == CASE_NINF)
+        return np_maximum(0.0, sigma / r_svc - x);
+    if (kind == CASE_PINF)
+        return np_maximum(0.0, sigma / (r_svc - r_cross) - x);
+    if (kind == CASE_LE0) {
+        double clipped = np_maximum(0.0, x + delta);
+        return np_maximum(0.0, (sigma + r_cross * clipped) / r_svc - x);
+    }
+    double denom = r_svc - r_cross;
+    double theta_low = (sigma - denom * x) / denom;
+    if (theta_low <= delta)
+        return np_maximum(0.0, theta_low);
+    return np_maximum((sigma + r_cross * (x + delta)) / r_svc - x, delta);
+}
+
+/* Python's tuple order on (x, change) events: by x, ties by change */
+static inline int event_before(const double *a, const double *b)
+{
+    return a[0] < b[0] || (a[0] == b[0] && a[1] < b[1]);
+}
+
+/* events.sort() on n (x, change) pairs: insertion-sorted runs of
+ * SORT_RUN events, then a stable bottom-up merge through the scratch
+ * buffer tmp, O(n log n).  Most probes have fewer events than a run,
+ * and on those the insertion sort alone beats any merge */
+#define SORT_RUN 16
+static void sort_events(double *ev, double *tmp, int n)
+{
+    for (int lo = 0; lo < n; lo += SORT_RUN) {
+        int hi = lo + SORT_RUN < n ? lo + SORT_RUN : n;
+        for (int i = lo + 1; i < hi; i++) {
+            double key[2] = { ev[2 * i], ev[2 * i + 1] };
+            int j = i - 1;
+            while (j >= lo && event_before(key, ev + 2 * j)) {
+                ev[2 * j + 2] = ev[2 * j];
+                ev[2 * j + 3] = ev[2 * j + 1];
+                j--;
+            }
+            ev[2 * j + 2] = key[0];
+            ev[2 * j + 3] = key[1];
         }
-    } else if (delta == INFINITY) {
-        for (int k = 0; k < hops; k++) {
-            double t = sigma / ((capacity - k * gamma) - r) - x;
-            if (t > 0.0) total += t;
-        }
-    } else if (delta <= 0.0) {
-        double clipped = x + delta;
-        if (clipped < 0.0) clipped = 0.0;
-        double numerator = sigma + r * clipped;
-        for (int k = 0; k < hops; k++) {
-            double t = numerator / (capacity - k * gamma) - x;
-            if (t > 0.0) total += t;
-        }
-    } else {
-        for (int k = 0; k < hops; k++) {
-            double r_svc = capacity - k * gamma;
-            double denom = r_svc - r;
-            double theta_low = (sigma - denom * x) / denom;
-            if (theta_low <= delta) {
-                if (theta_low > 0.0) total += theta_low;
-            } else {
-                double t = (sigma + r * (x + delta)) / r_svc - x;
-                total += t > delta ? t : delta;
+    }
+    double *src = ev, *dst = tmp;
+    for (int width = SORT_RUN; width < n; width *= 2) {
+        for (int lo = 0; lo < n; lo += 2 * width) {
+            int mid = lo + width < n ? lo + width : n;
+            int hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int i = lo, j = mid;
+            for (int k = lo; k < hi; k++) {
+                const double *pick;
+                if (j >= hi || (i < mid && !event_before(src + 2 * j,
+                                                         src + 2 * i)))
+                    pick = src + 2 * i++;
+                else
+                    pick = src + 2 * j++;
+                dst[2 * k] = pick[0];
+                dst[2 * k + 1] = pick[1];
             }
         }
+        double *swap = src;
+        src = dst;
+        dst = swap;
     }
-    return x + total;
+    if (src != ev)
+        memcpy(ev, src, 2 * (size_t)n * sizeof(double));
 }
 
-/* events.sort() on (x, change) pairs: Python compares tuples by x, ties
- * by change, and sorts stably, as this insertion sort does.  A few dozen
- * events per probe, so it beats qsort's call per comparison */
-static void sort_events(double *ev, int n)
+/* mirror of optimization._sweep_solve on the hops of one known case: hop
+ * h is (rs[h * rs_h], rc[h * rc_h], dl[h * d_h]), strides in doubles.
+ * Returns the delay and stores its x in *x_best; a saturated hop gives
+ * (inf, 0.0) */
+static double sweep_solve(long kind, long hops, const double *rs, long rs_h,
+                          const double *rc, long rc_h, const double *dl,
+                          long d_h, double sigma, double *x_best)
 {
-    for (int i = 1; i < n; i++) {
-        double x = ev[2 * i], change = ev[2 * i + 1];
-        int j = i - 1;
-        while (j >= 0 && (ev[2 * j] > x
-                          || (ev[2 * j] == x && ev[2 * j + 1] > change))) {
-            ev[2 * j + 2] = ev[2 * j];
-            ev[2 * j + 3] = ev[2 * j + 1];
-            j--;
-        }
-        ev[2 * j + 2] = x;
-        ev[2 * j + 3] = change;
-    }
-}
-
-/* mirror of vectorized._sweep_solve on the homogeneous triples
- * (C - k gamma, rho_c + gamma, delta), as the probe calls it (delay
- * value only) */
-static double sweep_homog(double capacity, double r, double delta,
-                          double sigma, int hops, double gamma)
-{
-    double events[(3 * MAX_HOPS + 8) * 2];
-    int n_ev = 0;
+    /* at most three (x, change) events per hop */
+    double ev[6 * MAX_HOPS];
+    double tmp[6 * MAX_HOPS];
+    int n = 0;
     double d0 = 0.0;
     double slope = 1.0;
-
-    if (delta == -INFINITY) {
-        for (int k = 0; k < hops; k++) {
-            double k1 = sigma / (capacity - k * gamma);
+    *x_best = 0.0;
+#define EVENT(x_, change_)                                             \
+    do {                                                               \
+        ev[2 * n] = (x_);                                              \
+        ev[2 * n + 1] = (change_);                                     \
+        n++;                                                           \
+    } while (0)
+    for (long h = 0; h < hops; h++) {
+        double r_svc = rs[h * rs_h];
+        double r_cross = rc[h * rc_h];
+        double delta = dl[h * d_h];
+        if (kind == CASE_NINF) {
+            double k1 = sigma / r_svc;
             if (k1 > 0.0) {
                 d0 += k1;
                 slope -= 1.0;
-                events[2 * n_ev] = k1; events[2 * n_ev + 1] = 1.0; n_ev++;
+                EVENT(k1, 1.0);
             }
-        }
-    } else if (delta == INFINITY) {
-        for (int k = 0; k < hops; k++) {
-            double denom = (capacity - k * gamma) - r;
+        } else if (kind == CASE_PINF) {
+            double denom = r_svc - r_cross;
             if (denom <= 0.0)
                 return INFINITY;
             double k1 = sigma / denom;
             if (k1 > 0.0) {
                 d0 += k1;
                 slope -= 1.0;
-                events[2 * n_ev] = k1; events[2 * n_ev + 1] = 1.0; n_ev++;
+                EVENT(k1, 1.0);
             }
-        }
-    } else if (delta <= 0.0) {
-        double a = -delta;
-        for (int k = 0; k < hops; k++) {
-            double r_svc = capacity - k * gamma;
+        } else if (kind == CASE_LE0) {
+            double a = -delta;
             double k1 = sigma / r_svc;
-            double denom = r_svc - r;
+            double denom = r_svc - r_cross;
             if (k1 <= 0.0)
                 continue;
             if (k1 < a) {
                 d0 += k1;
                 slope -= 1.0;
-                events[2 * n_ev] = k1; events[2 * n_ev + 1] = 1.0; n_ev++;
-                events[2 * n_ev] = a; events[2 * n_ev + 1] = 0.0; n_ev++;
+                EVENT(k1, 1.0);
+                EVENT(a, 0.0);
                 if (denom > 0.0) {
-                    double k2 = (sigma + r * delta) / denom;
-                    if (k2 > 0.0 && isfinite(k2)) {
-                        events[2 * n_ev] = k2;
-                        events[2 * n_ev + 1] = 0.0; n_ev++;
-                    }
+                    double k2 = (sigma + r_cross * delta) / denom;
+                    if (k2 > 0.0 && isfinite(k2))
+                        EVENT(k2, 0.0);
                 }
             } else {
                 if (denom <= 0.0)
                     return INFINITY;
-                double ratio = r / r_svc;
-                double k2 = (sigma + r * delta) / denom;
+                double ratio = r_cross / r_svc;
+                double k2 = (sigma + r_cross * delta) / denom;
                 d0 += k1;
                 if (a > 0.0) {
                     slope -= 1.0;
-                    events[2 * n_ev] = a;
-                    events[2 * n_ev + 1] = ratio; n_ev++;
-                    events[2 * n_ev] = k2;
-                    events[2 * n_ev + 1] = 1.0 - ratio; n_ev++;
+                    EVENT(a, ratio);
+                    EVENT(k2, 1.0 - ratio);
                 } else {
                     slope += ratio - 1.0;
-                    if (k2 > 0.0) {
-                        events[2 * n_ev] = k2;
-                        events[2 * n_ev + 1] = 1.0 - ratio; n_ev++;
-                    }
+                    if (k2 > 0.0)
+                        EVENT(k2, 1.0 - ratio);
                 }
-                events[2 * n_ev] = k1; events[2 * n_ev + 1] = 0.0; n_ev++;
+                EVENT(k1, 0.0);
             }
-        }
-    } else {
-        for (int k = 0; k < hops; k++) {
-            double r_svc = capacity - k * gamma;
-            double denom = r_svc - r;
+        } else {
+            double denom = r_svc - r_cross;
             if (denom <= 0.0)
                 return INFINITY;
             double z = sigma / denom;
             if (z <= 0.0)
                 continue;
-            double ratio = r / r_svc;
+            double ratio = r_cross / r_svc;
             double bp = z - delta;
-            double aux = (sigma + r * (0.0 + delta)) / r_svc;
+            double aux = (sigma + r_cross * (0.0 + delta)) / r_svc;
             if (bp <= 0.0) {
                 d0 += z;
                 slope -= 1.0;
-                events[2 * n_ev] = z; events[2 * n_ev + 1] = 1.0; n_ev++;
+                EVENT(z, 1.0);
             } else {
-                d0 += (sigma + r * delta) / r_svc;
+                d0 += (sigma + r_cross * delta) / r_svc;
                 slope += ratio - 1.0;
-                events[2 * n_ev] = bp;
-                events[2 * n_ev + 1] = -ratio; n_ev++;
-                events[2 * n_ev] = z; events[2 * n_ev + 1] = 1.0; n_ev++;
+                EVENT(bp, -ratio);
+                EVENT(z, 1.0);
             }
-            if (aux > 0.0 && isfinite(aux)) {
-                events[2 * n_ev] = aux; events[2 * n_ev + 1] = 0.0; n_ev++;
-            }
+            if (aux > 0.0 && isfinite(aux))
+                EVENT(aux, 0.0);
         }
     }
+#undef EVENT
+    sort_events(ev, tmp, n);
 
-    sort_events(events, n_ev);
-
-    double cand_x[3 * MAX_HOPS + 9];
-    double cand_a[3 * MAX_HOPS + 9];
-    int n_cand = 0;
-    cand_x[n_cand] = 0.0;
-    cand_a[n_cand] = d0;
-    n_cand++;
+    /* candidate 0 is (0.0, d0), candidate i + 1 is event i, whose change
+     * slot takes the accumulated d once the sweep has read it */
     double acc = d0;
     double acc_min = d0;
     double cur = slope;
     double prev = 0.0;
-    for (int i = 0; i < n_ev; i++) {
-        double x = events[2 * i];
-        double change = events[2 * i + 1];
+    for (int i = 0; i < n; i++) {
+        double x = ev[2 * i];
+        double change = ev[2 * i + 1];
         acc += cur * (x - prev);
         prev = x;
-        cand_x[n_cand] = x;
-        cand_a[n_cand] = acc;
-        n_cand++;
+        ev[2 * i + 1] = acc;
         if (acc < acc_min)
             acc_min = acc;
         cur += change;
@@ -371,15 +401,20 @@ static double sweep_homog(double capacity, double r, double delta,
 
     /* Python max(1.0, abs(m)): 1.0 unless abs(m) > 1.0 (incl. NaN) */
     double am = fabs(acc_min);
-    double scale = am > 1.0 ? am : 1.0;
-    double window = acc_min + SWEEP_WINDOW * scale;
+    double window = acc_min + SWEEP_WINDOW * (am > 1.0 ? am : 1.0);
     double best_d = INFINITY;
-    for (int i = 0; i < n_cand; i++) {
-        if (cand_a[i] <= window) {
-            double d = objective_homog(capacity, r, delta, sigma, hops,
-                                       gamma, cand_x[i]);
-            if (d < best_d)
+    for (int i = -1; i < n; i++) {
+        double x = i < 0 ? 0.0 : ev[2 * i];
+        if ((i < 0 ? d0 : ev[2 * i + 1]) <= window) {
+            double total = 0.0;
+            for (long h = 0; h < hops; h++)
+                total += theta_case(kind, rs[h * rs_h], rc[h * rc_h],
+                                    dl[h * d_h], sigma, x);
+            double d = x + total;
+            if (d < best_d) {
                 best_d = d;
+                *x_best = x;
+            }
         }
     }
     return best_d;
@@ -406,7 +441,12 @@ static double probe_one(const double *c, double gamma)
     if (delta == 0.0)
         return fifo_closed_form(hops, c[CAP], c[CRATE], gamma, sigma);
     double r = c[CRATE] + gamma;
-    return sweep_homog(c[CAP], r, delta, sigma, hops, gamma);
+    double rs[MAX_HOPS];
+    for (int k = 0; k < hops; k++)
+        rs[k] = c[CAP] - k * gamma;
+    double x;
+    return sweep_solve(delta_case(delta), hops, rs, 1, &r, 0, &delta, 0,
+                       sigma, &x);
 }
 
 void probe_values(long n, const double *ctx, const long *idx,
@@ -659,76 +699,14 @@ long additive_golden(const double *ctx, double lo, double hi, double tol,
                       iterations);
 }
 
-/* numpy's np.maximum(a, b): a when a is NaN or a > b, else b -- so a NaN
- * operand propagates, and of two equal zeros the second one wins */
-static inline double np_maximum(double a, double b)
-{
-    return (isnan(a) || a > b) ? a : b;
-}
-
-/* the known Eq. (38) cases of vectorized._delta_case */
-#define CASE_NINF 0
-#define CASE_PINF 1
-#define CASE_LE0 2
-#define CASE_MID 3
-
-/* mirror of vectorized._theta_case_kernel at one (hop, x) */
-static inline double theta_case(long kind, double r_svc, double r_cross,
-                         double delta, double sigma, double x)
-{
-    if (kind == CASE_NINF)
-        return np_maximum(0.0, sigma / r_svc - x);
-    if (kind == CASE_PINF)
-        return np_maximum(0.0, sigma / (r_svc - r_cross) - x);
-    if (kind == CASE_LE0) {
-        double clipped = np_maximum(0.0, x + delta);
-        return np_maximum(0.0, (sigma + r_cross * clipped) / r_svc - x);
-    }
-    double denom = r_svc - r_cross;
-    double theta_low = (sigma - denom * x) / denom;
-    if (theta_low <= delta)
-        return np_maximum(0.0, theta_low);
-    return np_maximum((sigma + r_cross * (x + delta)) / r_svc - x, delta);
-}
-
-/* ascending insertion sort; the candidates are +0.0 or positive and
- * finite, so the sorted sequence is unique and any correct sort gives
- * numpy's.  Its O(n^2) stays below the O(n * hops) theta sums that
- * follow, n being at most 3 * hops + 2 */
-static void sort_candidates(double *v, long n)
-{
-    for (long i = 1; i < n; i++) {
-        double key = v[i];
-        long j = i - 1;
-        while (j >= 0 && v[j] > key) {
-            v[j + 1] = v[j];
-            j--;
-        }
-        v[j + 1] = key;
-    }
-}
-
-/* total[i] = sum_h theta_h(cand[i]), the hops added in order; one loop
- * over the candidates per hop, with the case a compile-time constant */
-#define HOP_TOTALS(KIND)                                                \
-    for (long h = 0; h < hops; h++) {                                   \
-        const double r = rs[h * rs_h];                                  \
-        const double c = rc[h * rc_h];                                  \
-        const double d = dl[h * d_h];                                   \
-        if (h == 0)                                                     \
-            for (long i = 0; i < m; i++)                                \
-                total[i] = theta_case(KIND, r, c, d, sig, cand[i]);     \
-        else                                                            \
-            for (long i = 0; i < m; i++)                                \
-                total[i] += theta_case(KIND, r, c, d, sig, cand[i]);    \
-    }
-
-/* mirror of the numpy body of vectorized.batched_solve_exact for one
- * known case.  Inputs are (lanes, hops) arrays (sigma: lanes) read
- * through strides in doubles, 0 on a broadcast axis: r_svc, r_cross,
- * delta (lane, hop) and sigma (lane).  out is (lanes, hops + 2): delay,
- * x, then the thetas.  Returns the number of saturated lanes, or -1 for
- * a hop count the stack buffers cannot hold. */
+/* the lanes of vectorized.batched_solve_exact for one known case: the
+ * sweep of optimization.solve_exact per lane, the thetas at its x, and
+ * the numpy body's mask (a saturated hop, a negative or NaN cross rate,
+ * a negative or non-finite sigma: delay inf).  Inputs are (lanes, hops) arrays (sigma: lanes)
+ * read through strides in doubles, 0 on a broadcast axis: r_svc,
+ * r_cross, delta (lane, hop) and sigma (lane).  out is (lanes, hops +
+ * 2): delay, x, then the thetas.  Returns the number of masked lanes, or
+ * -1 for a hop count the stack buffers cannot hold. */
 long solve_exact(long lanes, long hops, long kind, double eps,
                  const double *r_svc, const double *r_cross,
                  const double *delta, const double *sigma,
@@ -740,8 +718,6 @@ long solve_exact(long lanes, long hops, long kind, double eps,
     const long rc_l = strides[2], rc_h = strides[3];
     const long d_l = strides[4], d_h = strides[5];
     const long s_l = strides[6];
-    double cand[3 * MAX_HOPS + 2];
-    double total[3 * MAX_HOPS + 2];
     long n_bad = 0;
     for (long l = 0; l < lanes; l++) {
         const double *rs = r_svc + l * rs_l;
@@ -749,77 +725,17 @@ long solve_exact(long lanes, long hops, long kind, double eps,
         const double *dl = delta + l * d_l;
         double sig = sigma[l * s_l];
         double *row = out + l * (hops + 2);
-
-        /* the breakpoint set: invalid ones count as 0.0 candidates, the
-         * maximum + 1 closes it */
-        long n = 2;
-        double top = 0.0;
-#define PUSH(expr)                                                   \
-        do {                                                         \
-            double bp_ = (expr);                                     \
-            double v_ = (isfinite(bp_) && bp_ > 0.0) ? bp_ : 0.0;    \
-            cand[n++] = v_;                                          \
-            if (v_ > top)                                            \
-                top = v_;                                            \
-        } while (0)
-        for (long h = 0; h < hops; h++) {
-            double r = rs[h * rs_h];
-            double c = rc[h * rc_h];
-            double d = dl[h * d_h];
-            if (kind == CASE_NINF) {
-                PUSH(sig / r);
-            } else if (kind == CASE_PINF) {
-                PUSH(sig / (r - c));
-            } else if (kind == CASE_LE0) {
-                PUSH(-d);
-                PUSH(sig / r);
-                PUSH((sig + c * d) / (r - c));
-            } else {
-                PUSH(sig / (r - c));
-                PUSH(sig / (r - c) - d);
-                PUSH((sig + c * (0.0 + d)) / r);
-            }
-        }
-#undef PUSH
-        cand[0] = 0.0;
-        cand[1] = top + 1.0;
-        sort_candidates(cand, n);
-        /* equal candidates give equal values, and the first minimum is
-         * taken: evaluating each distinct one once changes nothing */
-        long m = 1;
-        for (long i = 1; i < n; i++)
-            if (cand[i] != cand[m - 1])
-                cand[m++] = cand[i];
-
-        /* d(x) = x + sum_h theta_h(x), hops summed in order; numpy's
-         * argmin of the NaN-as-inf values (first minimum) */
-        switch (kind) {
-        case CASE_NINF: HOP_TOTALS(CASE_NINF); break;
-        case CASE_PINF: HOP_TOTALS(CASE_PINF); break;
-        case CASE_LE0: HOP_TOTALS(CASE_LE0); break;
-        default: HOP_TOTALS(CASE_MID); break;
-        }
-        long best = 0;
-        double best_key = 0.0;
-        double best_d = 0.0;
-        for (long i = 0; i < m; i++) {
-            double d = cand[i] + total[i];
-            double key = isnan(d) ? INFINITY : d;
-            if (i == 0 || key < best_key) {
-                best = i;
-                best_key = key;
-                best_d = d;
-            }
-        }
-
-        double x_best = cand[best];
+        double x_best;
+        double best_d = sweep_solve(kind, hops, rs, rs_h, rc, rc_h, dl, d_h,
+                                    sig, &x_best);
         int bad = !isfinite(sig) || sig < 0.0;
         for (long h = 0; h < hops; h++) {
             double r = rs[h * rs_h];
             double c = rc[h * rc_h];
             double d = dl[h * d_h];
             row[2 + h] = theta_case(kind, r, c, d, sig, x_best);
-            if (((r <= c + eps) && d != -INFINITY) || r <= 0.0)
+            if (((r <= c + eps) && d != -INFINITY) || r <= 0.0
+                || !(c >= 0.0))
                 bad = 1;
         }
         row[0] = bad ? INFINITY : best_d;
@@ -1157,13 +1073,16 @@ def solve_exact(
     sigma: np.ndarray,
     case: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int] | None:
-    """The Eq. (38) exact solve of ``vectorized.batched_solve_exact`` in C.
+    """The Eq. (38) exact solve of ``vectorized.batched_solve_exact`` in C:
+    the slope sweep of :func:`repro.network.optimization.solve_exact`,
+    once per lane.
 
     ``r_svc``, ``r_cross`` and ``delta`` are ``(lanes, hops)`` float64
     arrays (broadcast views are read in place, through their strides),
     ``sigma`` is ``(lanes,)`` and ``case`` the lanes' shared Eq. (38)
-    case.  Returns ``(delay, x, thetas, saturated lanes)``,
-    byte-identical to the numpy body, or ``None`` — counted in
+    case.  Returns ``(delay, x, thetas, saturated lanes)``: the numpy
+    body's delay bytes on every lane, and its ``x`` and thetas on every
+    lane not masked to ``inf``.  Returns ``None`` — counted in
     ``cprobe.fallbacks`` — when the numpy body must run: no kernel, or
     a path beyond :data:`MAX_HOPS`.
     """

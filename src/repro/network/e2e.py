@@ -258,7 +258,7 @@ def e2e_delay_bound(
         Fix the per-hop rate degradation; by default it is optimized
         numerically over ``(0, (C - rho_c - rho)/(H+1))`` (Eq. (32)).
     method:
-        ``"exact"`` (breakpoint enumeration) or ``"paper"`` (Eqs. 40-42).
+        ``"exact"`` (the exact Eq. (38) solve) or ``"paper"`` (Eqs. 40-42).
         The exact ``gamma`` search is one ``gamma`` chain of the lane
         engine (:func:`repro.network.lanes.gamma_search`: a grid row,
         then golden-section refinement over the probe); the paper's

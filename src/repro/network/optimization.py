@@ -17,8 +17,11 @@ Two solvers are provided:
 
 * :func:`solve_exact` — for fixed ``X`` the constraints decouple and the
   smallest feasible ``theta^h(X)`` is explicit and piecewise linear in
-  ``X``; hence ``d(X) = X + sum_h theta^h(X)`` is piecewise linear and its
-  exact minimum is found by enumerating all region breakpoints.
+  ``X``; hence ``d(X) = X + sum_h theta^h(X)`` is piecewise linear.  An
+  O(H log H) slope sweep over the sorted region breakpoints finds its
+  exact minimum; the near-minimal breakpoints are re-evaluated through
+  :func:`theta_for_x`, so the value and argmin are those of evaluating
+  ``d`` at every breakpoint and keeping the first minimum.
 * :func:`solve_paper` — the paper's explicit procedure: pick the smallest
   index ``K`` satisfying Eq. (40), set ``X`` by Eq. (41) (``Delta >= 0``)
   or Eq. (42) (``Delta <= 0``), read off ``d`` from Eq. (39).  The paper
@@ -39,10 +42,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro import obs
-from repro.utils.numeric import minimize_piecewise_linear
 from repro.utils.validation import check_non_negative, check_positive
 
 _EPS = 1e-12
+
+#: Relative half-width of the window of near-minimal sweep candidates that
+#: are re-evaluated exactly.  Must exceed the slope sweep's accumulation
+#: drift (~H ulps) by a wide margin so the exact re-evaluation always sees
+#: the minimizing breakpoint among its candidates.
+_SWEEP_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,7 +133,13 @@ def theta_for_x(hop: HopParameters, sigma: float, x: float) -> float:
     nondecreasing in ``theta`` (``R > r`` in the sloped region), so the
     smallest solution is explicit by case analysis on ``Delta``.
     """
-    r_svc, r_cross, delta = hop.service_rate, hop.cross_rate, hop.delta
+    return _theta(hop.service_rate, hop.cross_rate, hop.delta, sigma, x)
+
+
+def _theta(
+    r_svc: float, r_cross: float, delta: float, sigma: float, x: float
+) -> float:
+    """:func:`theta_for_x` on a bare ``(R, r, Delta)`` triple."""
     if delta == -math.inf:
         # cross traffic never interferes
         return max(0.0, sigma / r_svc - x)
@@ -145,59 +159,146 @@ def theta_for_x(hop: HopParameters, sigma: float, x: float) -> float:
     return max(theta_high, delta)
 
 
-def _breakpoints_for_hop(hop: HopParameters, sigma: float) -> list[float]:
-    """X-values where ``theta_h(X)`` changes slope (region boundaries)."""
-    r_svc, r_cross, delta = hop.service_rate, hop.cross_rate, hop.delta
-    points: list[float] = []
-    if delta == -math.inf:
-        points.append(sigma / r_svc)
-    elif delta == math.inf:
-        points.append(sigma / (r_svc - r_cross))
-    elif delta <= 0:
-        points.append(-delta)  # [X + Delta]_+ kink
-        points.append(sigma / r_svc)  # theta -> 0 in the clipped region
-        denom = r_svc - r_cross
-        points.append((sigma + r_cross * delta) / denom)  # theta -> 0, unclipped
-    else:
-        denom = r_svc - r_cross
-        points.append(sigma / denom)  # theta -> 0
-        points.append(sigma / denom - delta)  # branch switch at theta = Delta
-        points.append((sigma + r_cross * (0.0 + delta)) / r_svc)  # aux
-    return [p for p in points if p > 0 and math.isfinite(p)]
-
-
 def solve_exact(
     hop_params: Sequence[HopParameters], sigma: float
 ) -> ThetaSolution:
     """Exact solution of the optimization problem (38)-(39).
 
-    ``d(X) = X + sum_h theta_h(X)`` is piecewise linear; the minimum over
+    ``d(X) = X + sum_h theta_h(X)`` is piecewise linear; its minimum over
     ``X >= 0`` is attained at a region breakpoint, all of which are known
-    in closed form.
+    in closed form.  :func:`_sweep_solve` finds it in O(H log H); the
+    thetas are :func:`theta_for_x` at the minimizing ``X``.
     """
     check_non_negative(sigma, "sigma")
     hops = list(hop_params)
     if not hops:
         raise ValueError("need at least one hop")
-
-    def objective(x: float) -> float:
-        return x + sum(theta_for_x(hop, sigma, x) for hop in hops)
-
-    # sort + dedupe: hops sharing rates produce identical breakpoints, and
-    # each duplicate would cost a redundant O(H) objective evaluation
-    breakpoints: set[float] = set()
-    for hop in hops:
-        breakpoints.update(_breakpoints_for_hop(hop, sigma))
-    ordered = sorted(breakpoints)
     if obs.enabled():
         obs.add("optimization.solve_exact_calls")
-        obs.add("optimization.solve_exact_breakpoints", len(ordered))
-    upper = (ordered[-1] if ordered else 0.0) + 1.0
-    x_best, d_best = minimize_piecewise_linear(
-        objective, ordered, lower=0.0, upper=upper
+    delay, x = _sweep_solve(
+        [(hop.service_rate, hop.cross_rate, hop.delta) for hop in hops], sigma
     )
-    thetas = tuple(theta_for_x(hop, sigma, x_best) for hop in hops)
-    return ThetaSolution(d_best, x_best, thetas)
+    thetas = tuple(theta_for_x(hop, sigma, x) for hop in hops)
+    return ThetaSolution(delay, x, thetas)
+
+
+def _sweep_solve(
+    hops_rrd: Sequence[tuple[float, float, float]], sigma: float
+) -> tuple[float, float]:
+    """Exact min of the piecewise-linear ``d(X)`` over ``(R, r, Delta)``
+    hop triples in O(H log H): ``(delay, x)``.
+
+    Builds the slope-change events of every hop, sweeps the sorted
+    breakpoints accumulating ``d``, then re-evaluates the near-minimal
+    candidates exactly (ascending, strict ``<``), so ``(delay, x)`` is
+    the value and the first minimizer of ``d`` over the breakpoints that
+    evaluating every one would give: events that do not change the slope
+    are kept as candidates for that.  Returns ``(inf, 0.0)`` for a
+    saturated hop, which :class:`HopParameters` rejects.  The probe
+    (``vectorized._e2e_probe``) calls it on unvalidated triples, and the
+    C kernel of :mod:`repro.network.cprobe` mirrors it.
+    """
+    events: list[tuple[float, float]] = []
+    d0 = 0.0
+    slope = 1.0
+    for r_svc, r_cross, delta in hops_rrd:
+        if delta == -math.inf:
+            k1 = sigma / r_svc
+            if k1 > 0.0:
+                d0 += k1
+                slope -= 1.0
+                events.append((k1, 1.0))
+        elif delta == math.inf:
+            denom = r_svc - r_cross
+            if denom <= 0.0:
+                return math.inf, 0.0
+            k1 = sigma / denom
+            if k1 > 0.0:
+                d0 += k1
+                slope -= 1.0
+                events.append((k1, 1.0))
+        elif delta <= 0:
+            a = -delta
+            k1 = sigma / r_svc
+            denom = r_svc - r_cross
+            if k1 <= 0.0:
+                continue
+            if k1 < a:
+                # theta dies before the cross bracket activates
+                d0 += k1
+                slope -= 1.0
+                events.append((k1, 1.0))
+                # non-kink scalar candidates, kept for tie parity
+                events.append((a, 0.0))
+                if denom > 0.0:
+                    k2 = (sigma + r_cross * delta) / denom
+                    if k2 > 0.0 and math.isfinite(k2):
+                        events.append((k2, 0.0))
+            else:
+                if denom <= 0.0:
+                    return math.inf, 0.0
+                ratio = r_cross / r_svc
+                k2 = (sigma + r_cross * delta) / denom
+                d0 += k1
+                if a > 0.0:
+                    slope -= 1.0
+                    events.append((a, ratio))
+                    events.append((k2, 1.0 - ratio))
+                else:
+                    slope += ratio - 1.0
+                    if k2 > 0.0:
+                        events.append((k2, 1.0 - ratio))
+                events.append((k1, 0.0))  # non-kink scalar candidate
+        else:
+            denom = r_svc - r_cross
+            if denom <= 0.0:
+                return math.inf, 0.0
+            z = sigma / denom
+            if z <= 0.0:
+                continue
+            ratio = r_cross / r_svc
+            bp = z - delta
+            aux = (sigma + r_cross * (0.0 + delta)) / r_svc
+            if bp <= 0.0:
+                d0 += z
+                slope -= 1.0
+                events.append((z, 1.0))
+            else:
+                d0 += (sigma + r_cross * delta) / r_svc
+                slope += ratio - 1.0
+                events.append((bp, -ratio))
+                events.append((z, 1.0))
+            if aux > 0.0 and math.isfinite(aux):
+                events.append((aux, 0.0))  # non-kink scalar candidate
+
+    events.sort()
+    candidates: list[tuple[float, float]] = [(0.0, d0)]
+    acc = d0
+    acc_min = d0
+    cur = slope
+    prev = 0.0
+    for x, change in events:
+        acc += cur * (x - prev)
+        prev = x
+        candidates.append((x, acc))
+        if acc < acc_min:
+            acc_min = acc
+        cur += change
+
+    window = acc_min + _SWEEP_WINDOW * max(1.0, abs(acc_min))
+    best_d = math.inf
+    best_x = 0.0
+    for x, acc in candidates:
+        if acc <= window:
+            # d(X) exactly, the hops summed in order (not with sum(),
+            # which compensates from Python 3.12 on)
+            total = 0.0
+            for r_svc, r_cross, delta in hops_rrd:
+                total += _theta(r_svc, r_cross, delta, sigma, x)
+            d = x + total
+            if d < best_d:
+                best_d, best_x = d, x
+    return best_d, best_x
 
 
 def _paper_k(

@@ -3,17 +3,18 @@
 The scalar analysis stack evaluates the free-parameter search of the
 end-to-end bounds one probe at a time: for every candidate ``gamma`` (and
 ``s`` for MMOO workloads) it recomputes ``sigma`` from the combined
-bounding functions and solves the theta-optimization of Eq. (38) by
-enumerating O(H) breakpoints with O(H) work each — thousands of
-interpreter-level evaluations per curve point.  This module evaluates the
-same mathematics as array operations:
+bounding functions and solves the theta-optimization of Eq. (38) —
+thousands of interpreter-level evaluations per curve point.  This module
+evaluates the same mathematics as array operations or in generated C:
 
-* :func:`batched_solve_exact` — the Eq. (38) exact breakpoint
-  minimization over a ``(lanes, candidates, hops)`` broadcast for one
-  ``Delta`` case, so one call solves the theta-optimization for a whole
-  ``gamma`` grid at once.  The per-lane work runs in generated C
-  (:func:`repro.network.cprobe.solve_exact`), byte-identical to the
-  numpy body, which stays as its fallback and oracle;
+* :func:`batched_solve_exact` — the Eq. (38) exact solve of many lanes
+  of one ``Delta`` case, so one call solves the theta-optimization for a
+  whole ``gamma`` grid at once.  The lanes run in generated C
+  (:func:`repro.network.cprobe.solve_exact`: the slope sweep of
+  :func:`~repro.network.optimization.solve_exact`, once per lane); the
+  numpy body, a breakpoint enumeration over a ``(lanes, candidates,
+  hops)`` broadcast, is its fallback without a C compiler and its
+  oracle, with the same delay bytes;
 * :func:`e2e_delay_grid_rows` / :func:`e2e_delay_grid` — the end-to-end
   objective over the ``gamma`` grids of many lanes (or one): per point,
   the probe's own ``sigma`` and its closed forms for BMUX (Eq. (43)) and
@@ -31,8 +32,8 @@ same mathematics as array operations:
 * ``_e2e_probe`` — the end-to-end objective at one ``gamma``, the
   Python body of :mod:`repro.network.cprobe`'s probe: ``sigma``, then
   Eq. (43), Eq. (44) (:func:`~repro.network.optimization.fifo_delay`) or
-  the O(H log H) slope sweep ``_sweep_solve``, which returns
-  :func:`~repro.network.optimization.solve_exact`'s value and argmin.
+  the O(H log H) slope sweep of
+  :func:`~repro.network.optimization.solve_exact` on the hop triples.
 
 Equivalence contract with the scalar path
 -----------------------------------------
@@ -65,7 +66,7 @@ import numpy as np
 from repro import obs
 from repro.arrivals.ebb import EBB
 from repro.network import cprobe
-from repro.network.optimization import _EPS, fifo_delay
+from repro.network.optimization import _EPS, _sweep_solve, fifo_delay
 from repro.utils.numeric import safe_exp
 
 __all__ = [
@@ -74,13 +75,6 @@ __all__ = [
     "additive_delay_grid",
     "optimize_gamma_additive",
 ]
-
-#: Relative half-width of the window of near-minimal sweep candidates that
-#: are re-evaluated exactly.  Must exceed the slope-sweep's accumulation
-#: drift (~H ulps) by a wide margin so the exact re-evaluation always sees
-#: the scalar argmin among its candidates.
-_SWEEP_WINDOW = 1e-9
-
 
 # --------------------------------------------------------------------- #
 # theta_for_x / solve_exact on arrays
@@ -127,25 +121,28 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
         ``(...)`` slack per batch lane.
 
     Returns ``(delay, x, thetas)`` with shapes ``(...)``, ``(...)`` and
-    ``(..., H)``.  Each lane enumerates the same breakpoint candidate set
-    as the scalar solver ({0, every positive finite breakpoint, max+1})
-    in ascending order and takes the first minimum, so ``x`` matches the
-    scalar tie-breaking.  Lanes with a saturated hop (where the scalar
-    :class:`HopParameters` constructor raises) or non-finite ``sigma``
-    come back with ``delay = inf``.
+    ``(..., H)``: on every lane the scalar solver's value and first
+    minimizer, and the thetas at it.  Lanes with a saturated hop or a
+    negative cross rate (where the scalar :class:`HopParameters`
+    constructor raises) or a negative or non-finite ``sigma`` come back
+    with ``delay = inf``; their ``x`` and thetas are unspecified.
 
     Every lane must fall in one Eq. (38) case of ``Delta``: ``case``
     names it, else it is read off ``deltas``, and deltas of mixed cases
-    raise :class:`ValueError`.  With at most
+    raise :class:`ValueError`, as does an empty hop axis.  With at most
     :data:`repro.network.cprobe.MAX_HOPS` hops the lanes are solved by
-    the compiled :func:`repro.network.cprobe.solve_exact`, which returns
-    the same bytes as the numpy body that runs otherwise, or without a
-    C compiler.
+    the compiled :func:`repro.network.cprobe.solve_exact`, the slope
+    sweep of :func:`~repro.network.optimization.solve_exact`; otherwise,
+    or without a C compiler, the numpy body enumerates every breakpoint.
+    Both give the same delay bytes on every lane, and the same ``x`` and
+    thetas on every lane not masked to ``inf``.
     """
     r_svc = np.asarray(service_rates, dtype=float)
     shape = r_svc.shape
     if not shape:
         raise ValueError("service_rates must have a trailing hop axis")
+    if shape[-1] == 0:
+        raise ValueError("need at least one hop")
     delta_in = np.asarray(deltas, dtype=float)
     if case is None:
         cases = {_delta_case(d) for d in np.unique(delta_in).tolist()}
@@ -185,7 +182,10 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
     """The numpy body of :func:`batched_solve_exact` on ``(lanes, hops)``
     arrays: the fallback of the C kernel and its oracle.
 
-    Returns ``(delay, x, thetas, saturated lanes)``.
+    Each lane evaluates ``d`` at every candidate ({0, every positive
+    finite breakpoint, max + 1}) in ascending order and takes the first
+    minimum.  Returns ``(delay, x, thetas, saturated
+    lanes)``.
     """
     lanes, hops = r_svc.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -237,8 +237,11 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
         x_best = np.take_along_axis(cand, take, axis=1)[:, 0]
         thetas = np.take_along_axis(theta, take[:, :, None], axis=1)[:, 0, :]
 
+        # the hops HopParameters rejects: saturated, or a cross rate
+        # below zero (or NaN)
         is_ninf = np.isneginf(delta)
         saturated = ((r_svc <= r_cross + _EPS) & ~is_ninf) | (r_svc <= 0.0)
+        saturated |= ~(r_cross >= 0.0)
         bad = saturated.any(axis=1) | ~np.isfinite(sig) | (sig < 0.0)
         delay = np.where(bad, np.inf, delay)
     return delay, x_best, thetas, int(bad.sum())
@@ -278,141 +281,6 @@ def _sigma_raw(
     prefactor = safe_exp(log_m)
     alpha = 1.0 / w
     return math.log(prefactor / epsilon) / alpha
-
-
-# --------------------------------------------------------------------- #
-# slope-sweep exact solve (the probe's Eq. (38) path)
-# --------------------------------------------------------------------- #
-
-
-def _hop_objective(hops_rrd, sigma: float, x: float) -> float:
-    """``d(X) = X + sum_h theta_h(X)`` — bitwise mirror of the scalar
-    ``solve_exact`` objective (sequential sum, same per-hop formulas)."""
-    total = 0.0
-    for r_svc, r_cross, delta in hops_rrd:
-        if delta == -math.inf:
-            total += max(0.0, sigma / r_svc - x)
-        elif delta == math.inf:
-            total += max(0.0, sigma / (r_svc - r_cross) - x)
-        elif delta <= 0:
-            clipped = max(0.0, x + delta)
-            total += max(0.0, (sigma + r_cross * clipped) / r_svc - x)
-        else:
-            denom = r_svc - r_cross
-            theta_low = (sigma - denom * x) / denom
-            if theta_low <= delta:
-                total += max(0.0, theta_low)
-            else:
-                total += max((sigma + r_cross * (x + delta)) / r_svc - x, delta)
-    return x + total
-
-
-def _sweep_solve(hops_rrd, sigma: float) -> tuple[float, float]:
-    """Exact min of the piecewise-linear ``d(X)`` in O(H log H).
-
-    Builds the slope-change events of every hop, sweeps the sorted
-    breakpoints accumulating ``d``, then re-evaluates the near-minimal
-    candidates exactly (ascending, strict ``<``) so the returned
-    ``(delay, x)`` reproduces the scalar solver's value *and* argmin
-    tie-breaking.  Returns ``(inf, 0.0)`` for a saturated hop, where the
-    scalar path raises instead.
-    """
-    events: list[tuple[float, float]] = []
-    d0 = 0.0
-    slope = 1.0
-    for r_svc, r_cross, delta in hops_rrd:
-        if delta == -math.inf:
-            k1 = sigma / r_svc
-            if k1 > 0.0:
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-        elif delta == math.inf:
-            denom = r_svc - r_cross
-            if denom <= 0.0:
-                return math.inf, 0.0
-            k1 = sigma / denom
-            if k1 > 0.0:
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-        elif delta <= 0:
-            a = -delta
-            k1 = sigma / r_svc
-            denom = r_svc - r_cross
-            if k1 <= 0.0:
-                continue
-            if k1 < a:
-                # theta dies before the cross bracket activates
-                d0 += k1
-                slope -= 1.0
-                events.append((k1, 1.0))
-                # non-kink scalar candidates, kept for tie parity
-                events.append((a, 0.0))
-                if denom > 0.0:
-                    k2 = (sigma + r_cross * delta) / denom
-                    if k2 > 0.0 and math.isfinite(k2):
-                        events.append((k2, 0.0))
-            else:
-                if denom <= 0.0:
-                    return math.inf, 0.0
-                ratio = r_cross / r_svc
-                k2 = (sigma + r_cross * delta) / denom
-                d0 += k1
-                if a > 0.0:
-                    slope -= 1.0
-                    events.append((a, ratio))
-                    events.append((k2, 1.0 - ratio))
-                else:
-                    slope += ratio - 1.0
-                    if k2 > 0.0:
-                        events.append((k2, 1.0 - ratio))
-                events.append((k1, 0.0))  # non-kink scalar candidate
-        else:
-            denom = r_svc - r_cross
-            if denom <= 0.0:
-                return math.inf, 0.0
-            z = sigma / denom
-            if z <= 0.0:
-                continue
-            ratio = r_cross / r_svc
-            bp = z - delta
-            aux = (sigma + r_cross * (0.0 + delta)) / r_svc
-            if bp <= 0.0:
-                d0 += z
-                slope -= 1.0
-                events.append((z, 1.0))
-            else:
-                d0 += (sigma + r_cross * delta) / r_svc
-                slope += ratio - 1.0
-                events.append((bp, -ratio))
-                events.append((z, 1.0))
-            if aux > 0.0 and math.isfinite(aux):
-                events.append((aux, 0.0))  # non-kink scalar candidate
-
-    events.sort()
-    candidates: list[tuple[float, float]] = [(0.0, d0)]
-    acc = d0
-    acc_min = d0
-    cur = slope
-    prev = 0.0
-    for x, change in events:
-        acc += cur * (x - prev)
-        prev = x
-        candidates.append((x, acc))
-        if acc < acc_min:
-            acc_min = acc
-        cur += change
-
-    window = acc_min + _SWEEP_WINDOW * max(1.0, abs(acc_min))
-    best_d = math.inf
-    best_x = 0.0
-    for x, acc in candidates:
-        if acc <= window:
-            d = _hop_objective(hops_rrd, sigma, x)
-            if d < best_d:
-                best_d, best_x = d, x
-    return best_d, best_x
 
 
 # --------------------------------------------------------------------- #

@@ -11,7 +11,6 @@ from repro.utils.numeric import (
     bisect_increasing,
     golden_section_min,
     grid_then_golden,
-    minimize_piecewise_linear,
 )
 from repro.utils.validation import (
     check_finite,
@@ -25,7 +24,6 @@ __all__ = [
     "bisect_increasing",
     "golden_section_min",
     "grid_then_golden",
-    "minimize_piecewise_linear",
     "check_finite",
     "check_in_range",
     "check_non_negative",

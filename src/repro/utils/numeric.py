@@ -6,18 +6,13 @@ per-hop rate degradation ``gamma`` and the EBB envelope parameter ``alpha``
 numerically over gamma").  The objective is smooth but expensive, and we do
 not need high-order methods: a coarse grid scan followed by golden-section
 refinement around the best grid cell is robust and derivative-free.
-
-:func:`minimize_piecewise_linear` is the exact minimizer used by the
-theta-optimization of Eq. (38): the objective there is piecewise linear in
-the single remaining variable, so evaluating it at all region breakpoints
-yields the exact optimum.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 
@@ -191,40 +186,6 @@ def grid_then_golden(
     return refine_grid_minimum(
         lambda lo, hi: golden_section_min(func, lo, hi, tol=tol), xs, fs
     )
-
-
-def minimize_piecewise_linear(
-    func: Callable[[float], float],
-    breakpoints: Iterable[float],
-    *,
-    lower: float = 0.0,
-    upper: float | None = None,
-) -> tuple[float, float]:
-    """Exactly minimize a piecewise-linear ``func`` given its breakpoints.
-
-    A piecewise-linear function attains its minimum at a breakpoint (or at a
-    boundary of the feasible interval), so it suffices to evaluate ``func``
-    at every candidate.  Candidates outside ``[lower, upper]`` are clipped
-    out; ``lower`` (and ``upper`` when given) are always included.
-    """
-    candidates = {lower}
-    if upper is not None:
-        candidates.add(upper)
-    for point in breakpoints:
-        if not math.isfinite(point):
-            continue
-        if point < lower:
-            continue
-        if upper is not None and point > upper:
-            continue
-        candidates.add(point)
-    best_x = lower
-    best_f = math.inf
-    for x in sorted(candidates):
-        f = func(x)
-        if f < best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
 
 
 def logspace(low: float, high: float, count: int) -> list[float]:

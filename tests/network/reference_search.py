@@ -17,6 +17,10 @@ independent reference:
   engine's compiled probes differ from it in the last bits, so results
   agree to 1e-9 relative.
 
+It also keeps the breakpoint enumeration that the O(H log H) slope
+sweep of :func:`repro.network.optimization.solve_exact` replaced,
+:func:`solve_exact_enumerated`, as that solver's bitwise oracle.
+
 Nothing under ``src/`` imports this module.
 """
 
@@ -42,13 +46,23 @@ from repro.network.e2e import (
     e2e_delay_bound_at_gamma,
     mmoo_ebb_pair,
 )
+from repro.network.optimization import (
+    HopParameters,
+    ThetaSolution,
+    theta_for_x,
+)
 from repro.network.vectorized import _e2e_probe, _log_grid, e2e_delay_grid
 from repro.utils.numeric import (
     golden_section_min,
     grid_then_golden,
     refine_grid_minimum,
 )
-from repro.utils.validation import check_int, check_positive, check_probability
+from repro.utils.validation import (
+    check_int,
+    check_non_negative,
+    check_positive,
+    check_probability,
+)
 
 Method = Literal["exact", "paper"]
 
@@ -262,3 +276,89 @@ def e2e_delay_bound_edf(
     if on_nonconvergence == "warn":
         warnings.warn(message, RuntimeWarning, stacklevel=2)
     return done(result, delta, max_iter, residual, False)
+
+
+# --------------------------------------------------------------------- #
+# Eq. (38) by breakpoint enumeration
+# --------------------------------------------------------------------- #
+
+
+def _breakpoints_for_hop(hop: HopParameters, sigma: float) -> list[float]:
+    """X-values where ``theta_h(X)`` changes slope (region boundaries)."""
+    r_svc, r_cross, delta = hop.service_rate, hop.cross_rate, hop.delta
+    points: list[float] = []
+    if delta == -math.inf:
+        points.append(sigma / r_svc)
+    elif delta == math.inf:
+        points.append(sigma / (r_svc - r_cross))
+    elif delta <= 0:
+        points.append(-delta)  # [X + Delta]_+ kink
+        points.append(sigma / r_svc)  # theta -> 0 in the clipped region
+        denom = r_svc - r_cross
+        points.append((sigma + r_cross * delta) / denom)  # theta -> 0, unclipped
+    else:
+        denom = r_svc - r_cross
+        points.append(sigma / denom)  # theta -> 0
+        points.append(sigma / denom - delta)  # branch switch at theta = Delta
+        points.append((sigma + r_cross * (0.0 + delta)) / r_svc)  # aux
+    return [p for p in points if p > 0 and math.isfinite(p)]
+
+
+def _minimize_piecewise_linear(
+    func, breakpoints, *, lower: float = 0.0, upper: float | None = None
+) -> tuple[float, float]:
+    """Exactly minimize a piecewise-linear ``func`` given its breakpoints:
+    evaluate every candidate in ``[lower, upper]`` ascending, keep the
+    first minimum."""
+    candidates = {lower}
+    if upper is not None:
+        candidates.add(upper)
+    for point in breakpoints:
+        if not math.isfinite(point):
+            continue
+        if point < lower:
+            continue
+        if upper is not None and point > upper:
+            continue
+        candidates.add(point)
+    best_x = lower
+    best_f = math.inf
+    for x in sorted(candidates):
+        f = func(x)
+        if f < best_f:
+            best_x, best_f = x, f
+    return best_x, best_f
+
+
+def solve_exact_enumerated(
+    hop_params: list[HopParameters], sigma: float
+) -> ThetaSolution:
+    """Eq. (38)-(39) by enumeration: ``d(X) = X + sum_h theta_h(X)`` at
+    every region breakpoint, O(H) candidates of O(H) work each.
+
+    The hops are summed in order, as ``sum()`` did through Python 3.11;
+    from 3.12 on ``sum()`` compensates, which would move the last bits.
+    """
+    check_non_negative(sigma, "sigma")
+    hops = list(hop_params)
+    if not hops:
+        raise ValueError("need at least one hop")
+
+    def objective(x: float) -> float:
+        total = 0.0
+        for hop in hops:
+            total += theta_for_x(hop, sigma, x)
+        return x + total
+
+    # sort + dedupe: hops sharing rates produce identical breakpoints, and
+    # each duplicate would cost a redundant O(H) objective evaluation
+    breakpoints: set[float] = set()
+    for hop in hops:
+        breakpoints.update(_breakpoints_for_hop(hop, sigma))
+    ordered = sorted(breakpoints)
+    upper = (ordered[-1] if ordered else 0.0) + 1.0
+    x_best, d_best = _minimize_piecewise_linear(
+        objective, ordered, lower=0.0, upper=upper
+    )
+    thetas = tuple(theta_for_x(hop, sigma, x_best) for hop in hops)
+    return ThetaSolution(d_best, x_best, thetas)

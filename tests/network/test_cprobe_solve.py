@@ -1,17 +1,25 @@
-"""The compiled Eq. (38) solve and additive refinement match their oracles.
+"""The compiled Eq. (38) solve, probe and additive refinement match
+their oracles.
 
-:func:`repro.network.vectorized.batched_solve_exact` runs its per-lane
-work in :func:`repro.network.cprobe.solve_exact` whenever the kernel
-loads and the path has at most :data:`~repro.network.cprobe.MAX_HOPS`
-hops; the numpy body stays as the fallback.  These properties compare the two byte for byte
-(``tobytes()`` of ``delay``, ``x`` and ``thetas``) on the awkward
-inputs: NaN, infinite, negative and zero ``sigma``, saturated hops,
-``Delta`` of ``+0.0`` and ``-0.0``, and homogeneous paths whose hops
-share their breakpoints.  :func:`repro.network.cprobe.additive_golden`
-is held to :func:`repro.utils.numeric.golden_section_min` over
-:func:`repro.network.vectorized._additive_probe` the same way, raised
-exceptions included.  Without a C compiler both sides run the Python
-bodies and the properties hold trivially.
+:func:`repro.network.vectorized.batched_solve_exact` runs its lanes in
+:func:`repro.network.cprobe.solve_exact` (the slope sweep of
+:func:`repro.network.optimization.solve_exact`, in C) whenever the
+kernel loads and the path has at most
+:data:`~repro.network.cprobe.MAX_HOPS` hops; the numpy body, which
+enumerates every breakpoint, stays as the fallback.  These properties
+compare the two byte for byte (``tobytes()``) on the awkward inputs:
+NaN, infinite, negative and zero ``sigma``, saturated hops, ``Delta`` of
+``+0.0`` and ``-0.0``, and homogeneous paths whose hops share their
+breakpoints.  ``delay`` must match on every lane; ``x`` and ``thetas``
+on every lane the saturation mask keeps (no saturated hop, no negative
+cross rate, finite ``sigma >= 0``), since a masked lane's ``x`` is
+whatever its algorithm stopped at.  The compiled probe is held to
+:func:`repro.network.vectorized._e2e_probe` at drawn points, and
+:func:`repro.network.cprobe.additive_golden` to
+:func:`repro.utils.numeric.golden_section_min` over
+:func:`repro.network.vectorized._additive_probe`, raised exceptions
+included.  Without a C compiler both sides run the Python bodies and
+the properties hold trivially.
 """
 
 import math
@@ -27,8 +35,10 @@ from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network import cprobe
 from repro.network.e2e import mmoo_ebb_pair
+from repro.network.optimization import _EPS
 from repro.network.vectorized import (
     _additive_probe,
+    _e2e_probe,
     batched_solve_exact,
     optimize_gamma_additive,
 )
@@ -103,14 +113,38 @@ def _numpy_path():
     return mock.patch.object(cprobe.KERNEL, "load", lambda: None)
 
 
+def _kept(r_svc, r_cross, delta, sigma):
+    """Lanes the saturation mask keeps: no saturated hop (``R <= r``
+    outside ``Delta = -inf``, or ``R <= 0``), no negative cross rate and
+    a finite ``sigma >= 0``."""
+    r_svc, r_cross, delta = np.broadcast_arrays(
+        np.asarray(r_svc, dtype=float), r_cross, delta
+    )
+    saturated = ((r_svc <= r_cross + _EPS) & ~np.isneginf(delta)) | (
+        r_svc <= 0.0
+    ) | (r_cross < 0.0)
+    sigma = np.broadcast_to(np.asarray(sigma, dtype=float), r_svc.shape[:-1])
+    return ~saturated.any(axis=-1) & np.isfinite(sigma) & (sigma >= 0.0)
+
+
+def _assert_solves_match(args, case):
+    """C lanes against the numpy body: delay bytes on every lane, ``x``
+    and thetas on the kept ones."""
+    got = batched_solve_exact(*args, case=case)
+    with _numpy_path():
+        want = batched_solve_exact(*args, case=case)
+    assert [np.shape(p) for p in got] == [np.shape(p) for p in want]
+    assert got[0].tobytes() == want[0].tobytes()
+    kept = _kept(*args)
+    assert got[1][kept].tobytes() == want[1][kept].tobytes()
+    assert got[2][kept].tobytes() == want[2][kept].tobytes()
+    return got
+
+
 @given(solve_inputs())
 def test_solve_exact_bytes_match_numpy(inputs):
     r_svc, r_cross, delta, sigma, case = inputs
-    got = batched_solve_exact(r_svc, r_cross, delta, sigma, case=case)
-    with _numpy_path():
-        want = batched_solve_exact(r_svc, r_cross, delta, sigma, case=case)
-    assert _bytes(got) == _bytes(want)
-    assert [np.shape(p) for p in got] == [np.shape(p) for p in want]
+    _assert_solves_match((r_svc, r_cross, delta, sigma), case)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -129,12 +163,9 @@ def test_solve_exact_every_case_and_zero_delta(case, hops):
     for delta in deltas:
         rows = np.broadcast_to(np.full((5, 1), delta), r_svc.shape)
         for args in ((delta, None), (rows, case)):
-            got = batched_solve_exact(r_svc, r_cross, args[0], sigma,
-                                      case=args[1])
-            with _numpy_path():
-                want = batched_solve_exact(r_svc, r_cross, args[0], sigma,
-                                           case=args[1])
-            assert _bytes(got) == _bytes(want)
+            got = _assert_solves_match(
+                (r_svc, r_cross, args[0], sigma), args[1]
+            )
             assert math.isinf(got[0][-1])
 
 
@@ -149,6 +180,14 @@ def test_solve_exact_above_max_hops_takes_numpy_path():
     with _numpy_path():
         want = batched_solve_exact(*args)
     assert _bytes(got) == _bytes(want)
+
+
+def test_solve_exact_empty_hop_axis_raises():
+    """No hop: the scalar solver's error, before any kernel is asked."""
+    with obs.scoped() as registry:
+        with pytest.raises(ValueError, match="need at least one hop"):
+            batched_solve_exact(np.ones((3, 0)), 1.0, -1.0, np.ones(3))
+    assert registry.counter("cprobe.fallbacks") == 0
 
 
 def test_solve_exact_rejects_mismatched_arrays():
@@ -179,6 +218,39 @@ def test_solve_exact_fallbacks_counted():
     if cprobe.available():
         assert compiled.counter("cprobe.fallbacks") == 0
         assert inferred.counter("cprobe.fallbacks") == 0
+
+
+@st.composite
+def probe_inputs(draw):
+    """A probe context and a few γ, some beyond the Eq. (32) headroom."""
+    through, cross = mmoo_ebb_pair(
+        MMOOParameters.paper_defaults(),
+        draw(st.integers(min_value=1, max_value=200)),
+        draw(st.integers(min_value=0, max_value=200)),
+        draw(st.floats(min_value=1e-4, max_value=0.5)),
+    )
+    hops = draw(st.integers(min_value=1, max_value=64))
+    delta = draw(st.one_of(
+        st.sampled_from([-math.inf, -0.0, 0.0, math.inf]),
+        st.floats(min_value=-200.0, max_value=200.0),
+    ))
+    epsilon = draw(st.sampled_from([1e-3, 1e-9, 1e-12]))
+    gamma_max = max(100.0 - cross.rate - through.rate, 1e-3) / (hops + 1)
+    gammas = draw(st.lists(
+        st.floats(min_value=1e-7, max_value=1.2), min_size=1, max_size=4,
+    ))
+    context = (through, cross, hops, 100.0, delta, epsilon)
+    return context, [f * gamma_max for f in gammas]
+
+
+@given(probe_inputs())
+def test_probe_matches_python(inputs):
+    context, gammas = inputs
+    table = cprobe.ProbeTable()
+    index = table.add(*context)
+    got = cprobe.probe_values(table, [index] * len(gammas), gammas)
+    want = np.array([_e2e_probe(*context, g) for g in gammas])
+    assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------- #

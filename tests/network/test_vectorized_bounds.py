@@ -35,8 +35,8 @@ from repro.network.pernode import (
 )
 from repro.network.vectorized import (
     _delta_case,
+    _e2e_probe,
     _sigma_raw,
-    _sweep_solve,
     _theta_case_kernel,
     batched_solve_exact,
     e2e_delay_grid,
@@ -125,6 +125,18 @@ class TestBatchedSolveExact:
                 [1.0, 1.0],
             )
 
+    def test_negative_cross_rate_lane_is_inf(self):
+        # HopParameters rejects a negative cross rate; on both paths the
+        # lane is masked (slopes of 1e17 would swamp the sweep's window)
+        args = (
+            np.array([[3.0e-16, 6.5e-16, 2.6e-16, 10.96]]),
+            np.array([[-22.4]]), 2.0, [62.3],
+        )
+        delay, _, _ = batched_solve_exact(*args)
+        assert math.isinf(float(delay[0]))
+        with pytest.raises(ValueError):
+            HopParameters(service_rate=10.0, cross_rate=-1.0, delta=2.0)
+
     def test_negative_sigma_lane_is_inf(self):
         delay, _, _ = batched_solve_exact(
             np.array([[10.0]]), np.array([[2.0]]), 0.0, [-1.0]
@@ -132,31 +144,73 @@ class TestBatchedSolveExact:
         assert math.isinf(float(delay[0]))
 
 
-class TestSolveExactFast:
-    """The O(H log H) slope sweep of the probe against the scalar solver."""
+def _lane(rng: random.Random, hops: int) -> list[HopParameters]:
+    """One Eq. (38) input of a drawn shape: per-hop rates with one Delta,
+    the homogeneous triples of the probe, per-hop Delta of mixed cases
+    (a heterogeneous route), or hops within 1e-3 of saturation."""
+    delta = rng.choice(DELTA_CASES)
+    shape = rng.choice(["rates", "homogeneous", "mixed", "near-saturated"])
+    if shape == "rates":
+        return random_hops(rng, hops, delta)
+    if shape == "homogeneous":
+        # the probe's triples (C - k gamma, rho + gamma, Delta)
+        capacity = rng.uniform(10.0, 100.0)
+        rho = rng.uniform(0.0, capacity / 2)
+        gamma = rng.uniform(1e-6, 1.0) * (capacity - rho) / (hops + 1)
+        return homogeneous_hops(hops, capacity, gamma, rho, delta)
+    lane = []
+    for hop in random_hops(rng, hops, delta):
+        r_svc = hop.service_rate
+        if shape == "near-saturated":
+            slack = rng.choice([1e-9, 1e-6, 1e-3])
+            r_svc = hop.cross_rate * (1.0 + slack) + 1e-11
+        else:
+            delta = rng.choice(DELTA_CASES + (-0.0, -40.0, 1e-3, 55.0))
+        lane.append(HopParameters(r_svc, hop.cross_rate, delta))
+    return lane
 
-    def test_bitwise_equal_to_solve_exact(self):
+
+def _solution_bytes(solution) -> bytes:
+    return np.array([solution.delay, solution.x, *solution.thetas]).tobytes()
+
+
+class TestSolveExactFast:
+    """The O(H log H) slope sweep of ``solve_exact`` against the
+    breakpoint enumeration it replaced, bitwise in delay, x and thetas."""
+
+    SIGMAS = (0.0, 1e-8, 1e8)
+
+    def _check(self, lane, sigma):
+        got = solve_exact(lane, sigma)
+        want = reference_search.solve_exact_enumerated(lane, sigma)
+        assert _solution_bytes(got) == _solution_bytes(want), (lane, sigma)
+
+    def test_bitwise_equal_to_enumeration(self):
         rng = random.Random(7)
-        for _ in range(300):
-            delta = rng.choice(DELTA_CASES)
-            sigma = rng.choice([0.0, rng.uniform(0.01, 60.0)])
-            hops = rng.randint(1, 32)
-            if rng.random() < 0.5:
-                lane = random_hops(rng, hops, delta)
-            else:
-                # the probe's homogeneous triples (C - k gamma, rho + gamma)
-                capacity = rng.uniform(10.0, 100.0)
-                rho = rng.uniform(0.0, capacity / 2)
-                gamma = rng.uniform(1e-6, 1.0) * (capacity - rho) / (hops + 1)
-                lane = homogeneous_hops(hops, capacity, gamma, rho, delta)
-            triples = [(h.service_rate, h.cross_rate, h.delta) for h in lane]
-            delay, x = _sweep_solve(triples, sigma)
-            exact = solve_exact(lane, sigma)
-            assert delay == exact.delay
-            assert x == exact.x
-            assert tuple(
-                theta_for_x(hop, sigma, x) for hop in lane
-            ) == exact.thetas
+        for _ in range(600):
+            lane = _lane(rng, rng.randint(1, 64))
+            sigma = rng.choice(
+                self.SIGMAS
+                + (rng.uniform(0.01, 60.0), 10.0 ** rng.uniform(-8.0, 8.0))
+            )
+            self._check(lane, sigma)
+
+    def test_long_paths(self):
+        rng = random.Random(8)
+        for _ in range(6):
+            lane = _lane(rng, rng.randint(100, 256))
+            self._check(lane, rng.choice(self.SIGMAS[1:]))
+
+    def test_probe_takes_the_same_sweep(self):
+        """``_e2e_probe`` returns the scalar solve's delay at its sigma."""
+        through, cross = EBB(3.0, 2.0, 1.1), EBB(4.0, 5.0, 0.9)
+        for delta in (-math.inf, -2.5, 0.7):
+            for gamma in (1e-3, 0.1, 0.5):
+                sigma = max(0.0, _sigma_raw(through, cross, 6, gamma, 1e-9))
+                lane = homogeneous_hops(6, 40.0, gamma, cross.rate, delta)
+                assert _e2e_probe(
+                    through, cross, 6, 40.0, delta, 1e-9, gamma
+                ) == solve_exact(lane, sigma).delay
 
 
 class TestBatchedSigma:

@@ -11,7 +11,6 @@ from repro.utils.numeric import (
     golden_section_min,
     grid_then_golden,
     logspace,
-    minimize_piecewise_linear,
     refine_grid_minimum,
     weighted_union_bound_constant,
 )
@@ -119,26 +118,6 @@ class TestRefineGridMinimum:
             refine_grid_minimum(_golden(lambda x: x), [1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
             refine_grid_minimum(_golden(lambda x: x), [], [])
-
-
-class TestMinimizePiecewiseLinear:
-    def test_v_shape(self):
-        f = lambda x: abs(x - 3.0)
-        x, fx = minimize_piecewise_linear(f, [1.0, 3.0, 7.0])
-        assert x == 3.0
-        assert fx == 0.0
-
-    def test_lower_boundary(self):
-        f = lambda x: x
-        x, fx = minimize_piecewise_linear(f, [2.0, 5.0], lower=1.0)
-        assert x == 1.0
-
-    def test_ignores_out_of_range_and_nonfinite(self):
-        f = lambda x: (x - 2.0) ** 2  # not PWL but fine for the clip test
-        x, _ = minimize_piecewise_linear(
-            f, [-5.0, 2.0, math.inf, math.nan, 100.0], lower=0.0, upper=10.0
-        )
-        assert x == 2.0
 
 
 class TestUnionBoundConstant:
