@@ -25,6 +25,12 @@ grid-row rung beside it times
 figure-shaped FIFO batch — the 12 ``s`` lanes of a Fig. 2 ``H = 10``
 cell, 12 γ points each — on the compiled kernel and on its Python
 fallback, in rows (lanes) per second.
+
+Above them, L1 times ``cprobe.probe_values`` at 1 request per call (the
+wrapper's per-call cost) and at 10k (the kernel's throughput), L2 one
+``lanes.gamma_search`` and L3 one cold service query's one-lane solve
+at the service's FIFO and EDF H = 1 shapes, each over enough rounds for
+a median and quartiles, with rates.
 """
 
 import math
@@ -243,3 +249,78 @@ def test_grid_rows(benchmark, monkeypatch, path):
     )
     assert np.isfinite(delays).all()
     record_rates(benchmark, "rows", GRID_LANES)
+
+
+def _probe_requests(n):
+    """``n`` probe requests over one Fig. 2 EDF context (H = 10,
+    Δ = -70: the Eq. (38) path), γ spread over its feasible range."""
+    through, cross = mmoo_ebb_pair(
+        MMOOParameters.paper_defaults(), 100, 233, 0.02
+    )
+    table = cprobe.ProbeTable()
+    index = table.add(through, cross, SOLVE_HOPS, 100.0, -70.0, 1e-9)
+    top = (100.0 - cross.rate - through.rate) / (SOLVE_HOPS + 1)
+    gammas = np.linspace(top * 1e-3, top * 0.999, n).tolist()
+    return table, [index] * n, gammas
+
+
+@pytest.mark.parametrize("requests", [1, 10_000])
+def test_probe_values(benchmark, requests):
+    """L1: ``cprobe.probe_values`` per call — at 1 request the per-call
+    cost of the wrapper, at 10k the kernel's throughput — in requests
+    per second."""
+    args = _probe_requests(requests)
+    out = benchmark.pedantic(
+        cprobe.probe_values, args=args,
+        rounds=5000 if requests == 1 else 100, iterations=1,
+        warmup_rounds=1,
+    )
+    assert np.isfinite(out).all()
+    record_rates(benchmark, "requests", requests)
+
+
+def test_gamma_search(benchmark):
+    """L2: one ``lanes.gamma_search`` — grid row, argmin, golden
+    refinement, probe — on a Fig. 2 EDF context (H = 10), in searches
+    per second."""
+    from repro.network.lanes import gamma_search
+
+    through, cross = mmoo_ebb_pair(
+        MMOOParameters.paper_defaults(), 100, 233, 0.02
+    )
+    gamma, delay = benchmark.pedantic(
+        gamma_search,
+        args=(through, cross, SOLVE_HOPS, 100.0, -70.0, 1e-9, 12),
+        rounds=1000, iterations=1, warmup_rounds=1,
+    )
+    assert gamma > 0.0 and math.isfinite(delay)
+    record_rates(benchmark, "searches", 1)
+
+
+#: Cold service query shapes: a FIFO H = 1 query and one of the EDF H = 1
+#: queries of the benchmark's cold stream, on the service defaults.
+SERVICE_QUERIES = {
+    "fifo": {"scheduler": "FIFO", "hops": 1, "n_through": 180,
+             "n_cross": 150},
+    "edf": {"scheduler": "EDF", "hops": 1, "n_through": 130,
+            "n_cross": 120},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SERVICE_QUERIES))
+def test_one_lane_solve(benchmark, shape):
+    """L3: one cold service query's lane solve — ``mmoo_bound_lanes``
+    (FIFO) or ``edf_bound_lanes`` (EDF) on one lane — in solves per
+    second."""
+    from repro.experiments.batch import plan_cell
+    from repro.network.lanes import edf_bound_lanes, mmoo_bound_lanes
+    from repro.service.api.model import BoundQuery
+
+    plan = plan_cell(BoundQuery.from_json(SERVICE_QUERIES[shape]).cell())
+    solve = edf_bound_lanes if plan.kind == "edf" else mmoo_bound_lanes
+    (result,) = benchmark.pedantic(
+        solve, args=([plan.spec],), rounds=60, iterations=1,
+        warmup_rounds=1,
+    )
+    assert plan.build(result)["rows"][0]["feasible"]
+    record_rates(benchmark, "solves", 1)

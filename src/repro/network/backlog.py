@@ -17,6 +17,7 @@ numerically for the backlog objective.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from repro.arrivals.ebb import EBB
@@ -58,6 +59,12 @@ def e2e_backlog_bound_at_gamma(
     gamma: float,
 ) -> BacklogResult:
     """End-to-end backlog bound for a fixed rate degradation ``gamma``."""
+    # one evaluation is ~0.2 ms of Python min-plus algebra and a backlog
+    # search makes thousands: yield the CPU before each, so that a thread
+    # waiting on the interpreter lock (the bound service's event loop,
+    # answering cache hits beside its solver thread) runs within one
+    # evaluation rather than after a whole switch interval
+    os.sched_yield()
     hops = check_int(hops, "hops", minimum=1)
     check_positive(capacity, "capacity")
     check_probability(epsilon, "epsilon")

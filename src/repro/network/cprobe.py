@@ -61,6 +61,18 @@ identical results, just slower.  So do paths longer than
 :data:`MAX_HOPS`.  While :mod:`repro.obs` is enabled, every request
 served that way adds one to the ``cprobe.fallbacks`` counter (a probe,
 a refinement, a γ grid row, or a lane of the exact solve).
+
+Call cost
+---------
+The lane engine makes a few of these calls per round, most of them
+small, so a call should cost what its C work costs.  A
+:class:`ProbeTable` owns the request and result buffers of
+:func:`probe_values` and :func:`golden_values`, with their addresses
+cached, and both C functions return how many requests they could not
+serve, so their wrappers scan for NaN only when there are some;
+:func:`grid_rows` keeps its inputs and outputs in one block, converted
+to a pointer once; :func:`solve_exact` reads a per-lane value as a
+``(lanes, 1)`` column through a zero hop stride, never widened.
 """
 
 from __future__ import annotations
@@ -449,11 +461,17 @@ static double probe_one(const double *c, double gamma)
                        sigma, &x);
 }
 
-void probe_values(long n, const double *ctx, const long *idx,
+/* returns how many requests came out NaN (paths beyond MAX_HOPS), so
+ * the wrapper scans for them only when there are some */
+long probe_values(long n, const double *ctx, const long *idx,
                   const double *gammas, double *out)
 {
-    for (long i = 0; i < n; i++)
+    long n_nan = 0;
+    for (long i = 0; i < n; i++) {
         out[i] = probe_one(ctx + NF * idx[i], gammas[i]);
+        n_nan += isnan(out[i]) != 0;
+    }
+    return n_nan;
 }
 
 /* the grid forms of vectorized.e2e_delay_grid_rows */
@@ -568,11 +586,13 @@ static double e2e_objective(const void *arg, double gamma, int *err)
     return v;
 }
 
-void golden_values(long n, const double *ctx, const long *idx,
+/* returns how many requests were handed back to Python (NaN pairs) */
+long golden_values(long n, const double *ctx, const long *idx,
                    const double *los, const double *his,
                    double tol, long max_iter,
                    double *out_x, double *out_f)
 {
+    long n_back = 0;
     for (long i = 0; i < n; i++) {
         double pair[2];
         long iterations;
@@ -580,10 +600,12 @@ void golden_values(long n, const double *ctx, const long *idx,
                        tol, max_iter, pair, &iterations)) {
             pair[0] = NAN;
             pair[1] = NAN;
+            n_back++;
         }
         out_x[i] = pair[0];
         out_f[i] = pair[1];
     }
+    return n_back;
 }
 
 /* CPython's float division, math.log, math.expm1 and numeric.safe_exp:
@@ -702,9 +724,10 @@ long additive_golden(const double *ctx, double lo, double hi, double tol,
 /* the lanes of vectorized.batched_solve_exact for one known case: the
  * sweep of optimization.solve_exact per lane, the thetas at its x, and
  * the numpy body's mask (a saturated hop, a negative or NaN cross rate,
- * a negative or non-finite sigma: delay inf).  Inputs are (lanes, hops) arrays (sigma: lanes)
- * read through strides in doubles, 0 on a broadcast axis: r_svc,
- * r_cross, delta (lane, hop) and sigma (lane).  out is (lanes, hops +
+ * a negative or non-finite sigma: delay inf).  Inputs are read
+ * through strides in doubles, 0 on a broadcast axis (a (lanes, 1)
+ * column has hop stride 0): r_svc, r_cross, delta (lane, hop) and
+ * sigma (lane).  out is (lanes, hops +
  * 2): delay, x, then the thetas.  Returns the number of masked lanes, or
  * -1 for a hop count the stack buffers cannot hold. */
 long solve_exact(long lanes, long hops, long kind, double eps,
@@ -759,13 +782,15 @@ KERNEL = CKernel(
     "cprobe",
     _C_SOURCE,
     {
-        "probe_values": ([ctypes.c_long, _ptr, _ptr, _ptr, _ptr], None),
+        "probe_values": (
+            [ctypes.c_long, _ptr, _ptr, _ptr, _ptr], ctypes.c_long
+        ),
         "golden_values": (
             [
                 ctypes.c_long, _ptr, _ptr, _ptr, _ptr, ctypes.c_double,
                 ctypes.c_long, _ptr, _ptr,
             ],
-            None,
+            ctypes.c_long,
         ),
         "additive_golden": (
             [
@@ -823,12 +848,23 @@ class ProbeTable:
     never trigger a full repack) and the original
     :class:`~repro.arrivals.ebb.EBB` pair (for the Python fallback), so
     either execution path serves the same requests.
+
+    The table also owns the request and result buffers of
+    :func:`probe_values` and :func:`golden_values`, grown the same way,
+    with the addresses of all its buffers cached: a kernel call converts
+    no array to a pointer.  The buffers make a table single-threaded —
+    one solve at a time — and the two functions return copies, never
+    views of them.
     """
 
     def __init__(self) -> None:
         self._buf = np.empty((256, _NFIELDS), dtype=np.float64)
+        self._buf_addr = self._buf.ctypes.data
         self._n = 0
         self._objs: list[tuple[EBB, EBB, int, float, float, float]] = []
+        self._io: list[np.ndarray] = []
+        self._io_addr: list[int] = []
+        self._io_size = 0
 
     def __len__(self) -> int:
         return self._n
@@ -847,6 +883,7 @@ class ProbeTable:
             grown = np.empty((2 * len(self._buf), _NFIELDS), dtype=np.float64)
             grown[: self._n] = self._buf
             self._buf = grown
+            self._buf_addr = grown.ctypes.data
         self._buf[self._n] = (
             through.prefactor,
             through.decay,
@@ -868,8 +905,17 @@ class ProbeTable:
     def context(self, index: int) -> tuple[EBB, EBB, int, float, float, float]:
         return self._objs[index]
 
-    def packed(self) -> np.ndarray:
-        return self._buf
+    def _requests(self, n: int) -> tuple[list[np.ndarray], list[int]]:
+        """The kernel I/O buffers — request indices (int64), two inputs
+        and two outputs (float64) — holding at least ``n`` entries each,
+        and their addresses."""
+        if n > self._io_size or not self._io:
+            self._io_size = max(n, 2 * self._io_size, 64)
+            self._io = [np.empty(self._io_size, dtype=np.int64)] + [
+                np.empty(self._io_size, dtype=np.float64) for _ in range(4)
+            ]
+            self._io_addr = [a.ctypes.data for a in self._io]
+        return self._io, self._io_addr
 
 
 def _probe_python(
@@ -929,7 +975,10 @@ def golden_values(
     objective inside the C kernel — one C call for the whole batch
     instead of ~45 sequential probe rounds per search.  Returns
     ``(xs, fs)`` arrays, bitwise-identical to driving the Python golden
-    section with scalar probes.
+    section with scalar probes; each ``f`` is the probe at its ``x``.
+    The kernel reads and writes the table's own buffers and reports how
+    many requests it handed back (paths beyond :data:`MAX_HOPS`), which
+    the Python loop then serves.
     """
     lib = KERNEL.load()
     if lib is None:
@@ -938,29 +987,21 @@ def golden_values(
             table, indices, los, his, tol=tol, max_iter=max_iter
         )
     n = len(indices)
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    lo = np.ascontiguousarray(los, dtype=np.float64)
-    hi = np.ascontiguousarray(his, dtype=np.float64)
-    ctx = table.packed()
-    out_x = np.empty(n, dtype=np.float64)
-    out_f = np.empty(n, dtype=np.float64)
-    lib.golden_values(
-        n,
-        ctx.ctypes.data,
-        idx.ctypes.data,
-        lo.ctypes.data,
-        hi.ctypes.data,
-        tol,
-        max_iter,
-        out_x.ctypes.data,
-        out_f.ctypes.data,
+    (idx, lo, hi, out_x, out_f), addr = table._requests(n)
+    idx[:n] = indices
+    lo[:n] = los
+    hi[:n] = his
+    n_back = lib.golden_values(
+        n, table._buf_addr, addr[0], addr[1], addr[2], tol, max_iter,
+        addr[3], addr[4],
     )
-    bad = np.isnan(out_x)
-    if bad.any():
+    xs = out_x[:n].copy()
+    fs = out_f[:n].copy()
+    if n_back:
         # paths beyond the C kernel's stack bound: Python fallback
-        fix = [int(i) for i in np.nonzero(bad)[0]]
+        fix = [int(i) for i in np.nonzero(np.isnan(xs))[0]]
         _count_fallbacks(len(fix))
-        out_x[bad], out_f[bad] = _golden_python(
+        xs[fix], fs[fix] = _golden_python(
             table,
             [indices[i] for i in fix],
             [los[i] for i in fix],
@@ -968,7 +1009,7 @@ def golden_values(
             tol=tol,
             max_iter=max_iter,
         )
-    return out_x, out_f
+    return xs, fs
 
 
 def probe_values(
@@ -978,33 +1019,28 @@ def probe_values(
 
     One C call for the whole batch when the compiled kernel is
     available; a Python ``_e2e_probe`` loop otherwise.  Values are
-    bitwise-identical either way.
+    bitwise-identical either way.  The kernel reads and writes the
+    table's own buffers and reports how many values came out NaN (paths
+    beyond :data:`MAX_HOPS`), which the Python loop then recomputes.
     """
     lib = KERNEL.load()
     if lib is None:
         _count_fallbacks(len(indices))
         return _probe_python(table, indices, gammas)
     n = len(indices)
-    idx = np.ascontiguousarray(indices, dtype=np.int64)
-    g = np.ascontiguousarray(gammas, dtype=np.float64)
-    ctx = table.packed()
-    out = np.empty(n, dtype=np.float64)
-    lib.probe_values(
-        n,
-        ctx.ctypes.data,
-        idx.ctypes.data,
-        g.ctypes.data,
-        out.ctypes.data,
-    )
-    bad = np.isnan(out)
-    if bad.any():
+    (idx, g, _, out, _), addr = table._requests(n)
+    idx[:n] = indices
+    g[:n] = gammas
+    n_nan = lib.probe_values(n, table._buf_addr, addr[0], addr[1], addr[3])
+    values = out[:n].copy()
+    if n_nan:
         # paths beyond the C kernel's stack bound: Python fallback
-        fix = [int(i) for i in np.nonzero(bad)[0]]
+        fix = [int(i) for i in np.nonzero(np.isnan(values))[0]]
         _count_fallbacks(len(fix))
-        out[bad] = _probe_python(
+        values[fix] = _probe_python(
             table, [indices[i] for i in fix], [gammas[i] for i in fix]
         )
-    return out
+    return values
 
 
 def additive_golden(
@@ -1077,23 +1113,26 @@ def solve_exact(
     the slope sweep of :func:`repro.network.optimization.solve_exact`,
     once per lane.
 
-    ``r_svc``, ``r_cross`` and ``delta`` are ``(lanes, hops)`` float64
-    arrays (broadcast views are read in place, through their strides),
-    ``sigma`` is ``(lanes,)`` and ``case`` the lanes' shared Eq. (38)
-    case.  Returns ``(delay, x, thetas, saturated lanes)``: the numpy
-    body's delay bytes on every lane, and its ``x`` and thetas on every
-    lane not masked to ``inf``.  Returns ``None`` — counted in
-    ``cprobe.fallbacks`` — when the numpy body must run: no kernel, or
-    a path beyond :data:`MAX_HOPS`.
+    ``r_svc`` is a ``(lanes, hops)`` float64 array; ``r_cross`` and
+    ``delta`` are ``(lanes, hops)`` too, or ``(lanes, 1)`` columns, read
+    through a zero hop stride (broadcast views are read in place,
+    through their strides); ``sigma`` is ``(lanes,)`` and ``case`` the
+    lanes' shared Eq. (38) case.  Returns ``(delay, x, thetas, saturated
+    lanes)``: the numpy body's delay bytes on every lane, and its ``x``
+    and thetas on every lane not masked to ``inf``.  Returns ``None`` —
+    counted in ``cprobe.fallbacks`` — when the numpy body must run: no
+    kernel, or a path beyond :data:`MAX_HOPS`.
     """
     lanes, hops = r_svc.shape
     if (
-        r_cross.shape != (lanes, hops)
-        or delta.shape != (lanes, hops)
+        r_cross.shape not in ((lanes, hops), (lanes, 1))
+        or delta.shape not in ((lanes, hops), (lanes, 1))
         or sigma.shape != (lanes,)
         or any(a.dtype != np.float64 for a in (r_svc, r_cross, delta, sigma))
     ):
-        raise ValueError("solve_exact needs float64 (lanes, hops) arrays")
+        raise ValueError(
+            "solve_exact needs float64 (lanes, hops) or (lanes, 1) arrays"
+        )
     lib = KERNEL.load() if 1 <= hops <= MAX_HOPS else None
     if lib is None:
         _count_fallbacks(lanes)
@@ -1104,7 +1143,12 @@ def solve_exact(
         for a in (r_svc, r_cross, delta, sigma)
     )
     strides = (ctypes.c_long * 7)(
-        *[st // 8 for a in (r_svc, r_cross, delta, sigma) for st in a.strides]
+        r_svc.strides[0] // 8, r_svc.strides[1] // 8,
+        r_cross.strides[0] // 8,
+        r_cross.strides[1] // 8 if r_cross.shape[1] > 1 else 0,
+        delta.strides[0] // 8,
+        delta.strides[1] // 8 if delta.shape[1] > 1 else 0,
+        sigma.strides[0] // 8,
     )
     out = np.empty((lanes, hops + 2), dtype=np.float64)
     n_bad = lib.solve_exact(
@@ -1149,31 +1193,39 @@ def grid_rows(
     if lib is None:
         _count_fallbacks(lanes)
         return None
-    # context rows as in ProbeTable; the grid reads no delta
-    ctx = np.array(
-        [
-            (
-                t.prefactor, t.decay, t.rate, c.prefactor, c.decay, c.rate,
-                hops, capacity, 0.0, epsilon,
-            )
-            for t, c in zip(throughs, crosses)
-        ],
-        dtype=np.float64,
-    )
-    g = np.ascontiguousarray(gammas, dtype=np.float64)
-    out = np.empty((lanes, grid), dtype=np.float64)
+    # one block holds the kernel's inputs and outputs, so one pointer
+    # conversion serves them all: the context rows (as in ProbeTable;
+    # the grid reads no delta), the gammas, out, and for "exact" the
+    # rates r_svc and r_cross
+    points = lanes * grid
+    rates = points * (hops + 1) if form == "exact" else 0
+    block = np.empty(lanes * _NFIELDS + 2 * points + rates, dtype=np.float64)
+    base = block.ctypes.data
+    block[: lanes * _NFIELDS].reshape(lanes, _NFIELDS)[:] = [
+        (
+            t.prefactor, t.decay, t.rate, c.prefactor, c.decay, c.rate,
+            hops, capacity, 0.0, epsilon,
+        )
+        for t, c in zip(throughs, crosses)
+    ]
+    g_at = lanes * _NFIELDS
+    out_at = g_at + points
+    block[g_at:out_at] = gammas.reshape(points)
+    out = block[out_at : out_at + points].reshape(lanes, grid)
     r_svc = r_cross = None
     if form == "exact":
-        r_svc = np.empty((lanes * grid, hops), dtype=np.float64)
-        r_cross = np.empty(lanes * grid, dtype=np.float64)
+        svc_at = out_at + points
+        cross_at = svc_at + points * hops
+        r_svc = block[svc_at:cross_at].reshape(points, hops)
+        r_cross = block[cross_at:]
     lib.grid_rows(
         lanes,
         grid,
         _FORMS[form],
-        ctx.ctypes.data,
-        g.ctypes.data,
-        out.ctypes.data,
-        None if r_svc is None else r_svc.ctypes.data,
-        None if r_cross is None else r_cross.ctypes.data,
+        base,
+        base + 8 * g_at,
+        base + 8 * out_at,
+        None if r_svc is None else base + 8 * svc_at,
+        None if r_cross is None else base + 8 * cross_at,
     )
     return out, r_svc, r_cross

@@ -259,9 +259,9 @@ def e2e_delay_bound(
         numerically over ``(0, (C - rho_c - rho)/(H+1))`` (Eq. (32)).
     method:
         ``"exact"`` (the exact Eq. (38) solve) or ``"paper"`` (Eqs. 40-42).
-        The exact ``gamma`` search is one ``gamma`` chain of the lane
-        engine (:func:`repro.network.lanes.gamma_search`: a grid row,
-        then golden-section refinement over the probe); the paper's
+        The exact ``gamma`` search is one ``gamma`` search stage of the
+        lane engine (:func:`repro.network.lanes.gamma_search`: a grid
+        row, then golden-section refinement over the probe); the paper's
         procedure probes :func:`e2e_delay_bound_at_gamma` point by
         point.  Either way the optimum is re-evaluated through
         :func:`e2e_delay_bound_at_gamma`.

@@ -9,23 +9,29 @@ solves the Eq. (38) theta optimization.  The per-cell entry points
 :func:`repro.network.e2e.e2e_delay_bound_edf` are one-lane calls into
 :func:`mmoo_bound_lanes` and :func:`edf_bound_lanes`, and the exact
 ``gamma`` search of :func:`repro.network.e2e.e2e_delay_bound` is one
-``gamma`` chain (:func:`gamma_search`).  Across a sweep grid the cells
-are independent, so the searches of many cells advance in lockstep,
-pooling every pending probe of every cell into one batched kernel call
-per engine round.
+``gamma`` search stage (:func:`gamma_search`).  Across a sweep grid the
+cells are independent, so the searches of many cells advance in
+lockstep, pooling the pending ``gamma`` searches of every cell into a
+few batched kernel calls per engine round.
 
 The engine is a tiny cooperative scheduler over *search chains*:
 
-* a chain is a Python generator that runs one search
-  (``golden_section_min``, ``refine_grid_minimum``,
-  ``grid_then_golden``, the ``s``-objective, the mmoo bound) with the
-  same brackets and comparisons as :mod:`repro.utils.numeric`, but
-  *yields* its probe requests instead of evaluating them;
-* the engine gathers the pending requests of all live chains each
-  round and executes them together: scalar objective probes go through
-  the generated-C kernel of :mod:`repro.network.cprobe` (one C call for
-  the whole round), gamma-grid evaluations go through the row-stacked
-  :func:`repro.network.vectorized.e2e_delay_grid_rows`;
+* a chain is a Python generator that runs one search (the
+  ``golden_section_min`` and ``refine_grid_minimum`` of the ``s``
+  search, the ``s``-objective, the mmoo bound) with the same brackets
+  and comparisons as :mod:`repro.utils.numeric`, but *yields* its
+  requests instead of evaluating them: sub-chains, and from each
+  ``s``-objective one ``gamma`` search;
+* one engine round runs every pending ``gamma`` search as one stage
+  (:func:`_gamma_searches`): the grids of all contexts, row-stacked
+  :func:`repro.network.vectorized.e2e_delay_grid_rows` calls (or C
+  probes per point on the scalar backend), each row's argmin and
+  bracket, one golden-section refinement call and one probe call into
+  the generated-C kernel of :mod:`repro.network.cprobe`.  A round is
+  thus one step of every live ``s`` search, and a solve takes as many
+  rounds as its ``s`` search has levels.  Between rounds the engine
+  yields the CPU, so a thread waiting on the interpreter lock (the bound
+  service's event loop) runs within a round;
 * the ``s``-objective chain records the ``gamma`` it found at each
   ``s``; the optimum is materialized by one
   :func:`repro.network.e2e.e2e_delay_bound_at_gamma` call at the best
@@ -42,16 +48,20 @@ Every kernel the engine calls is elementwise per request, so a lane's
 results — bounds, gammas, iteration counts, residuals, convergence
 flags — do not depend on which other lanes share its batch: a cell
 computes the same doubles alone (the per-cell entry points) as inside a
-64-lane group.  A reference implementation of the plain nested search
-lives in ``tests/network/reference_search.py``; the equivalence suite
-pins the engine to it bitwise on the numpy backend and to 1e-9 relative
-on the scalar one, whose C probes differ from the exact scalar
-objective in the last bits.
+64-lane group.  A grid-row call shares hops, capacity and epsilon
+across its rows, so the stage groups contexts by all three (plus grid
+length and Eq. (38) case): lanes differing only in capacity or epsilon
+get separate calls, each with its own grid.  A reference implementation
+of the plain nested search lives in ``tests/network/reference_search.py``;
+the equivalence suite pins the engine to it bitwise on the numpy backend
+and to 1e-9 relative on the scalar one, whose C probes differ from the
+exact scalar objective in the last bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from collections import deque
@@ -236,40 +246,115 @@ def _refine_chain(req, xs, fs, *, tol=1e-9):
     return xs[best], fs[best]
 
 
-def _gamma_chain(ctx: _Ctx):
-    """The grid-then-golden ``gamma`` search at one fixed ``s``.
+def _gamma_searches(
+    table: cprobe.ProbeTable, ctxs: list[_Ctx]
+) -> tuple[list[tuple[float, float]], int]:
+    """One engine round: the grid-then-golden ``gamma`` search at fixed
+    ``s`` of every pending context, in a few batched kernel calls.
 
-    The log-spaced grid is one row of
-    :func:`~repro.network.vectorized.e2e_delay_grid_rows` (numpy
-    backend) or one C probe per point (scalar backend); the
-    golden-section refinement of the argmin bracket runs over the probe.
-    Returns ``(gamma_best, delay_at_gamma_best)``.
+    In order: the log-spaced grid of every context; its values, as
+    row-stacked :func:`~repro.network.vectorized.e2e_delay_grid_rows`
+    calls (numpy backend; one per group of contexts sharing hops, grid
+    length, Eq. (38) case, ``Delta == 0``, capacity and epsilon) or
+    one C probe per point (scalar backend); the first argmin and its
+    bracket per row (:func:`repro.utils.numeric.refine_grid_minimum`);
+    one :func:`repro.network.cprobe.golden_values` call refining the
+    finite rows; one :func:`repro.network.cprobe.probe_values` call at
+    each numpy row's grid argmin.  The refined point wins when its
+    value is no worse than the grid minimum.
+
+    Returns ``(gamma_best, delay)`` per context, where ``delay`` is the
+    probe at ``gamma_best`` (the golden refinement's ``f`` is the probe
+    at its ``x``; a scalar row's grid values are probes), and the
+    number of probe and refinement requests made.
     """
-    headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
-    gamma_max = headroom / (ctx.hops + 1)
-    xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid)
-    if ctx.backend == "numpy":
-        (fs,) = yield [("g", ctx, xs)]
-    else:
-        fs = yield [("p", ctx.index, x) for x in xs]
-    # refine_grid_minimum, with the golden-section refinement executed
-    # as one batched in-kernel request ("go") per search
-    fs = list(fs)
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    ((x_ref, f_ref),) = yield [("go", ctx.index, lo, hi)]
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
-    return xs[best], fs[best]
+    grids = []
+    rows: list = [None] * len(ctxs)
+    groups: dict = {}
+    scalar = []
+    for i, ctx in enumerate(ctxs):
+        headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
+        gamma_max = headroom / (ctx.hops + 1)
+        grids.append(_log_grid(
+            gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid
+        ))
+        if ctx.backend == "numpy":
+            key = (
+                ctx.hops, ctx.gamma_grid, _delta_case(ctx.delta),
+                ctx.delta == 0.0, ctx.capacity, ctx.epsilon,
+            )
+            groups.setdefault(key, []).append(i)
+        else:
+            scalar.append(i)
+    for (hops, _, _, _, capacity, epsilon), members in groups.items():
+        out = e2e_delay_grid_rows(
+            [ctxs[i].through for i in members],
+            [ctxs[i].cross for i in members],
+            hops,
+            capacity,
+            [ctxs[i].delta for i in members],
+            epsilon,
+            np.array([grids[i] for i in members]),
+        )
+        for i, row in zip(members, out.tolist()):
+            rows[i] = row
+    n_requests = 0
+    if scalar:
+        indices = [ctxs[i].index for i in scalar for _ in grids[i]]
+        values = cprobe.probe_values(
+            table, indices, [x for i in scalar for x in grids[i]]
+        ).tolist()
+        n_requests += len(indices)
+        start = 0
+        for i in scalar:
+            rows[i] = values[start:start + len(grids[i])]
+            start += len(grids[i])
+
+    # refine_grid_minimum per row: the first argmin, then golden-section
+    # refinement of its bracket, which wins unless the grid minimum is
+    # lower
+    found = []
+    refine, los, his = [], [], []
+    for i, (xs, row) in enumerate(zip(grids, rows)):
+        best = row.index(min(row))
+        found.append((xs[best], row[best]))
+        if math.isfinite(row[best]):
+            refine.append(i)
+            los.append(xs[max(0, best - 1)])
+            his.append(xs[min(len(xs) - 1, best + 1)])
+    refined = []
+    if refine:
+        ref_x, ref_f = cprobe.golden_values(
+            table, [ctxs[i].index for i in refine], los, his
+        )
+        n_requests += len(refine)
+        refined = [
+            (i, (x, f))
+            for i, x, f in zip(refine, ref_x.tolist(), ref_f.tolist())
+            if f <= found[i][1]
+        ]
+    # a numpy row's value at its grid argmin is the probe's there (a
+    # scalar row's grid values are probes)
+    probe = [i for i, ctx in enumerate(ctxs) if ctx.backend == "numpy"]
+    if probe:
+        values = cprobe.probe_values(
+            table,
+            [ctxs[i].index for i in probe],
+            [found[i][0] for i in probe],
+        ).tolist()
+        n_requests += len(probe)
+        for i, value in zip(probe, values):
+            found[i] = (found[i][0], value)
+    for i, best in refined:
+        found[i] = best
+    return found, n_requests
 
 
 def _s_objective_chain(lane: _Lane, s: float):
     """The ``s``-search objective: the delay at ``s`` and its best gamma.
 
-    Records the gamma optimum in ``lane.gammas`` so the final ``s``
+    Yields its one ``gamma`` search (a :class:`_Ctx`) to the engine and
+    records the gamma optimum in ``lane.gammas`` so the final ``s``
     materializes without a second gamma search.
     """
     spec = lane.spec
@@ -278,15 +363,9 @@ def _s_objective_chain(lane: _Lane, s: float):
     )
     if spec.capacity - cross.rate - through.rate <= 0:
         return math.inf
-    ctx = lane.register(through, cross)
-    g_best, f_best = yield from _gamma_chain(ctx)
+    ((g_best, value),) = yield [lane.register(through, cross)]
     lane.gammas[s] = g_best
-    if spec.backend == "numpy":
-        # the objective is the probe at the optimum; when the grid
-        # point wins, its grid-row value can differ in the last bits
-        (value,) = yield [("p", ctx.index, g_best)]
-        return value
-    return f_best
+    return value
 
 
 def _mmoo_chain(lane: _Lane):
@@ -300,9 +379,9 @@ def _mmoo_chain(lane: _Lane):
     # grid_then_golden(objective, low, high, s_grid, log_spaced=True)
     ratio = (high / low) ** (1.0 / (spec.s_grid - 1))
     xs = [low * ratio**i for i in range(spec.s_grid)]
-    fs = yield [("c", _s_objective_chain(lane, x)) for x in xs]
+    fs = yield [_s_objective_chain(lane, x) for x in xs]
     s_best, _ = yield from _refine_chain(
-        lambda s: ("c", _s_objective_chain(lane, s)), xs, list(fs)
+        lambda s: _s_objective_chain(lane, s), xs, list(fs)
     )
     return lane.at_s(s_best)
 
@@ -326,15 +405,14 @@ class _Task:
 def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
     """Run top-level chains concurrently; returns their results in order.
 
-    Each engine round flushes every pending scalar probe as one batched
-    :func:`repro.network.cprobe.probe_values` call and every pending
-    grid request as row-stacked :func:`e2e_delay_grid_rows` calls
-    (grouped by path length and Eq. (38) case).
+    A chain yields a list of requests: sub-chains (generators), which
+    start at once, and ``gamma`` searches (:class:`_Ctx`).  Each engine
+    round runs every pending ``gamma`` search as one
+    :func:`_gamma_searches` stage, so a round is one step of every
+    live ``s`` search.
     """
     results = [None] * len(chains)
-    probe_reqs: list = []  # (task, slot, ctx_index, gamma)
-    golden_reqs: list = []  # (task, slot, ctx_index, lo, hi)
-    grid_reqs: list = []  # (task, slot, ctx, xs)
+    searches: list = []  # (task, slot, ctx)
     ready: deque = deque()
     rounds = 0
     n_probes = 0
@@ -364,17 +442,10 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
         task.values = [None] * len(requests)
         task.pending = len(requests)
         for slot, request in enumerate(requests):
-            kind = request[0]
-            if kind == "p":
-                probe_reqs.append((task, slot, request[1], request[2]))
-            elif kind == "go":
-                golden_reqs.append(
-                    (task, slot, request[1], request[2], request[3])
-                )
-            elif kind == "g":
-                grid_reqs.append((task, slot, request[1], request[2]))
-            else:  # "c": sub-chain
-                start(request[1], task, slot)
+            if isinstance(request, _Ctx):
+                searches.append((task, slot, request))
+            else:  # a sub-chain
+                start(request, task, slot)
 
     for slot, gen in enumerate(chains):
         start(gen, None, slot)
@@ -384,55 +455,20 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
             task = ready.popleft()
             values, task.values = task.values, None
             step(task, values)
-        if not probe_reqs and not golden_reqs and not grid_reqs:
+        if not searches:
             break
         rounds += 1
-        if probe_reqs:
-            batch, probe_reqs = probe_reqs, []
-            out = cprobe.probe_values(
-                table,
-                [b[2] for b in batch],
-                [b[3] for b in batch],
-            )
-            n_probes += len(batch)
-            for (task, slot, _, _), value in zip(batch, out):
-                fulfill(task, slot, float(value))
-        if golden_reqs:
-            batch, golden_reqs = golden_reqs, []
-            out_x, out_f = cprobe.golden_values(
-                table,
-                [b[2] for b in batch],
-                [b[3] for b in batch],
-                [b[4] for b in batch],
-            )
-            n_probes += len(batch)
-            for (task, slot, _, _, _), x, f in zip(batch, out_x, out_f):
-                fulfill(task, slot, (float(x), float(f)))
-        if grid_reqs:
-            batch, grid_reqs = grid_reqs, []
-            groups: dict = {}
-            for item in batch:
-                ctx = item[2]
-                key = (
-                    ctx.hops,
-                    len(item[3]),
-                    _delta_case(ctx.delta),
-                    ctx.delta == 0.0,
-                )
-                groups.setdefault(key, []).append(item)
-            for (hops, _, _, _), items in groups.items():
-                ctxs = [item[2] for item in items]
-                rows = e2e_delay_grid_rows(
-                    [c.through for c in ctxs],
-                    [c.cross for c in ctxs],
-                    hops,
-                    ctxs[0].capacity,
-                    [c.delta for c in ctxs],
-                    ctxs[0].epsilon,
-                    np.asarray([item[3] for item in items]),
-                )
-                for (task, slot, _, _), row in zip(items, rows):
-                    fulfill(task, slot, row.tolist())
+        # a round holds the interpreter lock for well under a millisecond;
+        # yielding the CPU between rounds lets a thread waiting on the
+        # lock (the bound service's event loop, answering cache hits
+        # beside its solver thread) run now rather than after a whole
+        # switch interval
+        os.sched_yield()
+        batch, searches = searches, []
+        found, requests = _gamma_searches(table, [b[2] for b in batch])
+        n_probes += requests
+        for (task, slot, _), best in zip(batch, found):
+            fulfill(task, slot, best)
 
     if obs.enabled():
         obs.add("lanes.engine_rounds", rounds)
@@ -468,16 +504,18 @@ def gamma_search(
     epsilon: float,
     gamma_grid: int,
 ) -> tuple[float, float]:
-    """One numpy ``gamma`` chain: ``(gamma_best, delay_at_gamma_best)``.
+    """One numpy ``gamma`` search: ``(gamma_best, delay_at_gamma_best)``,
+    the delay being the probe's.
 
     The search behind :func:`~repro.network.e2e.e2e_delay_bound` with
-    ``method="exact"``; the caller guarantees positive headroom.
+    ``method="exact"``: one :func:`_gamma_searches` stage of one
+    context.  The caller guarantees positive headroom.
     """
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)
     ctx = _Ctx(index, through, cross, hops, capacity, delta, epsilon,
                gamma_grid, "numpy")
-    (best,) = _run_chains(table, [_gamma_chain(ctx)])
+    (best,), _ = _gamma_searches(table, [ctx])
     return best
 
 

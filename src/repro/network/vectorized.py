@@ -149,17 +149,14 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
         if len(cases) != 1:
             raise ValueError("all deltas must share one Eq. (38) case")
         (case,) = cases
-    r_cross = np.broadcast_to(np.asarray(cross_rates, dtype=float), shape)
-    delta = np.broadcast_to(delta_in, shape)
-    sigma = np.broadcast_to(
-        np.asarray(sigmas, dtype=float), shape[:-1]
-    ).astype(float, copy=False)
-    lanes = int(np.prod(shape[:-1], dtype=int)) if shape[:-1] else 1
-    hops = shape[-1]
-    r_svc = r_svc.reshape(lanes, hops)
-    r_cross = r_cross.reshape(lanes, hops)
-    delta = delta.reshape(lanes, hops)
-    sig = sigma.reshape(lanes)
+    lanes = math.prod(shape[:-1])
+    r_svc = r_svc.reshape(lanes, shape[-1])
+    r_cross = _lane_rows(cross_rates, shape, lanes)
+    delta = _lane_rows(delta_in, shape, lanes)
+    sig = np.asarray(sigmas, dtype=float)
+    if sig.shape != shape[:-1]:
+        sig = np.broadcast_to(sig, shape[:-1])
+    sig = sig.reshape(lanes)
 
     solved = cprobe.solve_exact(r_svc, r_cross, delta, sig, case)
     if solved is None:
@@ -178,9 +175,23 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
     )
 
 
+def _lane_rows(values, shape, lanes):
+    """``values`` broadcast against ``shape`` ``(..., hops)`` as a
+    ``(lanes, hops)`` array, or as a ``(lanes, 1)`` column when its hop
+    axis has length one: the solve reads a column through a zero hop
+    stride, so a per-lane value is never widened to every hop."""
+    a = np.asarray(values, dtype=float)
+    width = 1 if a.ndim == 0 or a.shape[-1] == 1 else shape[-1]
+    target = shape[:-1] + (width,)
+    if a.shape != target:
+        a = np.broadcast_to(a, target)
+    return a.reshape(lanes, width)
+
+
 def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
     """The numpy body of :func:`batched_solve_exact` on ``(lanes, hops)``
-    arrays: the fallback of the C kernel and its oracle.
+    arrays (``r_cross`` and ``delta`` may be ``(lanes, 1)`` columns): the
+    fallback of the C kernel and its oracle.
 
     Each lane evaluates ``d`` at every candidate ({0, every positive
     finite breakpoint, max + 1}) in ascending order and takes the first
@@ -188,6 +199,8 @@ def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):
     lanes)``.
     """
     lanes, hops = r_svc.shape
+    r_cross = np.broadcast_to(r_cross, r_svc.shape)
+    delta = np.broadcast_to(delta, r_svc.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sig1 = sig[:, None]
         denom = r_svc - r_cross
@@ -340,15 +353,18 @@ def e2e_delay_grid_rows(
     if g.ndim != 2:
         raise ValueError("gammas must be (lanes, grid)")
     lanes, grid = g.shape
-    case = _delta_case(float(deltas[0]))
-    if any(_delta_case(float(d)) != case for d in deltas[1:]):
+    distinct = set(deltas)
+    cases = {_delta_case(float(d)) for d in distinct}
+    if len(cases) != 1:
         raise ValueError("all deltas must share one Eq. (38) case")
-    any_zero = any(d == 0.0 for d in deltas)
-    if any_zero and not all(d == 0.0 for d in deltas):
+    zeros = {d == 0.0 for d in distinct}
+    if len(zeros) != 1:
         # the scalar path dispatches delta == 0 to the Eq. (44) closed
         # form; mixing it with the exact solve would break the bitwise
         # contract for the zero rows
         raise ValueError("cannot mix delta == 0 with other deltas")
+    (case,) = cases
+    (any_zero,) = zeros
     form = "bmux" if case == "pinf" else "fifo" if any_zero else "exact"
     args = (throughs, crosses, hops, capacity, epsilon, g, form)
     points = cprobe.grid_rows(*args)
@@ -356,11 +372,11 @@ def e2e_delay_grid_rows(
         points = _grid_rows_python(*args)
     delays, r_svc, r_cross = points
     if form == "exact":
-        d_flat = np.repeat(np.asarray(deltas, dtype=float), grid)[:, None]
+        # per-point cross rate and delta as (points, 1) columns
         solved, _, _ = batched_solve_exact(
             r_svc,
-            r_cross[:, None],
-            np.broadcast_to(d_flat, r_svc.shape),
+            r_cross.reshape(lanes * grid, 1),
+            np.repeat(deltas, grid).reshape(lanes * grid, 1),
             delays.reshape(lanes * grid),
             case=case,
         )

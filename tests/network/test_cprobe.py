@@ -18,6 +18,7 @@ import shutil
 
 import pytest
 
+from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network import cprobe
 from repro.network.cprobe import ProbeTable, golden_values, probe_values
@@ -142,3 +143,65 @@ def test_probe_every_delta_case(delta):
         assert value == _e2e_probe(
             through, cross, 10, 100.0, delta, 1e-9, gamma
         )
+
+
+def _kernel_requests(table, raw):
+    """Per context: two γ points and one golden bracket."""
+    indices, gammas, los, his = [], [], [], []
+    for index, through, cross, hops, capacity, _, _ in raw:
+        gamma_max = (capacity - cross.rate - through.rate) / (hops + 1)
+        indices.append(index)
+        gammas.append(0.3 * gamma_max)
+        los.append(0.1 * gamma_max)
+        his.append(0.6 * gamma_max)
+    return indices, gammas, los, his
+
+
+def test_results_are_not_views_of_table_buffers():
+    """The table reuses its kernel buffers across calls; a returned
+    array must survive the next call unchanged."""
+    table, raw = _random_contexts(random.Random(5), 6)
+    indices, gammas, los, his = _kernel_requests(table, raw)
+    first = probe_values(table, indices, gammas)
+    kept = first.copy()
+    probe_values(table, indices[::-1], [2 * g for g in gammas[::-1]])
+    assert first.tobytes() == kept.tobytes()
+
+    xs, fs = golden_values(table, indices, los, his)
+    kept_x, kept_f = xs.copy(), fs.copy()
+    golden_values(table, indices[::-1], los, his)
+    probe_values(table, indices, his)
+    assert xs.tobytes() == kept_x.tobytes()
+    assert fs.tobytes() == kept_f.tobytes()
+
+
+def test_deep_paths_counted_as_fallbacks():
+    """A path beyond ``MAX_HOPS`` comes back from C as NaN (the kernel
+    reports how many) and is served, and counted, by the Python loop;
+    its neighbours stay in C."""
+    through, cross = mmoo_ebb_pair(MMOOParameters.paper_defaults(), 50, 50,
+                                   0.01)
+    table = ProbeTable()
+    deep = table.add(through, cross, cprobe.MAX_HOPS + 1, 100.0, 0.0, 1e-9)
+    short = table.add(through, cross, 3, 100.0, 0.0, 1e-9)
+    top = (100.0 - cross.rate - through.rate) / (cprobe.MAX_HOPS + 2)
+    indices = [deep, short, deep]
+    gammas = [0.5 * top, 0.2 * top, 0.7 * top]
+    with obs.scoped() as registry:
+        got = probe_values(table, indices, gammas)
+    in_python = 2 if cprobe.available() else 3
+    assert registry.counter("cprobe.fallbacks") == in_python
+    for index, gamma, value in zip(indices, gammas, got.tolist()):
+        args = table.context(index)
+        assert value == _e2e_probe(*args, gamma)
+
+    with obs.scoped() as registry:
+        xs, fs = golden_values(table, [short, deep], [0.1 * top] * 2,
+                               [0.9 * top] * 2)
+    assert registry.counter("cprobe.fallbacks") == in_python - 1
+    for i, index in enumerate((short, deep)):
+        args = table.context(index)
+        want = golden_section_min(
+            lambda g: _e2e_probe(*args, g), 0.1 * top, 0.9 * top, tol=1e-9
+        )
+        assert (xs[i], fs[i]) == want

@@ -13,16 +13,20 @@ with γ up to and past the Eq. (32) headroom, for MMOO pairs (the
 ``n_cross = 0`` placeholder included) and free EBBs, and with ε values
 that drive σ negative or NaN.  The same draws check the compiled probe
 (its event sort included) against
-:func:`~repro.network.vectorized._e2e_probe`.  Without a C compiler
-both sides run the Python bodies and the properties hold trivially.
+:func:`~repro.network.vectorized._e2e_probe`.  On the grids the lane
+engine builds (MMOO pairs, the log grid inside the Eq. (32) headroom,
+ε < 1) every grid point is also the probe at its γ, byte for byte, in C
+and in Python.  Without a C compiler both sides of the C-versus-Python
+properties run the Python bodies and hold trivially.
 """
 
+import contextlib
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro import obs
@@ -33,6 +37,7 @@ from repro.network.e2e import mmoo_ebb_pair
 from repro.network.vectorized import (
     _e2e_probe,
     _grid_rows_python,
+    _log_grid,
     e2e_delay_grid,
     e2e_delay_grid_rows,
 )
@@ -199,3 +204,55 @@ def test_mixed_cases_rejected():
     args[4] = [math.inf, -3.0]
     with pytest.raises(ValueError, match="one Eq. \\(38\\) case"):
         e2e_delay_grid_rows(*args)
+
+
+@st.composite
+def engine_grids(draw):
+    """γ grid rows as the lane engine builds them: MMOO pairs of one
+    case's lanes, each over its ``grid_then_golden`` log grid."""
+    case = draw(st.sampled_from(sorted(DELTAS)))
+    hops = draw(st.integers(min_value=1, max_value=64))
+    grid = draw(st.integers(min_value=3, max_value=24))
+    capacity = draw(st.floats(min_value=50.0, max_value=200.0))
+    epsilon = draw(st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12]))
+    traffic = MMOOParameters(
+        peak=draw(st.floats(min_value=1.0, max_value=2.0)),
+        p11=draw(st.floats(min_value=0.95, max_value=0.995)),
+        p22=draw(st.floats(min_value=0.85, max_value=0.95)),
+    )
+    throughs, crosses, deltas, rows = [], [], [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        through, cross = mmoo_ebb_pair(
+            traffic,
+            draw(st.integers(min_value=1, max_value=200)),
+            draw(st.integers(min_value=0, max_value=200)),
+            draw(st.floats(min_value=1e-4, max_value=0.5)),
+        )
+        headroom = capacity - cross.rate - through.rate
+        assume(headroom > 0.0)
+        top = headroom / (hops + 1)
+        throughs.append(through)
+        crosses.append(cross)
+        deltas.append(draw(DELTAS[case]))
+        rows.append(_log_grid(top * 1e-6, top * (1.0 - 1e-9), grid))
+    return throughs, crosses, hops, capacity, deltas, epsilon, np.array(rows)
+
+
+@given(engine_grids())
+def test_engine_grid_points_equal_probe_bytes(inputs):
+    """Every point of an engine γ grid row holds the probe's bytes at
+    that γ, in C and in the Python bodies: the value a search takes from
+    the grid is the probe's."""
+    throughs, crosses, hops, capacity, deltas, epsilon, gammas = inputs
+    table = cprobe.ProbeTable()
+    indices = [
+        table.add(through, cross, hops, capacity, delta, epsilon)
+        for through, cross, delta in zip(throughs, crosses, deltas)
+    ]
+    lanes, grid = gammas.shape
+    points = [index for index in indices for _ in range(grid)]
+    for path in (contextlib.nullcontext, _python_path):
+        with path():
+            rows = e2e_delay_grid_rows(*inputs)
+            probed = cprobe.probe_values(table, points, gammas.ravel())
+        assert rows.tobytes() == probed.tobytes()

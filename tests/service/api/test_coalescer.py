@@ -5,12 +5,13 @@ All window behaviour runs against the injectable ``sleep`` gate from
 """
 
 import asyncio
+import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.experiments.sweep import Cell
+from repro.experiments.sweep import Cell, execute_cell
 from repro.obs import MetricsRegistry
 from repro.service.api.coalescer import BatchCoalescer
 from repro.service.api.model import BoundQuery
@@ -108,6 +109,33 @@ def test_concurrent_distinct_queries_fuse_into_one_batch():
         assert snap["series"]["service.batch_occupancy"] == [3.0]
         assert snap["counters"]["lanes.mmoo_lanes"] == 3.0
         assert snap["counters"].get("batch.fallback_cells", 0.0) == 0.0
+        await coalescer.aclose()
+
+    run(main())
+
+
+def test_coalesced_queries_differing_in_capacity_match_solo():
+    """Two concurrent queries that differ only in ``capacity`` fuse into
+    one lane batch, and each gets the answer it gets alone."""
+    async def main():
+        registry = MetricsRegistry(enabled=True)
+        gate = ManualSleep()
+        coalescer = BatchCoalescer(sleep=gate, registry=registry)
+        cells = [
+            service_cell(hops=4, n_through=100, n_cross=150, capacity=c)
+            for c in (100.0, 150.0)
+        ]
+        tasks = [
+            asyncio.create_task(coalescer.submit(cell)) for cell in cells
+        ]
+        await gate.wait_parked()
+        gate.release()
+        together = await asyncio.gather(*tasks)
+        snap = registry.snapshot()
+        assert snap["series"]["service.batch_occupancy"] == [2.0]
+        for cell, payload in zip(cells, together):
+            solo = execute_cell(cell)
+            assert json.dumps(payload["rows"]) == json.dumps(solo["rows"])
         await coalescer.aclose()
 
     run(main())
