@@ -50,11 +50,11 @@ from repro.network import cprobe
 from repro.network.e2e import mmoo_ebb_pair
 from repro.network.optimization import HopParameters, solve_exact
 from repro.network.vectorized import (
-    _log_grid,
     _sigma_raw,
     batched_solve_exact,
     e2e_delay_grid_rows,
 )
+from repro.utils.numeric import logspace
 from tests.network import reference_search
 
 SPEEDUP_FLOOR = 10.0
@@ -156,7 +156,7 @@ def _edf_solve_grid():
     headroom = 100.0 - cross.rate - through.rate
     gamma_max = headroom / (SOLVE_HOPS + 1)
     g = np.array(
-        _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), SOLVE_ROWS)
+        logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), SOLVE_ROWS)
     )
     sigma = np.array([
         max(0.0, _sigma_raw(through, cross, SOLVE_HOPS, gamma, 1e-9))
@@ -227,7 +227,7 @@ def _fifo_grid_rows():
         throughs.append(through)
         crosses.append(cross)
         rows.append(
-            _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
+            logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
         )
     zeros = [0.0] * GRID_LANES
     return (

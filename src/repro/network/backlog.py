@@ -23,7 +23,13 @@ from dataclasses import dataclass
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network.convolution import network_service_curve
-from repro.network.e2e import _max_feasible_s, mmoo_ebb_pair, sigma_for_epsilon
+from repro.network.e2e import (
+    _gamma_interval,
+    _max_feasible_s,
+    _s_interval,
+    mmoo_ebb_pair,
+    sigma_for_epsilon,
+)
 from repro.network.optimization import homogeneous_hops, solve_exact
 from repro.scheduling.delta import CustomDelta
 from repro.service.leftover import leftover_service_curve
@@ -112,13 +118,11 @@ def e2e_backlog_bound(
     headroom = capacity - cross.rate - through.rate
     if headroom <= 0:
         return _INFEASIBLE
-    gamma_max = headroom / (hops + 1)
     g_best, _ = grid_then_golden(
         lambda g: e2e_backlog_bound_at_gamma(
             through, cross, hops, capacity, delta, epsilon, g
         ).backlog,
-        gamma_max * 1e-6,
-        gamma_max * (1.0 - 1e-9),
+        *_gamma_interval(headroom, hops),
         grid_points=gamma_grid,
         log_spaced=True,
     )
@@ -155,8 +159,7 @@ def e2e_backlog_bound_mmoo(
 
     s_best, _ = grid_then_golden(
         lambda s: at_s(s).backlog,
-        s_max * 1e-4,
-        s_max * (1.0 - 1e-9),
+        *_s_interval(s_max),
         grid_points=s_grid,
         log_spaced=True,
     )

@@ -22,8 +22,12 @@ The MMOO (s, gamma) search and the EDF fixed point live in one place, the
 lane engine of :mod:`repro.network.lanes`: :func:`e2e_delay_bound_mmoo`
 and :func:`e2e_delay_bound_edf` are one-lane calls into it, and the exact
 ``gamma`` search of :func:`e2e_delay_bound` is one of its ``gamma``
-chains.  The engine builds on this module's result types, so those
-functions import it at call time.
+search stages (:func:`repro.network.lanes.gamma_search`).  The engine
+builds on this module's result types, so those functions import it at
+call time.  Every ``gamma`` and ``s`` search, here, in the lane engine
+and in the other bounds of :mod:`repro.network` and
+:mod:`repro.topology.routes`, runs over :func:`_gamma_interval` and
+:func:`_s_interval`.
 """
 
 from __future__ import annotations
@@ -287,17 +291,14 @@ def e2e_delay_bound(
             method=method,
         )
 
-    gamma_max = headroom / (hops + 1)
-
     def objective(g: float) -> float:
         return e2e_delay_bound_at_gamma(
             through, cross, hops, capacity, delta, epsilon, g, method=method
         ).delay
 
-    lo = gamma_max * 1e-6
-    hi = gamma_max * (1.0 - 1e-9)
     g_best, _ = grid_then_golden(
-        objective, lo, hi, grid_points=gamma_grid, log_spaced=True
+        objective, *_gamma_interval(headroom, hops), grid_points=gamma_grid,
+        log_spaced=True,
     )
     return e2e_delay_bound_at_gamma(
         through, cross, hops, capacity, delta, epsilon, g_best, method=method
@@ -309,6 +310,23 @@ def e2e_delay_bound(
 # --------------------------------------------------------------------- #
 
 
+def _gamma_interval(headroom: float, hops: int) -> tuple[float, float]:
+    """The ``gamma`` search interval of every optimized bound.
+
+    Eq. (32) needs ``(H+1) gamma < headroom``, the capacity left over by
+    the mean rates (the tightest hop's on a heterogeneous path); the
+    searches cover ``[1e-6, 1 - 1e-9]`` of that top.
+    """
+    top = headroom / (hops + 1)
+    return top * 1e-6, top * (1.0 - 1e-9)
+
+
+def _s_interval(s_max: float) -> tuple[float, float]:
+    """The ``s`` search interval of every MMOO bound: ``[1e-4, 1 - 1e-9]``
+    of the :func:`_max_feasible_s` top."""
+    return s_max * 1e-4, s_max * (1.0 - 1e-9)
+
+
 def _max_feasible_s(
     traffic: MMOOParameters, n_total: int, capacity: float
 ) -> float:
@@ -316,8 +334,8 @@ def _max_feasible_s(
 
     The effective bandwidth is nondecreasing in ``s``, so the boundary is
     found by :func:`repro.utils.numeric.bisect_increasing` at an explicit
-    relative tolerance (callers back off by a further ``1 - 1e-9`` factor
-    before using it as a search endpoint).
+    relative tolerance (:func:`_s_interval` backs off by a further
+    ``1 - 1e-9`` factor before using it as a search endpoint).
     """
     hi = 50.0 / traffic.peak
     if n_total * traffic.peak_rate < capacity:

@@ -2,7 +2,7 @@
 
 This module is the one implementation of the paper's nested bound
 optimization: the EDF deadline fixed point iterates ``bound_at(delta)``,
-each of which runs a golden-section search over ``s``, each step of
+each of which runs a grid-then-golden search over ``s``, each point of
 which runs a grid-then-golden search over ``gamma``, each probe of which
 solves the Eq. (38) theta optimization.  The per-cell entry points
 :func:`repro.network.e2e.e2e_delay_bound_mmoo` and
@@ -14,33 +14,34 @@ cells are independent, so the searches of many cells advance in
 lockstep, pooling the pending ``gamma`` searches of every cell into a
 few batched kernel calls per engine round.
 
-The engine is a tiny cooperative scheduler over *search chains*:
+The engine drives the searches of :mod:`repro.utils.numeric` rather
+than copies of them:
 
-* a chain is a Python generator that runs one search (the
-  ``golden_section_min`` and ``refine_grid_minimum`` of the ``s``
-  search, the ``s``-objective, the mmoo bound) with the same brackets
-  and comparisons as :mod:`repro.utils.numeric`, but *yields* its
-  requests instead of evaluating them: sub-chains, and from each
-  ``s``-objective one ``gamma`` search;
-* one engine round runs every pending ``gamma`` search as one stage
-  (:func:`_gamma_searches`): the grids of all contexts, row-stacked
-  :func:`repro.network.vectorized.e2e_delay_grid_rows` calls (or C
-  probes per point on the scalar backend), each row's argmin and
-  bracket, one golden-section refinement call and one probe call into
-  the generated-C kernel of :mod:`repro.network.cprobe`.  A round is
-  thus one step of every live ``s`` search, and a solve takes as many
-  rounds as its ``s`` search has levels.  Between rounds the engine
-  yields the CPU, so a thread waiting on the interpreter lock (the bound
-  service's event loop) runs within a round;
-* the ``s``-objective chain records the ``gamma`` it found at each
-  ``s``; the optimum is materialized by one
-  :func:`repro.network.e2e.e2e_delay_bound_at_gamma` call at the best
-  ``s`` and its recorded ``gamma``;
+* each lane's ``s`` search is the generator body of
+  :func:`~repro.utils.numeric.grid_then_golden` over
+  :func:`~repro.network.e2e._s_interval`: it yields the ``s`` values of
+  one level (the log grid, then each golden-section step) and is sent
+  their delays;
+* the engine turns each ``s`` into a ``gamma`` search context, or into
+  ``inf`` at once when it leaves no headroom (a level of such ``s``
+  steps its lane again at once), and runs every pending context as one
+  stage per round (:func:`_gamma_searches`): the ``gamma`` grids,
+  row-stacked :func:`repro.network.vectorized.e2e_delay_grid_rows`
+  calls (or C probes per point on the scalar backend), each row's
+  :func:`~repro.utils.numeric.grid_bracket`, one golden-section
+  refinement call and one probe call into the generated-C kernel of
+  :mod:`repro.network.cprobe`.  A round is thus one level of every
+  live ``s`` search.  Between rounds the engine yields the CPU, so a
+  thread waiting on the interpreter lock (the bound service's event
+  loop) runs within a round;
+* the engine records the ``gamma`` found at each ``s``; the optimum is
+  materialized by one :func:`repro.network.e2e.e2e_delay_bound_at_gamma`
+  call at the best ``s`` and its recorded ``gamma``;
 * :func:`edf_bound_lanes` drives the whole grid's EDF deadline vector
   through one such engine pass per fixed-point iteration, with
-  per-lane convergence masking: a converged lane stops spawning
-  chains (its diagnostics freeze at its own iteration count) while
-  stragglers keep iterating.
+  per-lane convergence masking: a converged lane stops searching (its
+  diagnostics freeze at its own iteration count) while stragglers
+  keep iterating.
 
 Batching contract
 -----------------
@@ -64,7 +65,7 @@ import math
 import os
 import time
 import warnings
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -76,7 +77,9 @@ from repro.arrivals.mmoo import MMOOParameters
 from repro.network import cprobe
 from repro.network.e2e import (
     _INFEASIBLE,
+    _gamma_interval,
     _max_feasible_s,
+    _s_interval,
     E2EResult,
     EDFBound,
     FixedPointDiagnostics,
@@ -85,7 +88,8 @@ from repro.network.e2e import (
     e2e_delay_bound_at_gamma,
     mmoo_ebb_pair,
 )
-from repro.network.vectorized import _delta_case, _log_grid, e2e_delay_grid_rows
+from repro.network.vectorized import _delta_case, e2e_delay_grid_rows
+from repro.utils.numeric import grid_bracket, grid_then_golden_search, logspace
 from repro.utils.validation import check_int, check_positive, check_probability
 
 __all__ = [
@@ -95,9 +99,6 @@ __all__ = [
     "edf_bound_lanes",
     "gamma_search",
 ]
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class LaneSpec:
@@ -135,27 +136,15 @@ class EDFLaneSpec:
     on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn"
 
 
-class _Ctx:
-    """One registered (lane, s) probe context."""
-
-    __slots__ = ("index", "through", "cross", "hops", "capacity", "delta",
-                 "epsilon", "gamma_grid", "backend")
-
-    def __init__(self, index, through, cross, hops, capacity, delta,
-                 epsilon, gamma_grid, backend):
-        self.index = index
-        self.through = through
-        self.cross = cross
-        self.hops = hops
-        self.capacity = capacity
-        self.delta = delta
-        self.epsilon = epsilon
-        self.gamma_grid = gamma_grid
-        self.backend = backend
+#: One registered (lane, s) probe context.
+_Ctx = namedtuple(
+    "_Ctx",
+    "index through cross hops capacity delta epsilon gamma_grid backend",
+)
 
 
 class _Lane:
-    """Mutable per-lane state shared by the chains of one bound."""
+    """Mutable per-lane state of one bound's ``s`` search."""
 
     __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
 
@@ -180,8 +169,15 @@ class _Lane:
             )
         return self._s_max
 
-    def register(self, through: EBB, cross: EBB) -> _Ctx:
+    def context(self, s: float) -> _Ctx | None:
+        """The ``gamma`` search context at ``s``; ``None`` when ``s``
+        leaves no headroom (the delay there is ``inf``)."""
         spec = self.spec
+        through, cross = mmoo_ebb_pair(
+            spec.traffic, spec.n_through, spec.n_cross, s
+        )
+        if spec.capacity - cross.rate - through.rate <= 0:
+            return None
         index = self.table.add(
             through, cross, spec.hops, spec.capacity, self.delta,
             spec.epsilon,
@@ -206,59 +202,20 @@ class _Lane:
         )
 
 
-# --------------------------------------------------------------------- #
-# search chains: the searches of repro.utils.numeric as generators
-# --------------------------------------------------------------------- #
-
-
-def _golden_chain(req, low, high, *, tol=1e-9, max_iter=200):
-    """Mirror of :func:`repro.utils.numeric.golden_section_min`."""
-    a, b = low, high
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = yield [req(x1), req(x2)]
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            (f1,) = yield [req(x1)]
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            (f2,) = yield [req(x2)]
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
-
-
-def _refine_chain(req, xs, fs, *, tol=1e-9):
-    """Mirror of :func:`repro.utils.numeric.refine_grid_minimum`."""
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    x_ref, f_ref = yield from _golden_chain(req, lo, hi, tol=tol)
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
-    return xs[best], fs[best]
-
-
 def _gamma_searches(
     table: cprobe.ProbeTable, ctxs: list[_Ctx]
 ) -> tuple[list[tuple[float, float]], int]:
     """One engine round: the grid-then-golden ``gamma`` search at fixed
     ``s`` of every pending context, in a few batched kernel calls.
 
-    In order: the log-spaced grid of every context; its values, as
+    In order: the log-spaced grid of every context over its
+    :func:`~repro.network.e2e._gamma_interval`; its values, as
     row-stacked :func:`~repro.network.vectorized.e2e_delay_grid_rows`
     calls (numpy backend; one per group of contexts sharing hops, grid
     length, Eq. (38) case, ``Delta == 0``, capacity and epsilon) or
-    one C probe per point (scalar backend); the first argmin and its
-    bracket per row (:func:`repro.utils.numeric.refine_grid_minimum`);
-    one :func:`repro.network.cprobe.golden_values` call refining the
+    one C probe per point (scalar backend); each row's
+    :func:`~repro.utils.numeric.grid_bracket`; one
+    :func:`repro.network.cprobe.golden_values` call refining the
     finite rows; one :func:`repro.network.cprobe.probe_values` call at
     each numpy row's grid argmin.  The refined point wins when its
     value is no worse than the grid minimum.
@@ -274,9 +231,8 @@ def _gamma_searches(
     scalar = []
     for i, ctx in enumerate(ctxs):
         headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
-        gamma_max = headroom / (ctx.hops + 1)
-        grids.append(_log_grid(
-            gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), ctx.gamma_grid
+        grids.append(logspace(
+            *_gamma_interval(headroom, ctx.hops), ctx.gamma_grid
         ))
         if ctx.backend == "numpy":
             key = (
@@ -310,18 +266,15 @@ def _gamma_searches(
             rows[i] = values[start:start + len(grids[i])]
             start += len(grids[i])
 
-    # refine_grid_minimum per row: the first argmin, then golden-section
-    # refinement of its bracket, which wins unless the grid minimum is
-    # lower
     found = []
     refine, los, his = [], [], []
     for i, (xs, row) in enumerate(zip(grids, rows)):
-        best = row.index(min(row))
+        best, bracket = grid_bracket(xs, row)
         found.append((xs[best], row[best]))
-        if math.isfinite(row[best]):
+        if bracket is not None:
             refine.append(i)
-            los.append(xs[max(0, best - 1)])
-            his.append(xs[min(len(xs) - 1, best + 1)])
+            los.append(bracket[0])
+            his.append(bracket[1])
     refined = []
     if refine:
         ref_x, ref_f = cprobe.golden_values(
@@ -350,113 +303,62 @@ def _gamma_searches(
     return found, n_requests
 
 
-def _s_objective_chain(lane: _Lane, s: float):
-    """The ``s``-search objective: the delay at ``s`` and its best gamma.
-
-    Yields its one ``gamma`` search (a :class:`_Ctx`) to the engine and
-    records the gamma optimum in ``lane.gammas`` so the final ``s``
-    materializes without a second gamma search.
-    """
-    spec = lane.spec
-    through, cross = mmoo_ebb_pair(
-        spec.traffic, spec.n_through, spec.n_cross, s
-    )
-    if spec.capacity - cross.rate - through.rate <= 0:
-        return math.inf
-    ((g_best, value),) = yield [lane.register(through, cross)]
-    lane.gammas[s] = g_best
-    return value
-
-
-def _mmoo_chain(lane: _Lane):
-    """The joint (s, gamma) search of one mmoo bound."""
-    spec = lane.spec
-    if (spec.n_through + spec.n_cross) * spec.traffic.mean_rate >= spec.capacity:
-        return _INFEASIBLE
-    s_max = lane.s_max()
-    low = s_max * 1e-4
-    high = s_max * (1.0 - 1e-9)
-    # grid_then_golden(objective, low, high, s_grid, log_spaced=True)
-    ratio = (high / low) ** (1.0 / (spec.s_grid - 1))
-    xs = [low * ratio**i for i in range(spec.s_grid)]
-    fs = yield [_s_objective_chain(lane, x) for x in xs]
-    s_best, _ = yield from _refine_chain(
-        lambda s: _s_objective_chain(lane, s), xs, list(fs)
-    )
-    return lane.at_s(s_best)
-
-
 # --------------------------------------------------------------------- #
-# the engine: run chains to completion, batching their probe requests
+# the engine: every lane's s search, one gamma search stage per round
 # --------------------------------------------------------------------- #
 
 
-class _Task:
-    __slots__ = ("gen", "values", "pending", "parent", "slot")
-
-    def __init__(self, gen, parent, slot):
-        self.gen = gen
-        self.values = None
-        self.pending = 0
-        self.parent = parent
-        self.slot = slot
+def _s_search(lane: _Lane):
+    """The ``s`` search of one lane: numeric's grid-then-golden body."""
+    return grid_then_golden_search(
+        *_s_interval(lane.s_max()), grid_points=lane.spec.s_grid,
+        log_spaced=True,
+    )
 
 
-def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
-    """Run top-level chains concurrently; returns their results in order.
+def _run_lanes(
+    table: cprobe.ProbeTable, lanes: list[_Lane]
+) -> list[E2EResult]:
+    """Run the ``s`` search of every lane together; each lane's optimum.
 
-    A chain yields a list of requests: sub-chains (generators), which
-    start at once, and ``gamma`` searches (:class:`_Ctx`).  Each engine
-    round runs every pending ``gamma`` search as one
-    :func:`_gamma_searches` stage, so a round is one step of every
-    live ``s`` search.
+    A lane's search (:func:`_s_search`) yields the ``s`` values of one
+    level and is sent their delays.  Each ``s`` becomes a ``gamma``
+    search context (:meth:`_Lane.context`), or ``inf`` at once when it
+    leaves no headroom; a level with no context steps its lane again
+    at once.  Each engine round runs every pending context as one
+    :func:`_gamma_searches` stage and records the ``gamma`` found at
+    each ``s``, so a round is one level of every live ``s`` search.
     """
-    results = [None] * len(chains)
-    searches: list = []  # (task, slot, ctx)
-    ready: deque = deque()
+    results: list[E2EResult] = [_INFEASIBLE] * len(lanes)
+    # (slot, lane, search, level s values, their delays, (position, ctx))
+    waiting: list = []
     rounds = 0
     n_probes = 0
 
-    def deliver(task, value):
-        parent = task.parent
-        if parent is None:
-            results[task.slot] = value
-        else:
-            fulfill(parent, task.slot, value)
+    def advance(slot, lane, search, values):
+        while True:
+            try:
+                level = search.send(values)
+            except StopIteration as stop:
+                results[slot] = lane.at_s(stop.value[0])
+                return
+            values = [math.inf] * len(level)
+            ctxs = []
+            for k, s in enumerate(level):
+                ctx = lane.context(s)
+                if ctx is not None:
+                    ctxs.append((k, ctx))
+            if ctxs:
+                waiting.append((slot, lane, search, level, values, ctxs))
+                return
 
-    def fulfill(task, slot, value):
-        task.values[slot] = value
-        task.pending -= 1
-        if task.pending == 0:
-            ready.append(task)
+    for slot, lane in enumerate(lanes):
+        spec = lane.spec
+        load = (spec.n_through + spec.n_cross) * spec.traffic.mean_rate
+        if load < spec.capacity:
+            advance(slot, lane, _s_search(lane), None)
 
-    def start(gen, parent, slot):
-        step(_Task(gen, parent, slot), None)
-
-    def step(task, send_values):
-        try:
-            requests = task.gen.send(send_values)
-        except StopIteration as stop:
-            deliver(task, stop.value)
-            return
-        task.values = [None] * len(requests)
-        task.pending = len(requests)
-        for slot, request in enumerate(requests):
-            if isinstance(request, _Ctx):
-                searches.append((task, slot, request))
-            else:  # a sub-chain
-                start(request, task, slot)
-
-    for slot, gen in enumerate(chains):
-        start(gen, None, slot)
-
-    while True:
-        while ready:
-            task = ready.popleft()
-            values, task.values = task.values, None
-            step(task, values)
-        if not searches:
-            break
+    while waiting:
         rounds += 1
         # a round holds the interpreter lock for well under a millisecond;
         # yielding the CPU between rounds lets a thread waiting on the
@@ -464,11 +366,17 @@ def _run_chains(table: cprobe.ProbeTable, chains: list) -> list:
         # beside its solver thread) run now rather than after a whole
         # switch interval
         os.sched_yield()
-        batch, searches = searches, []
-        found, requests = _gamma_searches(table, [b[2] for b in batch])
+        batch, waiting = waiting, []
+        found, requests = _gamma_searches(
+            table, [ctx for *_, ctxs in batch for _, ctx in ctxs]
+        )
         n_probes += requests
-        for (task, slot, _), best in zip(batch, found):
-            fulfill(task, slot, best)
+        position = 0
+        for slot, lane, search, level, values, ctxs in batch:
+            for k, _ in ctxs:
+                lane.gammas[level[k]], values[k] = found[position]
+                position += 1
+            advance(slot, lane, search, values)
 
     if obs.enabled():
         obs.add("lanes.engine_rounds", rounds)
@@ -489,7 +397,7 @@ def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
     check_int(spec.hops, "hops", minimum=1)
     check_positive(spec.capacity, "capacity")
     check_probability(spec.epsilon, "epsilon")
-    # the grid_then_golden oracle of every search needs 3 grid points
+    # grid_then_golden_search needs 3 grid points
     check_int(spec.s_grid, "s_grid", minimum=3)
     check_int(spec.gamma_grid, "gamma_grid", minimum=3)
     check_backend(spec.backend)
@@ -531,7 +439,7 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     table = cprobe.ProbeTable()
     lanes = [_Lane(spec, spec.delta, table) for spec in specs]
     with obs.trace("lanes.mmoo_batch"):
-        results = _run_chains(table, [_mmoo_chain(lane) for lane in lanes])
+        results = _run_lanes(table, lanes)
     if obs.enabled():
         obs.add("lanes.mmoo_lanes", len(specs))
     return results
@@ -609,7 +517,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         boot_lanes = [
             _Lane(specs[group[0]], 0.0, table) for group in lane_groups
         ]
-        boot = _run_chains(table, [_mmoo_chain(lane) for lane in boot_lanes])
+        boot = _run_lanes(table, boot_lanes)
         if obs.enabled() and n:
             obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
         # s_max depends only on the bootstrap key: one bisection per group
@@ -645,16 +553,15 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             active = [i for i in active if iteration <= specs[i].max_iter]
             if not active:
                 break
-            chains = [
-                _mmoo_chain(_Lane(specs[i], deltas[i], table, s_maxes[i]))
-                for i in active
+            step_lanes = [
+                _Lane(specs[i], deltas[i], table, s_maxes[i]) for i in active
             ]
             traced = obs.enabled()
             if traced:
                 obs.add("lanes.edf_rounds")
                 obs.observe("lanes.edf_round_lanes", len(active))
                 obs.add("e2e.edf_iterations", len(active))
-            step_results = _run_chains(table, chains)
+            step_results = _run_lanes(table, step_lanes)
             still = []
             for i, result in zip(active, step_results):
                 results[i] = result

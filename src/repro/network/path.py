@@ -15,8 +15,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.arrivals.ebb import EBB
-from repro.arrivals.statistical import ExponentialBound, combine_bounds
-from repro.network.e2e import E2EResult, Method, _solve, e2e_delay_bound
+from repro.network.e2e import (
+    E2EResult,
+    Method,
+    _gamma_interval,
+    _solve,
+    e2e_delay_bound,
+    sigma_for_epsilon,
+)
 from repro.network.optimization import HopParameters
 from repro.utils.numeric import grid_then_golden
 from repro.utils.validation import check_int, check_positive, check_probability
@@ -137,17 +143,6 @@ class HeterogeneousPath:
             )
         )
 
-    def _sigma(self, through: EBB, gamma: float, epsilon: float) -> float:
-        bounds: list[ExponentialBound] = [through.sample_path_bound(gamma)]
-        last = self.hops - 1
-        for index, node in enumerate(self.nodes):
-            bound = node.cross.sample_path_bound(gamma)
-            if index < last:
-                geometric = -math.expm1(-bound.decay * gamma)
-                bound = ExponentialBound(bound.prefactor / geometric, bound.decay)
-            bounds.append(bound)
-        return combine_bounds(bounds).inverse(epsilon)
-
     def _hop_parameters(self, gamma: float) -> list[HopParameters]:
         return [
             HopParameters(
@@ -176,8 +171,10 @@ class HeterogeneousPath:
                 math.inf, math.inf, gamma, through.decay, 0.0, (), method
             )
         try:
-            sigma = self._sigma(through, gamma, epsilon)
-        except ValueError:  # decay * gamma underflow
+            sigma = sigma_for_epsilon(
+                through, [node.cross for node in self.nodes], gamma, epsilon
+            )
+        except ValueError:  # decay * gamma underflow, gamma <= 0, eps = 0
             return E2EResult(
                 math.inf, math.inf, gamma, through.decay, 0.0, (), method
             )
@@ -203,7 +200,6 @@ class HeterogeneousPath:
             return E2EResult(
                 math.inf, math.inf, 0.0, through.decay, 0.0, (), method
             )
-        gamma_max = headroom / (self.hops + 1)
 
         def objective(g: float) -> float:
             return self.delay_bound_at_gamma(
@@ -212,8 +208,7 @@ class HeterogeneousPath:
 
         g_best, _ = grid_then_golden(
             objective,
-            gamma_max * 1e-6,
-            gamma_max * (1.0 - 1e-9),
+            *_gamma_interval(headroom, self.hops),
             grid_points=gamma_grid,
             log_spaced=True,
         )

@@ -39,6 +39,13 @@ from dataclasses import dataclass
 from repro.arrivals.ebb import EBB
 from repro.arrivals.mmoo import MMOOParameters
 from repro.arrivals.statistical import ExponentialBound, combine_bounds
+from repro.network.e2e import (
+    _gamma_interval,
+    _max_feasible_s,
+    _s_interval,
+    check_backend,
+    mmoo_ebb_pair,
+)
 from repro.utils.numeric import grid_then_golden
 from repro.utils.validation import check_int, check_positive, check_probability
 
@@ -125,8 +132,6 @@ def additive_pernode_delay_bound(
     evaluates the ``gamma`` grid through one batched kernel call; the
     optimum is re-evaluated through the scalar path either way.
     """
-    from repro.network.e2e import check_backend
-
     check_backend(backend)
     if gamma is not None:
         return additive_pernode_delay_bound_at_gamma(
@@ -146,8 +151,6 @@ def additive_pernode_delay_bound(
             through, cross, hops, capacity, epsilon, g_best
         )
 
-    gamma_max = headroom / (hops + 1)
-
     def objective(g: float) -> float:
         return additive_pernode_delay_bound_at_gamma(
             through, cross, hops, capacity, epsilon, g
@@ -155,8 +158,7 @@ def additive_pernode_delay_bound(
 
     g_best, _ = grid_then_golden(
         objective,
-        gamma_max * 1e-6,
-        gamma_max * (1.0 - 1e-9),
+        *_gamma_interval(headroom, hops),
         grid_points=gamma_grid,
         log_spaced=True,
     )
@@ -183,8 +185,6 @@ def additive_pernode_delay_bound_mmoo(
     if (n_through + n_cross) * traffic.mean_rate >= capacity:
         return _INFEASIBLE
 
-    from repro.network.e2e import _max_feasible_s, mmoo_ebb_pair
-
     s_max = _max_feasible_s(traffic, n_through + max(n_cross, 1), capacity)
 
     def at_s(s: float) -> AdditiveResult:
@@ -196,8 +196,7 @@ def additive_pernode_delay_bound_mmoo(
 
     s_best, _ = grid_then_golden(
         lambda s: at_s(s).delay,
-        s_max * 1e-4,
-        s_max * (1.0 - 1e-9),
+        *_s_interval(s_max),
         grid_points=s_grid,
         log_spaced=True,
     )

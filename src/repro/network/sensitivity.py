@@ -25,6 +25,7 @@ from repro.network.e2e import (
     e2e_delay_bound_at_gamma,
     e2e_delay_bound_mmoo,
 )
+from repro.utils.numeric import logspace
 from repro.utils.validation import check_int, check_positive
 
 
@@ -68,10 +69,8 @@ def delay_vs_gamma(
         return []
     gamma_max = headroom / (hops + 1)
     lo, hi = gamma_max * 1e-5, gamma_max * (1.0 - 1e-9)
-    ratio = (hi / lo) ** (1.0 / (points - 1))
     results = []
-    for i in range(points):
-        gamma = lo * ratio**i
+    for gamma in logspace(lo, hi, points):
         bound = e2e_delay_bound_at_gamma(
             through, cross, hops, capacity, delta, epsilon, gamma
         )

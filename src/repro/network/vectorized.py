@@ -66,8 +66,9 @@ import numpy as np
 from repro import obs
 from repro.arrivals.ebb import EBB
 from repro.network import cprobe
+from repro.network.e2e import _gamma_interval
 from repro.network.optimization import _EPS, _sweep_solve, fifo_delay
-from repro.utils.numeric import safe_exp
+from repro.utils.numeric import logspace, refine_grid_minimum, safe_exp
 
 __all__ = [
     "batched_solve_exact",
@@ -451,12 +452,6 @@ def _e2e_probe(
     )[0]
 
 
-def _log_grid(low: float, high: float, points: int) -> list[float]:
-    """The log-spaced grid of ``grid_then_golden``, same floats."""
-    ratio = (high / low) ** (1.0 / (points - 1))
-    return [low * ratio**i for i in range(points)]
-
-
 # --------------------------------------------------------------------- #
 # additive per-node bound: whole-grid evaluation + fast probe
 # --------------------------------------------------------------------- #
@@ -587,12 +582,9 @@ def optimize_gamma_additive(
 
     Returns ``(gamma, delay)``.
     """
-    from repro.utils.numeric import refine_grid_minimum
-
     with obs.trace("vectorized.optimize_gamma_additive"):
         headroom = capacity - cross.rate - through.rate
-        gamma_max = headroom / (hops + 1)
-        xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
+        xs = logspace(*_gamma_interval(headroom, hops), gamma_grid)
         fs = additive_delay_grid(
             through, cross, hops, capacity, epsilon, np.asarray(xs)
         )

@@ -37,6 +37,7 @@ from repro.network.e2e import (
     E2EResult,
     Method,
     _max_feasible_s,
+    _s_interval,
     check_backend,
     e2e_delay_bound_mmoo,
     mmoo_ebb_pair,
@@ -200,8 +201,7 @@ def _heterogeneous_delay_bound(
 
     s_best, _ = grid_then_golden(
         lambda s: at_s(s).delay,
-        s_max * 1e-4, s_max * (1.0 - 1e-9),
-        grid_points=s_grid, log_spaced=True,
+        *_s_interval(s_max), grid_points=s_grid, log_spaced=True,
     )
     return at_s(s_best)
 

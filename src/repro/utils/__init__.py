@@ -1,10 +1,12 @@
 """Shared utilities: numeric optimization helpers and argument validation.
 
 These are deliberately dependency-light.  The analysis code in
-:mod:`repro.network` relies on :func:`repro.utils.numeric.golden_section_min`
-and :func:`repro.utils.numeric.grid_then_golden` for the numeric
-optimization over the free parameters ``gamma`` and ``alpha`` of the
-end-to-end delay bound (Section IV of the paper).
+:mod:`repro.network` minimizes the end-to-end delay bound over its free
+parameters ``gamma`` and ``alpha`` (Section IV of the paper) with the
+searches of :mod:`repro.utils.numeric`, each one generator body that
+:func:`~repro.utils.numeric.grid_then_golden` (or
+:func:`~repro.utils.numeric.golden_section_min`) and the lane engine of
+:mod:`repro.network.lanes` both drive.
 """
 
 from repro.utils.numeric import (

@@ -6,17 +6,25 @@ per-hop rate degradation ``gamma`` and the EBB envelope parameter ``alpha``
 numerically over gamma").  The objective is smooth but expensive, and we do
 not need high-order methods: a coarse grid scan followed by golden-section
 refinement around the best grid cell is robust and derivative-free.
+Each search is one generator body that yields the points it needs and
+is sent their values; :func:`golden_section_min` and
+:func:`grid_then_golden` drive it over a scalar function, the lane
+engine of :mod:`repro.network.lanes` over many bounds at once.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 from repro import obs
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # ~0.618
+
+#: A search written once as a generator: it yields lists of points to
+#: evaluate, is sent their values, and returns ``(x_min, f_min)``.
+SearchBody = Generator[list, list, tuple]
 
 #: Largest exponent ``math.exp`` accepts without overflowing a double
 #: (``log(sys.float_info.max)`` ~ 709.78).
@@ -79,6 +87,105 @@ def bisect_increasing(
     return high
 
 
+def golden_section_search(
+    low: float,
+    high: float,
+    *,
+    tol: float = 1e-9,
+    max_iter: int = 200,
+) -> SearchBody:
+    """Golden-section search on [low, high], as a generator body.
+
+    Yields the points to evaluate (both interior points, then one new
+    point per iteration), is sent their values and returns
+    ``(x_min, f_min)``.
+    """
+    if high < low:
+        raise ValueError(f"empty bracket [{low}, {high}]")
+    a, b = low, high
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = yield [x1, x2]
+    for _ in range(max_iter):
+        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            (f1,) = yield [x1]
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            (f2,) = yield [x2]
+    if f1 <= f2:
+        return x1, f1
+    return x2, f2
+
+
+def grid_bracket(
+    xs: Sequence[float], fs: Sequence[float]
+) -> tuple[int, tuple[float, float] | None]:
+    """The first minimum of a pre-evaluated grid and the cells around it.
+
+    Returns ``(best, bracket)``: the index of the first minimum of ``fs``
+    and ``(xs[best - 1], xs[best + 1])``, clipped to the grid, or
+    ``None`` when that minimum is not finite (nothing to refine).
+    """
+    best = fs.index(min(fs))
+    if not math.isfinite(fs[best]):
+        return best, None
+    return best, (xs[max(0, best - 1)], xs[min(len(xs) - 1, best + 1)])
+
+
+def grid_then_golden_search(
+    low: float,
+    high: float,
+    *,
+    grid_points: int = 32,
+    tol: float = 1e-9,
+    log_spaced: bool = False,
+) -> SearchBody:
+    """Grid scan, then golden-section refinement, as a generator body.
+
+    Yields the whole grid (:func:`logspace` or linear), then the points
+    of :func:`golden_section_search` over the :func:`grid_bracket`; the
+    refined point wins unless the grid minimum is lower.
+    """
+    if high < low:
+        raise ValueError(f"empty bracket [{low}, {high}]")
+    if grid_points < 3:
+        raise ValueError("grid_points must be >= 3")
+    if log_spaced:
+        if low <= 0:
+            raise ValueError("log-spaced grid requires low > 0")
+        xs = logspace(low, high, grid_points)
+    else:
+        step = (high - low) / (grid_points - 1)
+        xs = [low + i * step for i in range(grid_points)]
+    fs = yield xs
+    best, bracket = grid_bracket(xs, fs)
+    if bracket is not None:
+        x_ref, f_ref = yield from golden_section_search(*bracket, tol=tol)
+        if f_ref <= fs[best]:
+            return x_ref, f_ref
+    return xs[best], fs[best]
+
+
+def _drive(
+    search: SearchBody, func: Callable[[float], float]
+) -> tuple[tuple[float, float], int]:
+    """Run a search body over ``func``: its result and its batch count."""
+    batches = 0
+    values = None
+    while True:
+        try:
+            points = search.send(values)
+        except StopIteration as stop:
+            return stop.value, batches
+        batches += 1
+        values = [func(x) for x in points]
+
+
 def golden_section_min(
     func: Callable[[float], float],
     low: float,
@@ -93,31 +200,13 @@ def golden_section_min(
     local minimum inside the bracket, which is acceptable for the refinement
     step after a grid scan.
     """
-    if high < low:
-        raise ValueError(f"empty bracket [{low}, {high}]")
-    a, b = low, high
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = func(x1), func(x2)
-    iterations = 0
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        iterations += 1
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = func(x2)
+    best, batches = _drive(
+        golden_section_search(low, high, tol=tol, max_iter=max_iter), func
+    )
     if obs.enabled():
         obs.add("numeric.golden_calls")
-        obs.add("numeric.golden_iterations", iterations)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+        obs.add("numeric.golden_iterations", batches - 1)
+    return best
 
 
 def refine_grid_minimum(
@@ -129,11 +218,9 @@ def refine_grid_minimum(
 
     ``refine(lo, hi)`` minimizes the grid's function on ``[lo, hi]`` and
     returns ``(x, f)`` — a :func:`golden_section_min` over it, or a
-    compiled mirror of one.  Picks the first grid minimum, refines within
-    its bracketing cells, and keeps the grid point when refinement does
-    not improve on it — exactly the tail of :func:`grid_then_golden`,
-    shared so the batched (numpy) grid sweeps reuse the scalar refinement
-    verbatim.
+    compiled mirror of one.  Refines within the :func:`grid_bracket`
+    and keeps the grid point when refinement does not improve on it, as
+    :func:`grid_then_golden_search` does.
     """
     if len(xs) != len(fs):
         raise ValueError("xs and fs must have equal length")
@@ -141,14 +228,11 @@ def refine_grid_minimum(
         raise ValueError("need at least one grid point")
     if obs.enabled():
         obs.add("numeric.refine_calls")
-    best = min(range(len(xs)), key=lambda i: fs[i])
-    if not math.isfinite(fs[best]):
-        return xs[best], fs[best]
-    lo = xs[max(0, best - 1)]
-    hi = xs[min(len(xs) - 1, best + 1)]
-    x_ref, f_ref = refine(lo, hi)
-    if f_ref <= fs[best]:
-        return x_ref, f_ref
+    best, bracket = grid_bracket(xs, fs)
+    if bracket is not None:
+        x_ref, f_ref = refine(*bracket)
+        if f_ref <= fs[best]:
+            return x_ref, f_ref
     return xs[best], fs[best]
 
 
@@ -165,27 +249,23 @@ def grid_then_golden(
 
     The grid scan makes the search robust to multiple local minima; the
     golden-section pass refines within the bracketing cells of the best grid
-    point (see :func:`refine_grid_minimum`).  ``func`` may return
+    point (see :func:`grid_then_golden_search`).  ``func`` may return
     ``math.inf`` for infeasible points.
     """
-    if high < low:
-        raise ValueError(f"empty bracket [{low}, {high}]")
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    if log_spaced:
-        if low <= 0:
-            raise ValueError("log-spaced grid requires low > 0")
-        ratio = (high / low) ** (1.0 / (grid_points - 1))
-        xs = [low * ratio**i for i in range(grid_points)]
-    else:
-        step = (high - low) / (grid_points - 1)
-        xs = [low + i * step for i in range(grid_points)]
-    fs = [func(x) for x in xs]
-    if obs.enabled():
-        obs.add("numeric.grid_evals", len(xs))
-    return refine_grid_minimum(
-        lambda lo, hi: golden_section_min(func, lo, hi, tol=tol), xs, fs
+    best, batches = _drive(
+        grid_then_golden_search(
+            low, high, grid_points=grid_points, tol=tol,
+            log_spaced=log_spaced,
+        ),
+        func,
     )
+    if obs.enabled():
+        obs.add("numeric.grid_evals", grid_points)
+        obs.add("numeric.refine_calls")
+        if batches > 1:  # the grid, then the golden section's batches
+            obs.add("numeric.golden_calls")
+            obs.add("numeric.golden_iterations", batches - 2)
+    return best
 
 
 def logspace(low: float, high: float, count: int) -> list[float]:

@@ -51,10 +51,11 @@ from repro.network.optimization import (
     ThetaSolution,
     theta_for_x,
 )
-from repro.network.vectorized import _e2e_probe, _log_grid, e2e_delay_grid
+from repro.network.vectorized import _e2e_probe, e2e_delay_grid
 from repro.utils.numeric import (
     golden_section_min,
     grid_then_golden,
+    logspace,
     refine_grid_minimum,
 )
 from repro.utils.validation import (
@@ -82,7 +83,7 @@ def optimize_gamma_e2e(
     golden-section refinement of the argmin bracket over the probe."""
     headroom = capacity - cross.rate - through.rate
     gamma_max = headroom / (hops + 1)
-    xs = _log_grid(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
+    xs = logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), gamma_grid)
     fs = e2e_delay_grid(
         through, cross, hops, capacity, delta, epsilon, np.asarray(xs)
     )

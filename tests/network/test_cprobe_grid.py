@@ -37,10 +37,10 @@ from repro.network.e2e import mmoo_ebb_pair
 from repro.network.vectorized import (
     _e2e_probe,
     _grid_rows_python,
-    _log_grid,
     e2e_delay_grid,
     e2e_delay_grid_rows,
 )
+from repro.utils.numeric import logspace
 
 #: Eq. (38) case -> per-row Δ; "fifo" is Δ = ±0, which takes Eq. (44).
 DELTAS = {
@@ -234,7 +234,7 @@ def engine_grids(draw):
         throughs.append(through)
         crosses.append(cross)
         deltas.append(draw(DELTAS[case]))
-        rows.append(_log_grid(top * 1e-6, top * (1.0 - 1e-9), grid))
+        rows.append(logspace(top * 1e-6, top * (1.0 - 1e-9), grid))
     return throughs, crosses, hops, capacity, deltas, epsilon, np.array(rows)
 
 

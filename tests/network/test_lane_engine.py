@@ -6,8 +6,10 @@ the probe at the grid argmin — so a round is one step of every live
 ``s`` search.  These tests pin that structure (rounds per ``s`` level,
 kernel request counts per fixed spec) and that a lane's answer does not
 depend on the lanes batched beside it, including lanes that differ from
-it only in capacity or epsilon.  The last tests pin the solver's yield
-points: one CPU yield per engine round and per backlog evaluation.
+it only in capacity or epsilon.  One test runs an ``s`` search past
+its lane's headroom, where the engine answers ``inf`` without a
+``gamma`` search.  The last tests pin the solver's yield points: one
+CPU yield per engine round and per backlog evaluation.
 """
 
 import math
@@ -17,12 +19,14 @@ import pytest
 from repro import obs
 from repro.arrivals.mmoo import MMOOParameters
 from repro.network import cprobe, lanes
+from repro.network.e2e import _max_feasible_s
 from repro.network.lanes import (
     EDFLaneSpec,
     LaneSpec,
     edf_bound_lanes,
     mmoo_bound_lanes,
 )
+from tests.network import reference_search
 
 TRAFFIC = MMOOParameters.paper_defaults()
 
@@ -84,23 +88,23 @@ def test_edf_lane_independent_of_capacity_and_epsilon_neighbours():
 
 
 def _count_levels(monkeypatch):
-    """Wrap the mmoo chain so every yield — one ``s`` level: the grid,
-    then each golden-section step — is counted."""
+    """Wrap each lane's ``s`` search so every yield — one ``s`` level:
+    the grid, then each golden-section step — is counted."""
     levels = [0]
-    chain = lanes._mmoo_chain
+    search = lanes._s_search
 
     def counted(lane):
-        gen = chain(lane)
+        gen = search(lane)
         value = None
         while True:
             try:
-                requests = gen.send(value)
+                level = gen.send(value)
             except StopIteration as stop:
                 return stop.value
             levels[0] += 1
-            value = yield requests
+            value = yield level
 
-    monkeypatch.setattr(lanes, "_mmoo_chain", counted)
+    monkeypatch.setattr(lanes, "_s_search", counted)
     return levels
 
 
@@ -165,6 +169,63 @@ def test_kernel_request_counts_pinned(monkeypatch, name):
     assert registry.counter("lanes.engine_probes") == (
         counts["probe"] + counts["golden"]
     )
+
+
+# -- s levels past the headroom --------------------------------------------
+
+#: An ``s`` search whose top is 5x the lane's ``_max_feasible_s``: the
+#: upper grid points and some golden-section steps leave no headroom.
+PAST = LaneSpec(TRAFFIC, 100, 300, 1, 100.0, 0.0, 1e-9, s_grid=8,
+                gamma_grid=8)
+#: A lane with one more ``s`` level than ``PAST``.
+BESIDE = LaneSpec(TRAFFIC, 100, 150, 3, 100.0, math.inf, 1e-9, s_grid=4,
+                  gamma_grid=8)
+
+
+def _past_s_max():
+    return 5.0 * _max_feasible_s(TRAFFIC, 100 + 300, 100.0)
+
+
+def _run(specs_and_tops):
+    table = cprobe.ProbeTable()
+    return lanes._run_lanes(table, [
+        lanes._Lane(spec, spec.delta, table, s_max)
+        for spec, s_max in specs_and_tops
+    ])
+
+
+def test_s_levels_without_headroom(monkeypatch):
+    """An ``s`` without headroom is ``inf`` at once, and a level of
+    such ``s`` steps its lane again in the same round: batched beside a
+    normal lane, each lane is its solo self, the past lane matches the
+    reference search, and the rounds are the larger lane's levels."""
+    levels = _count_levels(monkeypatch)
+    with obs.scoped() as registry:
+        (past_alone,) = _run([(PAST, _past_s_max())])
+    past_levels = levels[0]
+    # some level had no gamma search to run
+    assert registry.counter("lanes.engine_rounds") < past_levels
+    levels[0] = 0
+    (beside_alone,) = _run([(BESIDE, None)])
+    beside_levels = levels[0]
+    assert beside_levels > past_levels
+
+    with obs.scoped() as registry:
+        past, beside = _run([(PAST, _past_s_max()), (BESIDE, None)])
+    assert _bytes_equal(past, past_alone)
+    assert _bytes_equal(beside, beside_alone)
+    assert _bytes_equal(beside, mmoo_bound_lanes([BESIDE])[0])
+    assert registry.counter("lanes.engine_rounds") == beside_levels
+
+    monkeypatch.setattr(
+        reference_search, "_max_feasible_s", lambda *args: _past_s_max()
+    )
+    reference = reference_search.e2e_delay_bound_mmoo(
+        TRAFFIC, PAST.n_through, PAST.n_cross, PAST.hops, PAST.capacity,
+        PAST.delta, PAST.epsilon, s_grid=PAST.s_grid,
+        gamma_grid=PAST.gamma_grid,
+    )
+    assert _bytes_equal(past, reference)
 
 
 # -- yield points ---------------------------------------------------------
