@@ -3,7 +3,6 @@
 Usage::
 
     python -m repro.experiments fig2 [--full] [--jobs 4] [--csv out.csv]
-    python -m repro.experiments fig2 --backend scalar   # reference path
     python -m repro.experiments fig3 --hops 2 5 --json fig3.json
     python -m repro.experiments fig4 --utilizations 0.5 --no-cache
     python -m repro.experiments validation --slots 30000 --seed 7
@@ -84,11 +83,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "per-cell execution",
     )
     parser.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="bound-computation backend: vectorized numpy kernels "
-        "(default) or the scalar reference path",
-    )
-    parser.add_argument(
         "--csv", metavar="PATH", help="also write the rows as CSV"
     )
     parser.add_argument(
@@ -139,6 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p4.add_argument("--hops", type=int, nargs="+", default=[1, 2, 4, 6, 8, 10])
     p4.add_argument(
         "--utilizations", type=float, nargs="+", default=[0.10, 0.50, 0.90]
+    )
+    p4.add_argument(
+        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
+        help="gamma search of the additive baseline: batched numpy grid "
+        "(default) or the scalar reference path",
     )
     _add_common(p4)
 
@@ -249,14 +248,12 @@ def _build_spec(args: argparse.Namespace):
             utilizations=tuple(args.utilizations),
             hops=tuple(args.hops),
             quick=not args.full,
-            backend=args.backend,
         )
     if args.command == "fig3":
         return fig3_spec(
             mixes=tuple(args.mixes),
             hops=tuple(args.hops),
             quick=not args.full,
-            backend=args.backend,
         )
     if args.command == "fig4":
         return fig4_spec(
@@ -279,7 +276,6 @@ def _build_spec(args: argparse.Namespace):
             n_trials=args.trials,
             engine=args.engine,
             quick=not args.full,
-            backend=args.backend,
         )
     return validation_spec(
         hops=tuple(args.hops),
@@ -290,7 +286,6 @@ def _build_spec(args: argparse.Namespace):
         n_trials=args.trials,
         engine=args.engine,
         quick=not args.full,
-        backend=args.backend,
     )
 
 
@@ -374,7 +369,6 @@ def _run(args) -> int:
             "command": args.command,
             "jobs": args.jobs,
             "full": args.full,
-            "backend": args.backend,
             "trace": args.trace,
         }
         if args.command == "validation":
@@ -459,7 +453,6 @@ def _run_rare(args, executor, cache) -> int:
             max_batches=args.max_batches,
             engine=args.engine,
             quick=not args.full,
-            backend=args.backend,
             executor=executor,
             cache=cache,
         )
@@ -490,7 +483,6 @@ def _run_rare(args, executor, cache) -> int:
                 "batch_trials": args.batch_trials,
                 "max_batches": args.max_batches,
                 "quick": not args.full,
-                "backend": args.backend,
             },
             "n_cells": result.cells,
             "cached_cells": result.cached_cells,

@@ -4,8 +4,8 @@ The sweep engine of :mod:`repro.experiments.sweep` executes one
 :class:`~repro.experiments.sweep.Cell` at a time; each figure cell pays
 a full nested (s, gamma) — and for EDF, fixed-point — search on its
 own.  This module groups compatible cells of a
-:class:`~repro.experiments.sweep.SweepSpec` (same cell function, same
-solver family and backend, varying only numeric parameters — e.g. both
+:class:`~repro.experiments.sweep.SweepSpec` (same cell function and
+solver family, varying only numeric parameters — e.g. both
 EDF deadline-weight variants of Fig. 3 land in one group) and executes
 each group as one batched call into :mod:`repro.network.lanes`, where
 all the lanes' searches advance in lockstep through shared vectorized
@@ -172,8 +172,8 @@ def plan_batches(
 ) -> list[Batch]:
     """Group the spec's cells (or the subset ``indices``) into batches.
 
-    Cells sharing a cell function, lane family, and backend fuse into
-    one lane group; a group larger than ``max_lanes`` — or any group
+    Cells sharing a cell function and lane family fuse into one lane
+    group; a group larger than ``max_lanes`` — or any group
     when ``jobs > 1``, so a pool has units to balance — splits into
     contiguous chunks.  Unplannable cells become singleton fallback
     batches.  The plan depends only on the spec, so it is deterministic.
@@ -194,11 +194,10 @@ def plan_batches(
             fallback.append(index)
             fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
             continue
-        key = (cell.fn, plan.kind, plan.spec.backend)
-        groups.setdefault(key, []).append(index)
+        groups.setdefault((cell.fn, plan.kind), []).append(index)
 
     batches: list[Batch] = []
-    for (fn, kind, _backend), members in groups.items():
+    for (_, kind), members in groups.items():
         n_chunks = max(1, math.ceil(len(members) / max_lanes))
         if jobs > 1:
             n_chunks = max(n_chunks, min(len(members), 2 * jobs))

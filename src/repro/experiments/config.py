@@ -29,10 +29,13 @@ CAPACITY = 100.0
 #: Target violation probability of all examples.
 EPSILON = 1e-9
 
-#: Numeric backends for the bound computations: the numpy backend runs
-#: the free-parameter search through the vectorized kernels of
-#: :mod:`repro.network.vectorized`; the scalar backend is the plain
-#: per-probe reference implementation.  Both return the same bounds.
+#: The two ``gamma`` searches of the additive per-node baseline
+#: (:func:`repro.network.pernode.additive_pernode_delay_bound`): the
+#: numpy backend evaluates its grid through one batched kernel call of
+#: :mod:`repro.network.vectorized`, the scalar backend probes the exact
+#: objective point by point.  Their bounds agree to 1e-9 relative, not
+#: bitwise.  The Fig. 2-4 cells still stamp ``DEFAULT_BACKEND`` into
+#: their parameters, so their cache keys keep the field.
 BACKENDS = ("numpy", "scalar")
 DEFAULT_BACKEND = "numpy"
 

@@ -82,9 +82,13 @@ def fig2_cell(
     gamma_grid: int,
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
-    """One (scheduler, H, U) point of Fig. 2 — pure and picklable."""
+    """One (scheduler, H, U) point of Fig. 2 — pure and picklable.
+
+    ``backend`` is unread: it stays a cell parameter only so the cells'
+    cache keys keep their ``"backend"`` field.
+    """
     setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
+    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid}
     n_total = setting.flows_for_utilization(utilization)
     n_cross = max(n_total - n_through, 0)
     if scheduler == "EDF":
@@ -117,11 +121,7 @@ def fig2_plan(params: dict) -> CellPlan:
     )
     n_total = setting.flows_for_utilization(utilization)
     n_cross = max(n_total - params["n_through"], 0)
-    grid = {
-        "s_grid": params["s_grid"],
-        "gamma_grid": params["gamma_grid"],
-        "backend": params.get("backend", DEFAULT_BACKEND),
-    }
+    grid = {"s_grid": params["s_grid"], "gamma_grid": params["gamma_grid"]}
     if scheduler == "EDF":
         return CellPlan(
             kind="edf",
@@ -157,7 +157,6 @@ def fig2_spec(
     schedulers: Sequence[str] = SCHEDULERS,
     setting: PaperSetting | None = None,
     quick: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> SweepSpec:
     """Declare the Fig. 2 grid (one cell per (scheduler, H, U) point)."""
     setting = setting or paper_setting()
@@ -165,7 +164,7 @@ def fig2_spec(
         **setting_to_params(setting),
         **grids(quick),
         "n_through": N_THROUGH,
-        "backend": backend,
+        "backend": DEFAULT_BACKEND,
     }
     cells = [
         Cell.make(

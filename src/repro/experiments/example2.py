@@ -80,9 +80,13 @@ def fig3_cell(
     gamma_grid: int,
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
-    """One (scheduler, H, mix) point of Fig. 3 — pure and picklable."""
+    """One (scheduler, H, mix) point of Fig. 3 — pure and picklable.
+
+    ``backend`` is unread: it stays a cell parameter only so the cells'
+    cache keys keep their ``"backend"`` field.
+    """
     setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
+    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid}
     n_total = setting.flows_for_utilization(utilization)
     n_cross = round(mix * n_total)
     n_through = max(n_total - n_cross, 1)
@@ -118,11 +122,7 @@ def fig3_plan(params: dict) -> CellPlan:
     n_total = setting.flows_for_utilization(params["utilization"])
     n_cross = round(mix * n_total)
     n_through = max(n_total - n_cross, 1)
-    grid = {
-        "s_grid": params["s_grid"],
-        "gamma_grid": params["gamma_grid"],
-        "backend": params.get("backend", DEFAULT_BACKEND),
-    }
+    grid = {"s_grid": params["s_grid"], "gamma_grid": params["gamma_grid"]}
     if scheduler in EDF_WEIGHTS:
         w_through, w_cross = EDF_WEIGHTS[scheduler]
         return CellPlan(
@@ -159,7 +159,6 @@ def fig3_spec(
     schedulers: Sequence[str] = SCHEDULERS,
     setting: PaperSetting | None = None,
     quick: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> SweepSpec:
     """Declare the Fig. 3 grid (one cell per (scheduler, H, mix) point)."""
     setting = setting or paper_setting()
@@ -167,7 +166,7 @@ def fig3_spec(
         **setting_to_params(setting),
         **grids(quick),
         "utilization": TOTAL_UTILIZATION,
-        "backend": backend,
+        "backend": DEFAULT_BACKEND,
     }
     cells = [
         Cell.make(CELL_FN, scheduler=scheduler, hops=h, mix=mix, **shared)

@@ -56,9 +56,14 @@ def fig4_cell(
     gamma_grid: int,
     backend: str = DEFAULT_BACKEND,
 ) -> dict:
-    """One (scheduler, U, H) point of Fig. 4 — pure and picklable."""
+    """One (scheduler, U, H) point of Fig. 4 — pure and picklable.
+
+    ``backend`` selects the additive baseline's ``gamma`` search (see
+    :func:`~repro.network.pernode.additive_pernode_delay_bound`); the
+    other schedulers have one search path.
+    """
     setting = setting_from_params(traffic, capacity, epsilon)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
+    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid}
     n_half = max(setting.flows_for_utilization(utilization) // 2, 1)
     if scheduler == "EDF":
         bound = e2e_delay_bound_edf(
@@ -76,7 +81,7 @@ def fig4_cell(
         additive = additive_pernode_delay_bound_mmoo(
             setting.traffic, n_half, n_half, hops,
             setting.capacity, setting.epsilon,
-            **grid,
+            backend=backend, **grid,
         )
         return _fig4_payload(
             scheduler, hops, utilization, additive.delay, additive.gamma, {}
@@ -125,11 +130,7 @@ def fig4_plan(params: dict) -> CellPlan | None:
         params["traffic"], params["capacity"], params["epsilon"]
     )
     n_half = max(setting.flows_for_utilization(utilization) // 2, 1)
-    grid = {
-        "s_grid": params["s_grid"],
-        "gamma_grid": params["gamma_grid"],
-        "backend": params.get("backend", DEFAULT_BACKEND),
-    }
+    grid = {"s_grid": params["s_grid"], "gamma_grid": params["gamma_grid"]}
     if scheduler == "EDF":
         return CellPlan(
             kind="edf",

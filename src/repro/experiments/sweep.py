@@ -396,7 +396,7 @@ def run_sweep(
 
             def deliver(position: int, payload: dict[str, Any]) -> None:
                 if traced:
-                    _merge_cell_metrics(payload)
+                    _merge_metrics(payload.get("metrics"), [payload])
                 complete(missing[position], payload)
 
             _map_stream(executor, fn, items, deliver)
@@ -460,7 +460,7 @@ def _run_batched(
     def deliver(position: int, result: Any) -> None:
         if traced:
             cell_payloads = result["payloads"]
-            _merge_batch_metrics(result["metrics"], cell_payloads)
+            _merge_metrics(result["metrics"], cell_payloads)
         else:
             cell_payloads = result
         for index, payload in zip(batches[position].indices, cell_payloads):
@@ -469,30 +469,16 @@ def _run_batched(
     _map_stream(executor, fn, items, deliver)
 
 
-def _merge_cell_metrics(payload: Mapping[str, Any]) -> None:
-    """Fold one computed cell's snapshot into the sweep-level registry."""
-    snap = payload.get("metrics")
-    if not isinstance(snap, Mapping):
-        return
-    obs.merge(snap)
-    obs.observe("sweep.cell_wall_time_s", float(payload.get("wall_time_s", 0.0)))
-    gauges = snap.get("gauges", {})
-    queue_wait = gauges.get("cell.queue_wait_s")
-    if queue_wait is not None:
-        obs.observe("sweep.cell_queue_wait_s", float(queue_wait))
-    pid = gauges.get("cell.worker_pid")
-    if pid is not None:
-        obs.add(f"sweep.worker.{int(pid)}.cells")
-
-
-def _merge_batch_metrics(
-    snap: Mapping[str, Any], payloads: Sequence[Mapping[str, Any]]
+def _merge_metrics(
+    snap: Any, payloads: Sequence[Mapping[str, Any]]
 ) -> None:
-    """Fold one computed batch's snapshot into the sweep-level registry.
+    """Fold one computed work unit's snapshot into the sweep-level
+    registry: a cell (``payloads`` is its one payload) or a batch.
 
-    The snapshot is merged once per batch — its cells share the fused
-    solver work, so per-cell merging would double-count — while the
-    wall-time series still gets one (amortized) observation per cell.
+    The snapshot is merged once per unit — a batch's cells share the
+    fused solver work, so per-cell merging would double-count — while
+    the wall-time series still gets one (amortized) observation per
+    cell.
     """
     if not isinstance(snap, Mapping):
         return

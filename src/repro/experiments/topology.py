@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.arrivals.mmoo import MMOOParameters
-from repro.experiments.config import DEFAULT_BACKEND, grids
+from repro.experiments.config import grids
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
 from repro.experiments.validation import aggregate_trials, trial_summary
 from repro.simulation.engine import simulate_topology_mmoo, spawn_trial_seeds
@@ -91,7 +91,6 @@ def topology_bound_cell(
     traffic: tuple,
     s_grid: int,
     gamma_grid: int,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """The analytic end-to-end bound of one route.
 
@@ -106,7 +105,7 @@ def topology_bound_cell(
     hops = extract_route(topo, route)
     result = route_delay_bound_mmoo(
         topo, route, mmoo, epsilon,
-        s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
+        s_grid=s_grid, gamma_grid=gamma_grid,
     )
     return {
         "rows": [
@@ -188,7 +187,6 @@ def topology_spec(
     engine: str = "auto",
     traffic: MMOOParameters | None = None,
     quick: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> SweepSpec:
     """Declare the grid of one named topology scenario.
 
@@ -209,8 +207,7 @@ def topology_spec(
     cells = [
         Cell.make(
             BOUND_CELL_FN, topology=topo_params, route=route.name,
-            epsilon=epsilon, traffic=traffic_params, backend=backend,
-            **grids(quick),
+            epsilon=epsilon, traffic=traffic_params, **grids(quick),
         )
         for route in topology.routes
     ]

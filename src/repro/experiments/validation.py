@@ -39,7 +39,6 @@ import numpy as np
 from repro import obs
 from repro.experiments.batch import CellPlan
 from repro.experiments.config import (
-    DEFAULT_BACKEND,
     SCHEDULER_MAP,
     PaperSetting,
     grids,
@@ -120,7 +119,6 @@ def validation_bound_cell(
     capacity: float,
     s_grid: int,
     gamma_grid: int,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """The analytic end-to-end bound of one (scheduler, H) point.
 
@@ -135,7 +133,6 @@ def validation_bound_cell(
     bound = e2e_delay_bound_mmoo(
         setting.traffic, n_half, n_half, hops, setting.capacity,
         delta, epsilon, s_grid=s_grid, gamma_grid=gamma_grid,
-        backend=backend,
     )
     return _validation_bound_payload(scheduler, hops, utilization, n_half, bound)
 
@@ -177,7 +174,6 @@ def validation_bound_plan(params: dict) -> CellPlan:
             setting.traffic, n_half, n_half, hops, setting.capacity,
             delta, epsilon,
             s_grid=params["s_grid"], gamma_grid=params["gamma_grid"],
-            backend=params.get("backend", DEFAULT_BACKEND),
         ),
         build=lambda bound: _validation_bound_payload(
             scheduler, hops, utilization, n_half, bound
@@ -250,7 +246,6 @@ def validation_spec(
     engine: str = "chunk",
     setting: PaperSetting | None = None,
     quick: bool = True,
-    backend: str = DEFAULT_BACKEND,
 ) -> SweepSpec:
     """Declare the validation grid.
 
@@ -276,7 +271,7 @@ def validation_spec(
             cells.append(
                 Cell.make(
                     BOUND_CELL_FN, scheduler=scheduler, hops=h,
-                    backend=backend, **shared, **grids(quick),
+                    **shared, **grids(quick),
                 )
             )
             for trial, trial_seed in enumerate(trial_seeds):
@@ -650,7 +645,6 @@ def run_rare_validation(
     engine: str = "vectorized",
     setting: PaperSetting | None = None,
     quick: bool = True,
-    backend: str = DEFAULT_BACKEND,
     executor=None,
     cache=None,
 ) -> RareValidationResult:
@@ -684,7 +678,7 @@ def run_rare_validation(
     bound_cells = [
         Cell.make(
             BOUND_CELL_FN, scheduler=scheduler, hops=h,
-            backend=backend, **shared, **grids(quick),
+            **shared, **grids(quick),
         )
         for scheduler in schedulers
         for h in hops

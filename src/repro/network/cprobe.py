@@ -119,6 +119,12 @@ _NFIELDS = len(CTX_FIELDS)
 #: kernel uses fixed-size stack buffers).
 MAX_HOPS = 1024
 
+#: Tolerance and iteration cap of every golden-section refinement run
+#: here (:func:`golden_values`, :func:`additive_golden`): the defaults
+#: of :func:`~repro.utils.numeric.golden_section_min`.
+GOLDEN_TOL = 1e-9
+GOLDEN_MAX_ITER = 200
+
 _C_SOURCE = r"""
 #include <math.h>
 #include <string.h>
@@ -937,9 +943,6 @@ def _golden_python(
     indices: Sequence[int],
     los: Sequence[float],
     his: Sequence[float],
-    *,
-    tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     from repro.network.vectorized import _e2e_probe
 
@@ -953,8 +956,8 @@ def _golden_python(
             ),
             lo,
             hi,
-            tol=tol,
-            max_iter=max_iter,
+            tol=GOLDEN_TOL,
+            max_iter=GOLDEN_MAX_ITER,
         )
     return out_x, out_f
 
@@ -964,9 +967,6 @@ def golden_values(
     indices: Sequence[int],
     los: Sequence[float],
     his: Sequence[float],
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a probe-driven golden-section refinement per request.
 
@@ -983,17 +983,15 @@ def golden_values(
     lib = KERNEL.load()
     if lib is None:
         _count_fallbacks(len(indices))
-        return _golden_python(
-            table, indices, los, his, tol=tol, max_iter=max_iter
-        )
+        return _golden_python(table, indices, los, his)
     n = len(indices)
     (idx, lo, hi, out_x, out_f), addr = table._requests(n)
     idx[:n] = indices
     lo[:n] = los
     hi[:n] = his
     n_back = lib.golden_values(
-        n, table._buf_addr, addr[0], addr[1], addr[2], tol, max_iter,
-        addr[3], addr[4],
+        n, table._buf_addr, addr[0], addr[1], addr[2], GOLDEN_TOL,
+        GOLDEN_MAX_ITER, addr[3], addr[4],
     )
     xs = out_x[:n].copy()
     fs = out_f[:n].copy()
@@ -1006,8 +1004,6 @@ def golden_values(
             [indices[i] for i in fix],
             [los[i] for i in fix],
             [his[i] for i in fix],
-            tol=tol,
-            max_iter=max_iter,
         )
     return xs, fs
 
@@ -1051,9 +1047,6 @@ def additive_golden(
     epsilon: float,
     lo: float,
     hi: float,
-    *,
-    tol: float = 1e-9,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """:func:`~repro.utils.numeric.golden_section_min` over the additive
     probe :func:`repro.network.vectorized._additive_probe` on ``[lo, hi]``.
@@ -1082,7 +1075,7 @@ def additive_golden(
         out = (ctypes.c_double * 2)()
         iterations = ctypes.c_long()
         if not lib.additive_golden(
-            ctx, lo, hi, tol, max_iter, EXP_OVERFLOW, out,
+            ctx, lo, hi, GOLDEN_TOL, GOLDEN_MAX_ITER, EXP_OVERFLOW, out,
             ctypes.byref(iterations),
         ):
             # the counters golden_section_min keeps
@@ -1097,8 +1090,8 @@ def additive_golden(
         lambda g: _additive_probe(through, cross, hops, capacity, epsilon, g),
         lo,
         hi,
-        tol=tol,
-        max_iter=max_iter,
+        tol=GOLDEN_TOL,
+        max_iter=GOLDEN_MAX_ITER,
     )
 
 

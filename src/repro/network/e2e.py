@@ -54,11 +54,12 @@ from repro.utils.validation import (
 )
 
 Method = Literal["exact", "paper"]
-Backend = Literal["scalar", "numpy"]
 
 
 def check_backend(backend: str) -> None:
-    """Validate a ``backend`` selector (raises :class:`ValueError`)."""
+    """Validate the additive baseline's ``backend`` selector (raises
+    :class:`ValueError`); see
+    :func:`repro.network.pernode.additive_pernode_delay_bound`."""
     if backend not in ("scalar", "numpy"):
         raise ValueError(
             f"unknown backend {backend!r}; use 'scalar' or 'numpy'"
@@ -384,7 +385,6 @@ def e2e_delay_bound_mmoo(
     *,
     s_grid: int = 24,
     gamma_grid: int = 24,
-    backend: Backend = "numpy",
 ) -> E2EResult:
     """End-to-end delay bound for aggregated MMOO traffic (paper Sec. V).
 
@@ -402,7 +402,7 @@ def e2e_delay_bound_mmoo(
         check_int(n_cross, "n_cross", minimum=0),
         check_int(hops, "hops", minimum=1),
         capacity, delta, epsilon,
-        s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
+        s_grid=s_grid, gamma_grid=gamma_grid,
     )
     return mmoo_bound_lanes([spec])[0]
 
@@ -421,7 +421,6 @@ def e2e_delay_bound_edf(
     max_iter: int = 40,
     s_grid: int = 24,
     gamma_grid: int = 24,
-    backend: Backend = "numpy",
     on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn",
 ) -> EDFBound:
     """EDF bound with self-referential deadlines (paper Examples 1-3).
@@ -452,6 +451,6 @@ def e2e_delay_bound_edf(
         deadline_weight_through=deadline_weight_through,
         deadline_weight_cross=deadline_weight_cross,
         tol=tol, max_iter=max_iter, s_grid=s_grid, gamma_grid=gamma_grid,
-        backend=backend, on_nonconvergence=on_nonconvergence,
+        on_nonconvergence=on_nonconvergence,
     )
     return edf_bound_lanes([spec])[0]

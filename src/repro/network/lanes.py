@@ -27,13 +27,12 @@ than copies of them:
   steps its lane again at once), and runs every pending context as one
   stage per round (:func:`_gamma_searches`): the ``gamma`` grids,
   row-stacked :func:`repro.network.vectorized.e2e_delay_grid_rows`
-  calls (or C probes per point on the scalar backend), each row's
-  :func:`~repro.utils.numeric.grid_bracket`, one golden-section
-  refinement call and one probe call into the generated-C kernel of
-  :mod:`repro.network.cprobe`.  A round is thus one level of every
-  live ``s`` search.  Between rounds the engine yields the CPU, so a
-  thread waiting on the interpreter lock (the bound service's event
-  loop) runs within a round;
+  calls, each row's :func:`~repro.utils.numeric.grid_bracket`, one
+  golden-section refinement call and one probe call into the
+  generated-C kernel of :mod:`repro.network.cprobe`.  A round is thus
+  one level of every live ``s`` search.  Between rounds the engine
+  yields the CPU, so a thread waiting on the interpreter lock (the
+  bound service's event loop) runs within a round;
 * the engine records the ``gamma`` found at each ``s``; the optimum is
   materialized by one :func:`repro.network.e2e.e2e_delay_bound_at_gamma`
   call at the best ``s`` and its recorded ``gamma``;
@@ -54,9 +53,9 @@ across its rows, so the stage groups contexts by all three (plus grid
 length and Eq. (38) case): lanes differing only in capacity or epsilon
 get separate calls, each with its own grid.  A reference implementation
 of the plain nested search lives in ``tests/network/reference_search.py``;
-the equivalence suite pins the engine to it bitwise on the numpy backend
-and to 1e-9 relative on the scalar one, whose C probes differ from the
-exact scalar objective in the last bits.
+the equivalence suite pins the engine to its grid-row search bitwise and
+to its exact scalar objective (whose values differ from the C probes in
+the last bits) within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ from repro.network.e2e import (
     EDFBound,
     FixedPointDiagnostics,
     FixedPointError,
-    check_backend,
     e2e_delay_bound_at_gamma,
     mmoo_ebb_pair,
 )
@@ -113,7 +111,6 @@ class LaneSpec:
     epsilon: float
     s_grid: int = 24
     gamma_grid: int = 24
-    backend: str = "numpy"
 
 
 @dataclass(frozen=True)
@@ -132,14 +129,13 @@ class EDFLaneSpec:
     max_iter: int = 40
     s_grid: int = 24
     gamma_grid: int = 24
-    backend: str = "numpy"
     on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn"
 
 
 #: One registered (lane, s) probe context.
 _Ctx = namedtuple(
     "_Ctx",
-    "index through cross hops capacity delta epsilon gamma_grid backend",
+    "index through cross hops capacity delta epsilon gamma_grid",
 )
 
 
@@ -184,7 +180,7 @@ class _Lane:
         )
         return _Ctx(
             index, through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, spec.gamma_grid, spec.backend,
+            spec.epsilon, spec.gamma_grid,
         )
 
     def at_s(self, s: float) -> E2EResult:
@@ -211,37 +207,32 @@ def _gamma_searches(
     In order: the log-spaced grid of every context over its
     :func:`~repro.network.e2e._gamma_interval`; its values, as
     row-stacked :func:`~repro.network.vectorized.e2e_delay_grid_rows`
-    calls (numpy backend; one per group of contexts sharing hops, grid
-    length, Eq. (38) case, ``Delta == 0``, capacity and epsilon) or
-    one C probe per point (scalar backend); each row's
+    calls (one per group of contexts sharing hops, grid length,
+    Eq. (38) case, ``Delta == 0``, capacity and epsilon); each row's
     :func:`~repro.utils.numeric.grid_bracket`; one
     :func:`repro.network.cprobe.golden_values` call refining the
     finite rows; one :func:`repro.network.cprobe.probe_values` call at
-    each numpy row's grid argmin.  The refined point wins when its
-    value is no worse than the grid minimum.
+    each row's grid argmin.  The refined point wins when its value is
+    no worse than the grid minimum.
 
     Returns ``(gamma_best, delay)`` per context, where ``delay`` is the
     probe at ``gamma_best`` (the golden refinement's ``f`` is the probe
-    at its ``x``; a scalar row's grid values are probes), and the
-    number of probe and refinement requests made.
+    at its ``x``), and the number of probe and refinement requests
+    made.
     """
     grids = []
     rows: list = [None] * len(ctxs)
     groups: dict = {}
-    scalar = []
     for i, ctx in enumerate(ctxs):
         headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
         grids.append(logspace(
             *_gamma_interval(headroom, ctx.hops), ctx.gamma_grid
         ))
-        if ctx.backend == "numpy":
-            key = (
-                ctx.hops, ctx.gamma_grid, _delta_case(ctx.delta),
-                ctx.delta == 0.0, ctx.capacity, ctx.epsilon,
-            )
-            groups.setdefault(key, []).append(i)
-        else:
-            scalar.append(i)
+        key = (
+            ctx.hops, ctx.gamma_grid, _delta_case(ctx.delta),
+            ctx.delta == 0.0, ctx.capacity, ctx.epsilon,
+        )
+        groups.setdefault(key, []).append(i)
     for (hops, _, _, _, capacity, epsilon), members in groups.items():
         out = e2e_delay_grid_rows(
             [ctxs[i].through for i in members],
@@ -254,17 +245,6 @@ def _gamma_searches(
         )
         for i, row in zip(members, out.tolist()):
             rows[i] = row
-    n_requests = 0
-    if scalar:
-        indices = [ctxs[i].index for i in scalar for _ in grids[i]]
-        values = cprobe.probe_values(
-            table, indices, [x for i in scalar for x in grids[i]]
-        ).tolist()
-        n_requests += len(indices)
-        start = 0
-        for i in scalar:
-            rows[i] = values[start:start + len(grids[i])]
-            start += len(grids[i])
 
     found = []
     refine, los, his = [], [], []
@@ -280,27 +260,19 @@ def _gamma_searches(
         ref_x, ref_f = cprobe.golden_values(
             table, [ctxs[i].index for i in refine], los, his
         )
-        n_requests += len(refine)
         refined = [
             (i, (x, f))
             for i, x, f in zip(refine, ref_x.tolist(), ref_f.tolist())
             if f <= found[i][1]
         ]
-    # a numpy row's value at its grid argmin is the probe's there (a
-    # scalar row's grid values are probes)
-    probe = [i for i, ctx in enumerate(ctxs) if ctx.backend == "numpy"]
-    if probe:
-        values = cprobe.probe_values(
-            table,
-            [ctxs[i].index for i in probe],
-            [found[i][0] for i in probe],
-        ).tolist()
-        n_requests += len(probe)
-        for i, value in zip(probe, values):
-            found[i] = (found[i][0], value)
+    # a row's value at its grid argmin is the probe's there
+    values = cprobe.probe_values(
+        table, [ctx.index for ctx in ctxs], [x for x, _ in found]
+    ).tolist()
+    found = [(x, value) for (x, _), value in zip(found, values)]
     for i, best in refined:
         found[i] = best
-    return found, n_requests
+    return found, len(refine) + len(ctxs)
 
 
 # --------------------------------------------------------------------- #
@@ -400,7 +372,6 @@ def _check_lane(spec: LaneSpec | EDFLaneSpec) -> None:
     # grid_then_golden_search needs 3 grid points
     check_int(spec.s_grid, "s_grid", minimum=3)
     check_int(spec.gamma_grid, "gamma_grid", minimum=3)
-    check_backend(spec.backend)
 
 
 def gamma_search(
@@ -412,7 +383,7 @@ def gamma_search(
     epsilon: float,
     gamma_grid: int,
 ) -> tuple[float, float]:
-    """One numpy ``gamma`` search: ``(gamma_best, delay_at_gamma_best)``,
+    """One ``gamma`` search: ``(gamma_best, delay_at_gamma_best)``,
     the delay being the probe's.
 
     The search behind :func:`~repro.network.e2e.e2e_delay_bound` with
@@ -422,7 +393,7 @@ def gamma_search(
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)
     ctx = _Ctx(index, through, cross, hops, capacity, delta, epsilon,
-               gamma_grid, "numpy")
+               gamma_grid)
     (best,), _ = _gamma_searches(table, [ctx])
     return best
 
@@ -485,8 +456,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
     def bootstrap_key(spec: EDFLaneSpec):
         return (
             spec.traffic, spec.n_through, spec.n_cross, spec.hops,
-            spec.capacity, spec.epsilon, spec.s_grid,
-            spec.gamma_grid, spec.backend,
+            spec.capacity, spec.epsilon, spec.s_grid, spec.gamma_grid,
         )
 
     bounds: list[EDFBound | None] = [None] * n

@@ -48,12 +48,13 @@ numpy: numpy's AVX-512 ``log``/``exp``/``expm1`` differ from libm in the
 last bits, and a grid value only steers the search (its argmin and the
 comparison with the refined point) — the value a search returns is
 always the probe's.  The optimized ``gamma``/``s`` is then re-evaluated
-through the *scalar* ``..._at_gamma`` functions, so the numpy backend's
-returned bounds match the scalar backend's to well within 1e-9 relative
-(the randomized cross-validation suite pins this).  Two deliberate
-semantic differences: where the scalar constructors *raise* (a saturated
-hop, ``sigma`` underflow) the kernels return ``inf`` for the affected
-lanes, matching the infeasible-result convention of the callers.
+through the *scalar* ``..._at_gamma`` functions, so the bounds the
+grid-row searches return match the scalar objective's searches to well
+within 1e-9 relative (the randomized cross-validation suite pins
+this).  Two deliberate semantic differences: where the scalar
+constructors *raise* (a saturated hop, ``sigma`` underflow) the kernels
+return ``inf`` for the affected lanes, matching the infeasible-result
+convention of the callers.
 """
 
 from __future__ import annotations
@@ -576,7 +577,6 @@ def optimize_gamma_additive(
     epsilon: float,
     *,
     gamma_grid: int = 48,
-    tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Grid-then-refine search for the additive bound's ``gamma``.
 
@@ -590,7 +590,7 @@ def optimize_gamma_additive(
         )
         return refine_grid_minimum(
             lambda lo, hi: cprobe.additive_golden(
-                through, cross, hops, capacity, epsilon, lo, hi, tol=tol
+                through, cross, hops, capacity, epsilon, lo, hi
             ),
             xs,
             fs.tolist(),

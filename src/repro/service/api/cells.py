@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.experiments.batch import CellPlan, edf_diagnostics
-from repro.experiments.config import DEFAULT_BACKEND, SCHEDULER_MAP
+from repro.experiments.config import SCHEDULER_MAP
 from repro.network.backlog import BacklogResult, e2e_backlog_bound_mmoo
 from repro.network.e2e import (
     E2EResult,
@@ -118,7 +118,6 @@ def bound_query_cell(
     deadline_weight_cross: float,
     s_grid: int,
     gamma_grid: int,
-    backend: str = DEFAULT_BACKEND,
 ) -> dict:
     """One bound query — pure in its params, hence cacheable and batchable.
 
@@ -126,8 +125,7 @@ def bound_query_cell(
     ``scheduler`` is a :data:`~repro.experiments.config.SCHEDULER_MAP`
     name (FIFO/BMUX/EDF/SP).  The deadline weights only enter for EDF
     (queries normalize them to the paper defaults otherwise, keeping
-    the cache key canonical).  ``backend`` selects the delay search's
-    backend; the backlog bound has one path and ignores it.
+    the cache key canonical).
     """
     peak, p11, p22 = traffic
     mmoo = MMOOParameters(peak, p11, p22)
@@ -138,7 +136,7 @@ def bound_query_cell(
             s_grid=s_grid, gamma_grid=gamma_grid,
         )
         return _backlog_payload(scheduler, hops, delta, backlog)
-    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid, "backend": backend}
+    grid = {"s_grid": s_grid, "gamma_grid": gamma_grid}
     if scheduler == "EDF":
         bound = e2e_delay_bound_edf(
             mmoo, n_through, n_cross, hops, capacity, epsilon,
@@ -168,9 +166,7 @@ def bound_query_plan(params: dict) -> CellPlan | None:
     mmoo = MMOOParameters(peak, p11, p22)
     _, delta, _ = SCHEDULER_MAP[scheduler]
     grid: dict[str, Any] = {
-        "s_grid": params["s_grid"],
-        "gamma_grid": params["gamma_grid"],
-        "backend": params.get("backend", DEFAULT_BACKEND),
+        "s_grid": params["s_grid"], "gamma_grid": params["gamma_grid"],
     }
     if scheduler == "EDF":
         return CellPlan(

@@ -5,8 +5,8 @@ Queries that miss both caches arrive here as
 one alone, the coalescer holds the first miss for a short window
 (default ~2 ms) so the queries arriving concurrently pile up, then
 plans the whole set through the cross-cell batch planner of
-:mod:`repro.experiments.batch` — compatible queries (same lane family
-and backend) fuse into one broadcasted kernel call via
+:mod:`repro.experiments.batch` — compatible queries (same lane family)
+fuse into one broadcasted kernel call via
 :mod:`repro.network.lanes`, capped at ``max_lanes`` per batch.  The
 lane engine mirrors the per-cell searches bitwise, so a coalesced
 answer is identical to the single-query one; the win is purely

@@ -8,7 +8,8 @@ defaults for schedulers they cannot affect, and the result is frozen
 into a :class:`~repro.experiments.sweep.Cell` whose
 :func:`~repro.experiments.sweep.cell_key` hash keys both the in-memory
 LRU and the on-disk cell cache — two requests that must produce the
-same answer always share one key.
+same answer always share one key.  Body fields the model does not read
+(a ``backend``, say) are ignored and do not enter the key.
 
 Validation failures raise :class:`QueryError`, which the HTTP layer
 renders as a structured 400 (code, message, offending field) — a
@@ -22,13 +23,11 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.experiments.config import (
-    BACKENDS,
     CAPACITY,
     EPSILON,
     QUICK_GRIDS,
     SCHEDULER_MAP,
 )
-from repro.experiments.config import DEFAULT_BACKEND
 from repro.experiments.sweep import Cell, cell_key
 from repro.service.api.cells import SERVICE_CELL_FN
 
@@ -125,7 +124,6 @@ class BoundQuery:
     deadline_weight_cross: float
     s_grid: int
     gamma_grid: int
-    backend: str
 
     @classmethod
     def from_json(cls, body: Any) -> "BoundQuery":
@@ -209,12 +207,6 @@ class BoundQuery:
             body.get("gamma_grid", QUICK_GRIDS["gamma_grid"]), "gamma_grid",
             lo=3, hi=_MAX_GRID,
         )
-        backend = body.get("backend", DEFAULT_BACKEND)
-        if backend not in BACKENDS:
-            raise QueryError(
-                f"backend must be one of {list(BACKENDS)}, got {backend!r}",
-                field="backend",
-            )
         return cls(
             kind=kind,
             scheduler=scheduler,
@@ -228,7 +220,6 @@ class BoundQuery:
             deadline_weight_cross=weight_cross,
             s_grid=s_grid,
             gamma_grid=gamma_grid,
-            backend=backend,
         )
 
     def params(self) -> dict[str, Any]:
@@ -246,7 +237,6 @@ class BoundQuery:
             "deadline_weight_cross": self.deadline_weight_cross,
             "s_grid": self.s_grid,
             "gamma_grid": self.gamma_grid,
-            "backend": self.backend,
         }
 
     def cell(self) -> Cell:

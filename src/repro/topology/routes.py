@@ -38,7 +38,6 @@ from repro.network.e2e import (
     Method,
     _max_feasible_s,
     _s_interval,
-    check_backend,
     e2e_delay_bound_mmoo,
     mmoo_ebb_pair,
 )
@@ -116,7 +115,6 @@ def route_delay_bound_mmoo(
     method: Method = "exact",
     s_grid: int = 24,
     gamma_grid: int = 24,
-    backend: str = "numpy",
 ) -> E2EResult:
     """End-to-end delay bound of one route through a topology.
 
@@ -129,7 +127,6 @@ def route_delay_bound_mmoo(
     (``sp``/``gps``) raise :class:`ValueError` via
     :attr:`NodeSpec.delta`.
     """
-    check_backend(backend)
     check_probability(epsilon, "epsilon")
     route = topology.route(route_name)
     hops = extract_route(topology, route_name)
@@ -143,7 +140,7 @@ def route_delay_bound_mmoo(
             return e2e_delay_bound_mmoo(
                 traffic, route.n_flows, hops[0].n_interfering, len(hops),
                 hops[0].node.capacity, hops[0].node.delta, epsilon,
-                s_grid=s_grid, gamma_grid=gamma_grid, backend=backend,
+                s_grid=s_grid, gamma_grid=gamma_grid,
             )
         return _heterogeneous_delay_bound(
             hops, route.n_flows, traffic, epsilon,

@@ -1,18 +1,17 @@
 """The lane engine against the reference search, and batched sweeps
 against per-cell ones.
 
-Randomized grids over the schedulers (FIFO / BMUX / EDF / SP), path
-lengths ``H in {1, 2, 10, 30}`` and both numeric backends.  Checked at
-two levels:
+Randomized grids over the schedulers (FIFO / BMUX / EDF / SP) and path
+lengths ``H in {1, 2, 10, 30}``.  Checked at two levels:
 
 * the lane API (:mod:`repro.network.lanes`) against the plain nested
-  search of ``tests/network/reference_search.py`` — bitwise on the
-  numpy backend (same delay/gamma/alpha/sigma doubles, and for EDF the
+  search of ``tests/network/reference_search.py`` — bitwise against its
+  numpy search (same delay/gamma/alpha/sigma doubles, and for EDF the
   same fixed-point iteration counts, residuals and convergence flags),
-  1e-9 relative on the scalar backend, whose compiled probes differ
-  from the exact scalar objective in the last bits;
+  1e-9 relative against its scalar search, whose exact scalar objective
+  differs from the engine's compiled probes in the last bits;
 * the full sweep pipeline (``run_sweep(batch=True)`` vs. the per-cell
-  path, including cache interchangeability), bitwise on both backends.
+  path, including cache interchangeability), bitwise.
 """
 
 import math
@@ -24,6 +23,7 @@ from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.config import SCHEDULER_MAP
 from repro.experiments.example1 import fig2_spec
 from repro.experiments.example2 import fig3_spec
+from repro.experiments.example3 import fig4_spec
 from repro.experiments.sweep import run_sweep
 from repro.experiments.validation import validation_spec
 from repro.network.lanes import (
@@ -38,6 +38,7 @@ from tests.network.reference_search import (
 )
 
 HOPS = (1, 2, 10, 30)
+#: The reference search's two ``gamma`` searches.
 BACKENDS = ("numpy", "scalar")
 
 #: Analysis Delta per scheduler (FIFO=0, BMUX=+inf, SP=-inf; EDF runs
@@ -61,10 +62,10 @@ def _random_case(rng):
     return traffic, n_through, n_cross, epsilon
 
 
-#: Agreement with the reference search: exact on numpy; on scalar, the
-#: bound to 1e-9 relative and the optimizer's coordinates (gamma, sigma,
-#: x, thetas) to 1e-6, since last-bit noise in a flat objective moves
-#: its argmin by ~sqrt(ulp).
+#: Agreement with the reference search: exact against its numpy search;
+#: against its scalar one, the bound to 1e-9 relative and the
+#: optimizer's coordinates (gamma, sigma, x, thetas) to 1e-6, since
+#: last-bit noise in a flat objective moves its argmin by ~sqrt(ulp).
 REL_TOL = {"numpy": (0.0, 0.0), "scalar": (1e-9, 1e-6)}
 
 
@@ -97,7 +98,7 @@ def test_mmoo_lanes_match_scalar_randomized(backend):
             specs.append(
                 LaneSpec(
                     traffic, n_through, n_cross, hops, 100.0, delta,
-                    epsilon, s_grid=8, gamma_grid=8, backend=backend,
+                    epsilon, s_grid=8, gamma_grid=8,
                 )
             )
             wants.append(
@@ -124,8 +125,7 @@ def test_edf_lanes_match_scalar_randomized(backend):
         kwargs = dict(
             deadline_weight_through=w_through,
             deadline_weight_cross=w_cross,
-            s_grid=8, gamma_grid=8, backend=backend,
-            on_nonconvergence="ignore",
+            s_grid=8, gamma_grid=8, on_nonconvergence="ignore",
         )
         specs.append(
             EDFLaneSpec(
@@ -136,7 +136,7 @@ def test_edf_lanes_match_scalar_randomized(backend):
         wants.append(
             e2e_delay_bound_edf(
                 traffic, n_through, n_cross, hops, 100.0, epsilon,
-                **kwargs,
+                backend=backend, **kwargs,
             )
         )
         contexts.append((hops, w_through, w_cross))
@@ -216,12 +216,12 @@ def _strip(payload):
     [
         fig2_spec(utilizations=(0.35, 0.80), hops=(2,)),
         fig3_spec(mixes=(0.3,), hops=(5,)),
-        fig3_spec(mixes=(0.5,), hops=(2,), backend="scalar"),
+        fig4_spec(utilizations=(0.5,), hops=(2,), backend="scalar"),
         validation_spec(
             schedulers=("FIFO", "BMUX", "EDF", "SP"), hops=(1,), slots=500
         ),
     ],
-    ids=["fig2", "fig3", "fig3-scalar", "validation-sp"],
+    ids=["fig2", "fig3", "fig4-scalar", "validation-sp"],
 )
 def test_run_sweep_batched_matches_per_cell(spec):
     plain = run_sweep(spec)

@@ -104,7 +104,7 @@ def test_golden_values_bitwise_random():
         los.append(lo)
         his.append(hi)
         expected.append(golden_section_min(objective, lo, hi, tol=1e-9))
-    xs, fs = golden_values(table, indices, los, his, tol=1e-9)
+    xs, fs = golden_values(table, indices, los, his)
     for i in range(len(indices)):
         x_ref, f_ref = expected[i]
         assert xs[i] == x_ref, (i, xs[i], x_ref)

@@ -299,7 +299,7 @@ def _python_golden(through, cross, hops, capacity, epsilon, lo, hi):
 def test_additive_golden_matches_python(inputs):
     want = _python_golden(*inputs)
     try:
-        got = cprobe.additive_golden(*inputs, tol=1e-9)
+        got = cprobe.additive_golden(*inputs)
     except (ArithmeticError, ValueError) as exc:
         got = type(exc)
     if isinstance(want, type):

@@ -133,8 +133,8 @@ FIFO = LaneSpec(TRAFFIC, 100, 300, 1, 100.0, 0.0, 1e-9, s_grid=12,
                 gamma_grid=12)
 EDF = EDFLaneSpec(TRAFFIC, 130, 120, 1, 100.0, 1e-9, s_grid=12,
                   gamma_grid=12)
-SP_SCALAR = LaneSpec(TRAFFIC, 100, 300, 3, 100.0, -math.inf, 1e-6,
-                     s_grid=8, gamma_grid=8, backend="scalar")
+SP = LaneSpec(TRAFFIC, 100, 300, 3, 100.0, -math.inf, 1e-6, s_grid=8,
+              gamma_grid=8)
 
 #: Kernel request counts of one solve of each spec, recorded when an
 #: ``s`` step took three engine rounds (grid, refinement, probe): folding
@@ -142,12 +142,12 @@ SP_SCALAR = LaneSpec(TRAFFIC, 100, 300, 3, 100.0, -math.inf, 1e-6,
 REQUESTS = {
     "fifo": {"grid_rows": 50, "probe": 50, "golden": 50},
     "edf": {"grid_rows": 102, "probe": 102, "golden": 102},
-    "sp_scalar": {"grid_rows": 0, "probe": 368, "golden": 46},
+    "sp": {"grid_rows": 46, "probe": 46, "golden": 46},
 }
 SOLVES = {
     "fifo": lambda: mmoo_bound_lanes([FIFO]),
     "edf": lambda: edf_bound_lanes([EDF]),
-    "sp_scalar": lambda: mmoo_bound_lanes([SP_SCALAR]),
+    "sp": lambda: mmoo_bound_lanes([SP]),
 }
 
 

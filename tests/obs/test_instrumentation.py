@@ -77,7 +77,7 @@ class TestEDFFixedPointTrace:
     def test_scalar_backend_counts_solver_calls(self, traced):
         e2e_delay_bound_edf(
             TRAFFIC, 100, 100, 1, 1500.0, 1e-6,
-            s_grid=6, gamma_grid=6, backend="scalar",
+            s_grid=6, gamma_grid=6,
         )
         assert traced.counter("optimization.solve_exact_calls") > 0
 

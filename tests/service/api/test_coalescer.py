@@ -105,7 +105,7 @@ def test_concurrent_distinct_queries_fuse_into_one_batch():
         results = await asyncio.gather(*tasks)
         assert [r["rows"][0]["hops"] for r in results] == [1, 2, 3]
         snap = registry.snapshot()
-        # same (fn, lane family, backend): one fused batch of 3 lanes
+        # same (fn, lane family): one fused batch of 3 lanes
         assert snap["series"]["service.batch_occupancy"] == [3.0]
         assert snap["counters"]["lanes.mmoo_lanes"] == 3.0
         assert snap["counters"].get("batch.fallback_cells", 0.0) == 0.0

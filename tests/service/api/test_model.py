@@ -20,7 +20,6 @@ def test_defaults_fill_paper_setting():
     assert query.epsilon == EPSILON
     assert query.n_cross == 0
     assert query.s_grid == QUICK_GRIDS["s_grid"]
-    assert query.backend == "numpy"
 
 
 def test_cell_key_is_canonical():
@@ -53,6 +52,21 @@ def test_non_edf_weights_are_canonicalized():
     assert edf.key() != edf_weighted.key()
 
 
+def test_backend_field_is_ignored(harness):
+    """The model reads no ``backend`` field: bodies naming either old
+    setting, or none, are one query, with one key and one served row."""
+    small = {"hops": 2, "n_cross": 10, "s_grid": 4, "gamma_grid": 4}
+    bodies = [q(**small), q(backend="numpy", **small),
+              q(backend="scalar", **small)]
+    keys = {BoundQuery.from_json(body).key() for body in bodies}
+    assert len(keys) == 1
+    with harness.client() as client:
+        rows = [client.bounds(body) for body in bodies]
+    assert [row.pop("cached") for row in rows] == [None, "lru", "lru"]
+    assert rows[0]["key"] in keys
+    assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
 @pytest.mark.parametrize(
     "body, field",
     [
@@ -72,7 +86,7 @@ def test_non_edf_weights_are_canonicalized():
         (q(traffic=[1.5, 1.2, 0.9]), "traffic.p11"),
         (q(traffic="fast"), "traffic"),
         (q(capacity=0.0), "capacity"),
-        (q(backend="torch"), "backend"),
+        (q(n_cross=-1), "n_cross"),
         (q(s_grid=1), "s_grid"),
         (q(gamma_grid=10**6), "gamma_grid"),
         (q(scheduler="EDF", deadline_weight_cross=0.0), "deadline_weight_cross"),

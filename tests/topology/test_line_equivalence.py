@@ -4,7 +4,7 @@ The Fig. 1 tandem is the degenerate one-route case of the topology
 engine, not an approximation of it:
 
 * the analytic bound of a line topology's route equals the tandem
-  analysis **bitwise** (both numeric backends);
+  analysis **bitwise**;
 * :func:`simulate_tandem_mmoo` runs its config's line topology, and its
   through- and per-node cross-delay records hash to sha256 digests
   recorded from the separate tandem simulator that line topologies
@@ -50,9 +50,8 @@ def _delta(scheduler: str) -> float:
 
 class TestBoundEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(scheduler=ANALYSIS_SCHEDULERS, hops=HOPS,
-           backend=st.sampled_from(["numpy", "scalar"]))
-    def test_line_bound_bitwise_equals_tandem(self, scheduler, hops, backend):
+    @given(scheduler=ANALYSIS_SCHEDULERS, hops=HOPS)
+    def test_line_bound_bitwise_equals_tandem(self, scheduler, hops):
         from repro.topology.routes import route_delay_bound_mmoo
 
         topo = Topology.line(
@@ -61,11 +60,11 @@ class TestBoundEquivalence:
         )
         via_topology = route_delay_bound_mmoo(
             topo, "through", TRAFFIC, EPSILON,
-            s_grid=6, gamma_grid=6, backend=backend,
+            s_grid=6, gamma_grid=6,
         )
         direct = e2e_delay_bound_mmoo(
             TRAFFIC, 150, 150, hops, CAPACITY, _delta(scheduler), EPSILON,
-            s_grid=6, gamma_grid=6, backend=backend,
+            s_grid=6, gamma_grid=6,
         )
         assert via_topology.delay == direct.delay
         assert via_topology.sigma == direct.sigma
