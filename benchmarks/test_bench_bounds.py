@@ -23,13 +23,18 @@ grid-row rung beside it times
 :func:`~repro.network.vectorized.e2e_delay_grid_rows` on one
 figure-shaped FIFO batch — the 12 ``s`` lanes of a Fig. 2 ``H = 10``
 cell, 12 γ points each — on the compiled kernel and on its Python
-fallback, in rows (lanes) per second.
+fallback, in rows (lanes) per second; its ``exact`` ids time the same
+call at the EDF fixed point's tail shape, one lane of 12 points at
+``H = 10`` and ``Delta < 0``, whose Eq. (38) rows go on to
+:func:`~repro.network.vectorized.batched_solve_exact`.
 
 Above them, L1 times ``cprobe.probe_values`` at 1 request per call (the
 wrapper's per-call cost) and at 10k (the kernel's throughput), L2 one
 ``lanes.gamma_search`` and L3 one cold service query's one-lane solve
 at the service's FIFO and EDF H = 1 shapes, each over enough rounds for
-a median and quartiles, with rates.
+a median and quartiles, with rates.  L4 times one EDF deadline fixed
+point: the Fig. 2 quick-grid EDF lane at ``H = 10``, ``U = 80%``, which
+runs all 40 iterations, in iterations per second.
 """
 
 import functools
@@ -238,20 +243,47 @@ def _fifo_grid_rows():
     ), {}
 
 
-@pytest.mark.parametrize("path", ["c", "python"])
-def test_grid_rows(benchmark, monkeypatch, path):
-    """FIFO γ-grid rows of one Fig. 2 cell: rows per second, C kernel
-    vs. Python body."""
+def _exact_grid_row():
+    """The EDF fixed point's tail shape: one lane of a Fig. 2 ``H = 10``
+    cell at one ``s``, its 12-point log γ grid, ``Delta < 0``."""
+    through, cross = mmoo_ebb_pair(
+        MMOOParameters.paper_defaults(), 100, 233, 0.02
+    )
+    gamma_max = (100.0 - cross.rate - through.rate) / (SOLVE_HOPS + 1)
+    row = logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
+    return (
+        [through], [cross], SOLVE_HOPS, 100.0, [-70.0], 1e-9, np.array([row])
+    ), {}
+
+
+#: Rows (lanes) per call of each ``test_grid_rows`` shape.
+GRID_SHAPES = {
+    "fifo": (_fifo_grid_rows, GRID_LANES),
+    "exact": (_exact_grid_row, 1),
+}
+
+
+@pytest.mark.parametrize("path, shape", [
+    pytest.param("c", "fifo", id="c"),
+    pytest.param("python", "fifo", id="python"),
+    pytest.param("c", "exact", id="c-exact"),
+    pytest.param("python", "exact", id="python-exact"),
+])
+def test_grid_rows(benchmark, monkeypatch, path, shape):
+    """γ-grid rows of one Fig. 2 cell — its FIFO round, or one Eq. (38)
+    row at the EDF tail shape: rows per second, C kernel vs. Python
+    body."""
     if path == "python":
         monkeypatch.setattr(cprobe.KERNEL, "load", lambda: None)
     elif not cprobe.available():
         pytest.skip("no C compiler: the compiled kernel is unavailable")
+    setup, lanes = GRID_SHAPES[shape]
     delays = benchmark.pedantic(
-        e2e_delay_grid_rows, setup=_fifo_grid_rows,
+        e2e_delay_grid_rows, setup=setup,
         rounds=2000 if path == "c" else 200, iterations=1, warmup_rounds=1,
     )
     assert np.isfinite(delays).all()
-    record_rates(benchmark, "rows", GRID_LANES)
+    record_rates(benchmark, "rows", lanes)
 
 
 def _probe_requests(n):
@@ -327,3 +359,26 @@ def test_one_lane_solve(benchmark, shape):
     )
     assert plan.build(result)["rows"][0]["feasible"]
     record_rates(benchmark, "solves", 1)
+
+
+# the lane exhausts max_iter (the figures ship it non-converged)
+@pytest.mark.filterwarnings("ignore:EDF deadline fixed point did not converge")
+def test_edf_fixed_point(benchmark):
+    """L4: one EDF deadline fixed point — the Fig. 2 quick-grid EDF lane
+    at ``H = 10``, ``U = 80%``, bootstrap and all 40 iterations — in
+    iterations per second."""
+    from repro.experiments.batch import plan_cell
+    from repro.experiments.example1 import fig2_spec
+    from repro.network.lanes import edf_bound_lanes
+
+    (cell,) = fig2_spec(
+        hops=(10,), utilizations=(0.80,), schedulers=("EDF",)
+    ).cells
+    spec = plan_cell(cell).spec
+    (bound,) = benchmark.pedantic(
+        edf_bound_lanes, args=([spec],), rounds=10, iterations=1,
+        warmup_rounds=1,
+    )
+    assert bound.diagnostics.iterations == spec.max_iter == 40
+    assert not bound.diagnostics.converged
+    record_rates(benchmark, "iterations", bound.diagnostics.iterations)

@@ -69,10 +69,17 @@ small, so a call should cost what its C work costs.  A
 :class:`ProbeTable` owns the request and result buffers of
 :func:`probe_values` and :func:`golden_values`, with their addresses
 cached, and both C functions return how many requests they could not
-serve, so their wrappers scan for NaN only when there are some;
-:func:`grid_rows` keeps its inputs and outputs in one block, converted
-to a pointer once; :func:`solve_exact` reads a per-lane value as a
-``(lanes, 1)`` column through a zero hop stride, never widened.
+serve, so their wrappers scan for NaN only when there are some.  A
+context the engine registers again at another ``delta`` (every EDF
+iteration revisits the same ``s``) copies its packed row within the
+table (:meth:`ProbeTable.add_again`).  :func:`grid_rows`
+keeps its inputs and outputs in one block, one address for all;
+:func:`solve_exact` reads a per-lane value as a ``(lanes, 1)`` column
+through a zero hop stride, never widened, takes its strides as scalar
+arguments and reads each address through ``ctypes.c_char.from_buffer``
+(a third of the cost of ``ndarray.ctypes``) on the writable contiguous
+arrays the grid rows hand it.  One 1-lane x 12-point ``H = 5`` Eq. (38)
+grid row thus costs ~23 us, of which the C work is ~6 us.
 """
 
 from __future__ import annotations
@@ -114,6 +121,7 @@ CTX_FIELDS = (
     "epsilon",
 )
 _NFIELDS = len(CTX_FIELDS)
+_DELTA = CTX_FIELDS.index("delta")
 
 #: Paths longer than this fall back to the Python/numpy bodies (the C
 #: kernel uses fixed-size stack buffers).
@@ -731,22 +739,19 @@ long additive_golden(const double *ctx, double lo, double hi, double tol,
  * sweep of optimization.solve_exact per lane, the thetas at its x, and
  * the numpy body's mask (a saturated hop, a negative or NaN cross rate,
  * a negative or non-finite sigma: delay inf).  Inputs are read
- * through strides in doubles, 0 on a broadcast axis (a (lanes, 1)
- * column has hop stride 0): r_svc, r_cross, delta (lane, hop) and
- * sigma (lane).  out is (lanes, hops +
- * 2): delay, x, then the thetas.  Returns the number of masked lanes, or
- * -1 for a hop count the stack buffers cannot hold. */
+ * through their (lane, hop) strides in doubles, 0 on a broadcast axis
+ * (a (lanes, 1) column has hop stride 0): r_svc, r_cross, delta (lane,
+ * hop) and sigma (lane).  out is (lanes, hops + 2): delay, x, then the
+ * thetas.  Returns the number of masked lanes, or -1 for a hop count
+ * the stack buffers cannot hold. */
 long solve_exact(long lanes, long hops, long kind, double eps,
-                 const double *r_svc, const double *r_cross,
-                 const double *delta, const double *sigma,
-                 const long *strides, double *out)
+                 const double *r_svc, long rs_l, long rs_h,
+                 const double *r_cross, long rc_l, long rc_h,
+                 const double *delta, long d_l, long d_h,
+                 const double *sigma, long s_l, double *out)
 {
     if (hops < 1 || hops > MAX_HOPS)
         return -1;
-    const long rs_l = strides[0], rs_h = strides[1];
-    const long rc_l = strides[2], rc_h = strides[3];
-    const long d_l = strides[4], d_h = strides[5];
-    const long s_l = strides[6];
     long n_bad = 0;
     for (long l = 0; l < lanes; l++) {
         const double *rs = r_svc + l * rs_l;
@@ -780,6 +785,9 @@ def _report(available: bool) -> None:
     obs.set_gauge("cprobe.available", available)
 
 
+_F64 = np.dtype(np.float64)
+_addressof = ctypes.addressof
+_char_view = ctypes.c_char.from_buffer
 _as_double = ctypes.POINTER(ctypes.c_double)
 _as_long = ctypes.POINTER(ctypes.c_long)
 _ptr = ctypes.c_void_p
@@ -807,10 +815,9 @@ KERNEL = CKernel(
             ctypes.c_long,
         ),
         "solve_exact": (
-            [
-                ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                ctypes.c_double, _ptr, _ptr, _ptr, _ptr, _as_long, _ptr,
-            ],
+            [ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double]
+            + [_ptr, ctypes.c_long, ctypes.c_long] * 3
+            + [_ptr, ctypes.c_long, _ptr],
             ctypes.c_long,
         ),
         "grid_rows": (
@@ -853,7 +860,10 @@ class ProbeTable:
     geometrically grown buffer so registrations between kernel calls
     never trigger a full repack) and the original
     :class:`~repro.arrivals.ebb.EBB` pair (for the Python fallback), so
-    either execution path serves the same requests.
+    either execution path serves the same requests.  A context that
+    differs from a registered one only in ``delta`` (the lane engine's
+    EDF iterations revisit the same ``s``) is registered by copying that
+    row (:meth:`add_again`).
 
     The table also owns the request and result buffers of
     :func:`probe_values` and :func:`golden_values`, grown the same way,
@@ -885,12 +895,8 @@ class ProbeTable:
         epsilon: float,
     ) -> int:
         """Register a context; returns its index."""
-        if self._n == len(self._buf):
-            grown = np.empty((2 * len(self._buf), _NFIELDS), dtype=np.float64)
-            grown[: self._n] = self._buf
-            self._buf = grown
-            self._buf_addr = grown.ctypes.data
-        self._buf[self._n] = (
+        n = self._next()
+        self._buf[n] = (
             through.prefactor,
             through.decay,
             through.rate,
@@ -902,11 +908,30 @@ class ProbeTable:
             delta,
             epsilon,
         )
-        self._objs.append(
-            (through, cross, hops, capacity, delta, epsilon)
-        )
-        self._n += 1
-        return self._n - 1
+        self._objs.append((through, cross, hops, capacity, delta, epsilon))
+        self._n = n + 1
+        return n
+
+    def add_again(self, index: int, delta: float) -> int:
+        """Register context ``index`` again at another ``delta``; returns
+        the new index."""
+        n = self._next()
+        self._buf[n] = self._buf[index]
+        self._buf[n, _DELTA] = delta
+        through, cross, hops, capacity, _, epsilon = self._objs[index]
+        self._objs.append((through, cross, hops, capacity, delta, epsilon))
+        self._n = n + 1
+        return n
+
+    def _next(self) -> int:
+        """The index of the next context, with a buffer row for it."""
+        n = self._n
+        if n == len(self._buf):
+            grown = np.empty((2 * n, _NFIELDS), dtype=np.float64)
+            grown[:n] = self._buf
+            self._buf = grown
+            self._buf_addr = grown.ctypes.data
+        return n
 
     def context(self, index: int) -> tuple[EBB, EBB, int, float, float, float]:
         return self._objs[index]
@@ -1117,11 +1142,15 @@ def solve_exact(
     kernel, or a path beyond :data:`MAX_HOPS`.
     """
     lanes, hops = r_svc.shape
+    columns = ((lanes, hops), (lanes, 1))
     if (
-        r_cross.shape not in ((lanes, hops), (lanes, 1))
-        or delta.shape not in ((lanes, hops), (lanes, 1))
+        r_cross.shape not in columns
+        or delta.shape not in columns
         or sigma.shape != (lanes,)
-        or any(a.dtype != np.float64 for a in (r_svc, r_cross, delta, sigma))
+        or r_svc.dtype != _F64
+        or r_cross.dtype != _F64
+        or delta.dtype != _F64
+        or sigma.dtype != _F64
     ):
         raise ValueError(
             "solve_exact needs float64 (lanes, hops) or (lanes, 1) arrays"
@@ -1130,33 +1159,44 @@ def solve_exact(
     if lib is None:
         _count_fallbacks(lanes)
         return None
-    # an aligned float64 array has strides in whole doubles
-    r_svc, r_cross, delta, sigma = (
-        a if a.flags.aligned else np.ascontiguousarray(a)
-        for a in (r_svc, r_cross, delta, sigma)
-    )
-    strides = (ctypes.c_long * 7)(
-        r_svc.strides[0] // 8, r_svc.strides[1] // 8,
-        r_cross.strides[0] // 8,
-        r_cross.strides[1] // 8 if r_cross.shape[1] > 1 else 0,
-        delta.strides[0] // 8,
-        delta.strides[1] // 8 if delta.shape[1] > 1 else 0,
-        sigma.strides[0] // 8,
-    )
+    if not (
+        r_svc.flags.aligned and r_cross.flags.aligned
+        and delta.flags.aligned and sigma.flags.aligned
+    ):
+        # an aligned float64 array has strides in whole doubles
+        r_svc, r_cross, delta, sigma = (
+            np.ascontiguousarray(a) for a in (r_svc, r_cross, delta, sigma)
+        )
     out = np.empty((lanes, hops + 2), dtype=np.float64)
     n_bad = lib.solve_exact(
-        lanes,
-        hops,
-        _CASES[case],
-        _EPS,
-        r_svc.ctypes.data,
-        r_cross.ctypes.data,
-        delta.ctypes.data,
-        sigma.ctypes.data,
-        strides,
-        out.ctypes.data,
+        lanes, hops, _CASES[case], _EPS, *_operand(r_svc),
+        *_operand(r_cross), *_operand(delta), *_operand(sigma)[:2],
+        _address(out),
     )
     return out[:, 0], out[:, 1], out[:, 2:], n_bad
+
+
+def _operand(a: np.ndarray) -> tuple[int, int, int]:
+    """An aligned float64 solve input as the kernel reads it: its address
+    and its lane and hop strides in doubles (hop stride 0 on a
+    ``(lanes, 1)`` column or a 1-d array)."""
+    strides = a.strides
+    hop = strides[1] // 8 if a.ndim == 2 and a.shape[1] > 1 else 0
+    return _address(a), strides[0] // 8, hop
+
+
+def _address(a: np.ndarray) -> int:
+    """The address of ``a``'s first element.
+
+    ``ctypes.c_char.from_buffer`` reads it off the buffer in about a
+    third of the time of ``a.ctypes.data``, but only from a non-empty,
+    writable, C-contiguous array (every buffer the grid rows and the
+    exact solve make themselves); any other array takes ``a.ctypes``.
+    """
+    try:
+        return _addressof(_char_view(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data
 
 
 def grid_rows(
@@ -1193,7 +1233,7 @@ def grid_rows(
     points = lanes * grid
     rates = points * (hops + 1) if form == "exact" else 0
     block = np.empty(lanes * _NFIELDS + 2 * points + rates, dtype=np.float64)
-    base = block.ctypes.data
+    base = _address(block)
     block[: lanes * _NFIELDS].reshape(lanes, _NFIELDS)[:] = [
         (
             t.prefactor, t.decay, t.rate, c.prefactor, c.decay, c.rate,

@@ -25,10 +25,11 @@ than copies of them:
 * the engine turns each ``s`` into a ``gamma`` search context, or into
   ``inf`` at once when it leaves no headroom (a level of such ``s``
   steps its lane again at once), and runs every pending context as one
-  stage per round (:func:`_gamma_searches`): the ``gamma`` grids,
-  row-stacked :func:`repro.network.vectorized.e2e_delay_grid_rows`
-  calls, each row's :func:`~repro.utils.numeric.grid_bracket`, one
-  golden-section refinement call and one probe call into the
+  stage per round (:func:`_gamma_searches`): row-stacked
+  :func:`repro.network.vectorized.e2e_delay_grid_rows` calls over the
+  contexts' cached ``gamma`` grids (see *Point cache*), each row's
+  :func:`~repro.utils.numeric.grid_bracket`, one golden-section
+  refinement call and one probe call into the
   generated-C kernel of :mod:`repro.network.cprobe`.  A round is thus
   one level of every live ``s`` search.  Between rounds the engine
   yields the CPU, so a thread waiting on the interpreter lock (the
@@ -41,6 +42,29 @@ than copies of them:
   per-lane convergence masking: a converged lane stops searching (its
   diagnostics freeze at its own iteration count) while stragglers
   keep iterating.
+
+Point cache
+-----------
+What a context needs at one ``s`` besides ``Delta`` — the MMOO EBB
+pair, the headroom check, the log-spaced ``gamma`` grid and the packed
+probe-context row — is a *point* (:data:`_Point`).  It depends only on
+the lane's geometry ``(traffic, n_through, n_cross, hops, capacity,
+epsilon, gamma_grid)`` (:func:`_geometry`) and ``s``, so
+:func:`mmoo_bound_lanes` and :func:`edf_bound_lanes` keep one dict per
+geometry, keyed by ``s`` and holding the point or ``None`` (no
+headroom), for the length of that one call and its one
+:class:`~repro.network.cprobe.ProbeTable`: a point's context at a new
+``Delta`` copies the table row of its first one
+(:meth:`~repro.network.cprobe.ProbeTable.add_again`).  Every lane of
+the geometry shares the dict: MMOO lanes that differ only in ``Delta``
+(or ``s_grid``), EDF lanes that differ only in their deadline weights,
+and an EDF lane's FIFO bootstrap and all its fixed-point iterations —
+which revisit the same ``s`` values: the grid level every time, the
+golden steps whenever their comparisons repeat — and the
+materialization at the best ``s``.  Nothing outlives the call.  While
+:mod:`repro.obs` is enabled, ``lanes.contexts`` counts the contexts an
+engine pass registers and ``lanes.context_reuse`` those whose point
+came from the cache.
 
 Batching contract
 -----------------
@@ -132,25 +156,79 @@ class EDFLaneSpec:
     on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn"
 
 
-#: One registered (lane, s) probe context.
-_Ctx = namedtuple(
-    "_Ctx",
-    "index through cross hops capacity delta epsilon gamma_grid",
-)
+#: A lane geometry at one ``s``: the MMOO EBB pair, the log-spaced
+#: ``gamma`` grid over its :func:`~repro.network.e2e._gamma_interval`,
+#: and the :class:`~repro.network.cprobe.ProbeTable` index of its first
+#: context, which a context at another ``Delta`` copies
+#: (:meth:`~repro.network.cprobe.ProbeTable.add_again`).
+_Point = namedtuple("_Point", "through cross grid index")
+
+#: A :attr:`_Lane.points` miss (``None`` is a cached "no headroom").
+_UNSEEN = object()
+
+
+def _geometry(spec: LaneSpec | EDFLaneSpec) -> tuple:
+    """Everything a :data:`_Point` depends on besides ``s``: the key of
+    the per-solve point cache (``Delta`` and the deadline weights do not
+    enter it)."""
+    return (
+        spec.traffic, spec.n_through, spec.n_cross, spec.hops,
+        spec.capacity, spec.epsilon, spec.gamma_grid,
+    )
+
+
+def _grid(
+    through: EBB, cross: EBB, hops: int, capacity: float, gamma_grid: int
+) -> list[float] | None:
+    """The ``gamma`` grid of an EBB pair; ``None`` when it leaves no
+    headroom (the delay there is ``inf``)."""
+    headroom = capacity - cross.rate - through.rate
+    if headroom <= 0:
+        return None
+    return logspace(*_gamma_interval(headroom, hops), gamma_grid)
+
+
+def _group(
+    hops: int, gamma_grid: int, delta: float, capacity: float,
+    epsilon: float,
+) -> tuple:
+    """The grid-row group key of a context."""
+    return (
+        hops, gamma_grid, _delta_case(delta), delta == 0.0, capacity,
+        epsilon,
+    )
 
 
 class _Lane:
-    """Mutable per-lane state of one bound's ``s`` search."""
+    """Mutable per-lane state of one bound's ``s`` search.
 
-    __slots__ = ("spec", "delta", "table", "gammas", "_s_max")
+    ``points`` caches the lane's :data:`_Point` (or ``None``: no
+    headroom) at every ``s`` it reached, keyed by ``s``.  A point depends
+    only on :func:`_geometry` and ``s`` (and names a row of ``table``),
+    so :func:`mmoo_bound_lanes` and :func:`edf_bound_lanes` hand one dict
+    to every lane of a geometry in their one table: MMOO lanes differing
+    only in ``Delta``, and an EDF lane's FIFO bootstrap and all its
+    fixed-point iterations, which revisit the same ``s`` values (the
+    grid level always, the golden steps whenever the comparisons
+    repeat).  The dict lives for that one call; without one the lane
+    keeps its own.
+    """
+
+    __slots__ = ("spec", "delta", "table", "gammas", "points", "group",
+                 "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
-                 table: cprobe.ProbeTable, s_max: float | None = None):
+                 table: cprobe.ProbeTable, s_max: float | None = None,
+                 points: dict[float, _Point | None] | None = None):
         self.spec = spec
         self.delta = delta
         self.table = table
         # the gamma optimum found at each probed s (absent: no headroom)
         self.gammas: dict[float, float] = {}
+        self.points = {} if points is None else points
+        self.group = _group(
+            spec.hops, spec.gamma_grid, delta, spec.capacity, spec.epsilon
+        )
         self._s_max = s_max
 
     def s_max(self) -> float:
@@ -165,23 +243,41 @@ class _Lane:
             )
         return self._s_max
 
-    def context(self, s: float) -> _Ctx | None:
-        """The ``gamma`` search context at ``s``; ``None`` when ``s``
-        leaves no headroom (the delay there is ``inf``)."""
-        spec = self.spec
-        through, cross = mmoo_ebb_pair(
-            spec.traffic, spec.n_through, spec.n_cross, s
+    def contexts(self, level: list[float]) -> tuple[list[tuple], int]:
+        """The ``gamma`` search contexts (see :func:`_gamma_searches`) of
+        one ``s`` level, registered in the lane's table, as ``(position
+        in level, context)`` pairs; an ``s`` without headroom (its delay
+        is ``inf``) has none.  Also returns how many of the contexts
+        found their :data:`_Point` cached."""
+        spec, points, delta, table = (
+            self.spec, self.points, self.delta, self.table,
         )
-        if spec.capacity - cross.rate - through.rate <= 0:
-            return None
-        index = self.table.add(
-            through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon,
-        )
-        return _Ctx(
-            index, through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, spec.gamma_grid,
-        )
+        ctxs = []
+        reused = 0
+        for k, s in enumerate(level):
+            point = points.get(s, _UNSEEN)
+            if point is None:
+                continue
+            if point is _UNSEEN:
+                through, cross = mmoo_ebb_pair(
+                    spec.traffic, spec.n_through, spec.n_cross, s
+                )
+                grid = _grid(
+                    through, cross, spec.hops, spec.capacity, spec.gamma_grid
+                )
+                if grid is None:
+                    points[s] = None
+                    continue
+                index = table.add(
+                    through, cross, spec.hops, spec.capacity, delta,
+                    spec.epsilon,
+                )
+                point = points[s] = _Point(through, cross, grid, index)
+            else:
+                index = table.add_again(point.index, delta)
+                reused += 1
+            ctxs.append((k, (index, point, delta, self.group)))
+        return ctxs, reused
 
     def at_s(self, s: float) -> E2EResult:
         """Materialize the optimum at ``s`` and the gamma found there."""
@@ -189,26 +285,26 @@ class _Lane:
         if gamma is None:
             return _INFEASIBLE
         spec = self.spec
-        through, cross = mmoo_ebb_pair(
-            spec.traffic, spec.n_through, spec.n_cross, s
-        )
+        point = self.points[s]
         return e2e_delay_bound_at_gamma(
-            through, cross, spec.hops, spec.capacity, self.delta,
-            spec.epsilon, gamma,
+            point.through, point.cross, spec.hops, spec.capacity,
+            self.delta, spec.epsilon, gamma,
         )
 
 
 def _gamma_searches(
-    table: cprobe.ProbeTable, ctxs: list[_Ctx]
+    table: cprobe.ProbeTable, ctxs: list[tuple]
 ) -> tuple[list[tuple[float, float]], int]:
     """One engine round: the grid-then-golden ``gamma`` search at fixed
     ``s`` of every pending context, in a few batched kernel calls.
 
-    In order: the log-spaced grid of every context over its
-    :func:`~repro.network.e2e._gamma_interval`; its values, as
-    row-stacked :func:`~repro.network.vectorized.e2e_delay_grid_rows`
-    calls (one per group of contexts sharing hops, grid length,
-    Eq. (38) case, ``Delta == 0``, capacity and epsilon); each row's
+    A context is ``(index, point, delta, group)``: its
+    :class:`~repro.network.cprobe.ProbeTable` index, its
+    :data:`_Point`, its ``Delta`` and its :func:`_group` key.  In order:
+    the values of every context's ``gamma`` grid, as row-stacked
+    :func:`~repro.network.vectorized.e2e_delay_grid_rows` calls (one
+    per group of contexts sharing hops, grid length, Eq. (38) case,
+    ``Delta == 0``, capacity and epsilon); each row's
     :func:`~repro.utils.numeric.grid_bracket`; one
     :func:`repro.network.cprobe.golden_values` call refining the
     finite rows; one :func:`repro.network.cprobe.probe_values` call at
@@ -220,35 +316,28 @@ def _gamma_searches(
     at its ``x``), and the number of probe and refinement requests
     made.
     """
-    grids = []
     rows: list = [None] * len(ctxs)
     groups: dict = {}
-    for i, ctx in enumerate(ctxs):
-        headroom = ctx.capacity - ctx.cross.rate - ctx.through.rate
-        grids.append(logspace(
-            *_gamma_interval(headroom, ctx.hops), ctx.gamma_grid
-        ))
-        key = (
-            ctx.hops, ctx.gamma_grid, _delta_case(ctx.delta),
-            ctx.delta == 0.0, ctx.capacity, ctx.epsilon,
-        )
-        groups.setdefault(key, []).append(i)
+    for i, (_, _, _, group) in enumerate(ctxs):
+        groups.setdefault(group, []).append(i)
     for (hops, _, _, _, capacity, epsilon), members in groups.items():
+        points = [ctxs[i][1] for i in members]
         out = e2e_delay_grid_rows(
-            [ctxs[i].through for i in members],
-            [ctxs[i].cross for i in members],
+            [point.through for point in points],
+            [point.cross for point in points],
             hops,
             capacity,
-            [ctxs[i].delta for i in members],
+            [ctxs[i][2] for i in members],
             epsilon,
-            np.array([grids[i] for i in members]),
+            np.array([point.grid for point in points]),
         )
         for i, row in zip(members, out.tolist()):
             rows[i] = row
 
     found = []
     refine, los, his = [], [], []
-    for i, (xs, row) in enumerate(zip(grids, rows)):
+    for i, ((_, point, _, _), row) in enumerate(zip(ctxs, rows)):
+        xs = point.grid
         best, bracket = grid_bracket(xs, row)
         found.append((xs[best], row[best]))
         if bracket is not None:
@@ -258,7 +347,7 @@ def _gamma_searches(
     refined = []
     if refine:
         ref_x, ref_f = cprobe.golden_values(
-            table, [ctxs[i].index for i in refine], los, his
+            table, [ctxs[i][0] for i in refine], los, his
         )
         refined = [
             (i, (x, f))
@@ -267,7 +356,7 @@ def _gamma_searches(
         ]
     # a row's value at its grid argmin is the probe's there
     values = cprobe.probe_values(
-        table, [ctx.index for ctx in ctxs], [x for x, _ in found]
+        table, [ctx[0] for ctx in ctxs], [x for x, _ in found]
     ).tolist()
     found = [(x, value) for (x, _), value in zip(found, values)]
     for i, best in refined:
@@ -295,7 +384,7 @@ def _run_lanes(
 
     A lane's search (:func:`_s_search`) yields the ``s`` values of one
     level and is sent their delays.  Each ``s`` becomes a ``gamma``
-    search context (:meth:`_Lane.context`), or ``inf`` at once when it
+    search context (:meth:`_Lane.contexts`), or ``inf`` at once when it
     leaves no headroom; a level with no context steps its lane again
     at once.  Each engine round runs every pending context as one
     :func:`_gamma_searches` stage and records the ``gamma`` found at
@@ -306,8 +395,11 @@ def _run_lanes(
     waiting: list = []
     rounds = 0
     n_probes = 0
+    # contexts registered, and how many of them found their point cached
+    n_contexts = n_reused = 0
 
     def advance(slot, lane, search, values):
+        nonlocal n_contexts, n_reused
         while True:
             try:
                 level = search.send(values)
@@ -315,11 +407,9 @@ def _run_lanes(
                 results[slot] = lane.at_s(stop.value[0])
                 return
             values = [math.inf] * len(level)
-            ctxs = []
-            for k, s in enumerate(level):
-                ctx = lane.context(s)
-                if ctx is not None:
-                    ctxs.append((k, ctx))
+            ctxs, reused = lane.contexts(level)
+            n_contexts += len(ctxs)
+            n_reused += reused
             if ctxs:
                 waiting.append((slot, lane, search, level, values, ctxs))
                 return
@@ -353,6 +443,8 @@ def _run_lanes(
     if obs.enabled():
         obs.add("lanes.engine_rounds", rounds)
         obs.add("lanes.engine_probes", n_probes)
+        obs.add("lanes.contexts", n_contexts)
+        obs.add("lanes.context_reuse", n_reused)
         if rounds:
             obs.observe("lanes.round_occupancy", n_probes / rounds)
     return results
@@ -392,8 +484,11 @@ def gamma_search(
     """
     table = cprobe.ProbeTable()
     index = table.add(through, cross, hops, capacity, delta, epsilon)
-    ctx = _Ctx(index, through, cross, hops, capacity, delta, epsilon,
-               gamma_grid)
+    grid = _grid(through, cross, hops, capacity, gamma_grid)
+    ctx = (
+        index, _Point(through, cross, grid, index), delta,
+        _group(hops, gamma_grid, delta, capacity, epsilon),
+    )
     (best,), _ = _gamma_searches(table, [ctx])
     return best
 
@@ -408,7 +503,12 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     for spec in specs:
         _check_lane(spec)
     table = cprobe.ProbeTable()
-    lanes = [_Lane(spec, spec.delta, table) for spec in specs]
+    points: dict = {}
+    lanes = [
+        _Lane(spec, spec.delta, table,
+              points=points.setdefault(_geometry(spec), {}))
+        for spec in specs
+    ]
     with obs.trace("lanes.mmoo_batch"):
         results = _run_lanes(table, lanes)
     if obs.enabled():
@@ -484,18 +584,25 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         for i in active:
             unique.setdefault(bootstrap_key(specs[i]), []).append(i)
         lane_groups = list(unique.values())
+        # one point cache per geometry, shared by the bootstrap and
+        # every iteration
+        points: dict = {}
         boot_lanes = [
-            _Lane(specs[group[0]], 0.0, table) for group in lane_groups
+            _Lane(specs[group[0]], 0.0, table,
+                  points=points.setdefault(_geometry(specs[group[0]]), {}))
+            for group in lane_groups
         ]
         boot = _run_lanes(table, boot_lanes)
         if obs.enabled() and n:
             obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
         # s_max depends only on the bootstrap key: one bisection per group
         s_maxes = [0.0] * n
+        lane_points: list = [None] * n
         still = []
         for group, lane, current in zip(lane_groups, boot_lanes, boot):
             for i in group:
                 s_maxes[i] = lane.s_max()
+                lane_points[i] = lane.points
                 if not current.feasible:
                     finish(i, current, 0.0, 0, 0.0, True)
                 else:
@@ -524,7 +631,8 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             if not active:
                 break
             step_lanes = [
-                _Lane(specs[i], deltas[i], table, s_maxes[i]) for i in active
+                _Lane(specs[i], deltas[i], table, s_maxes[i], lane_points[i])
+                for i in active
             ]
             traced = obs.enabled()
             if traced:

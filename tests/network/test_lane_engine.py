@@ -84,6 +84,54 @@ def test_edf_lane_independent_of_capacity_and_epsilon_neighbours():
         assert got.diagnostics.converged == alone.diagnostics.converged
 
 
+# -- the per-solve point cache ---------------------------------------------
+
+#: A lightly loaded lane (``(n_through + n_cross) * peak < capacity``):
+#: its ``s`` top is the unconstrained ``50 / peak`` whatever the other
+#: fields, so every variant below searches the very ``s`` values of the
+#: base lane and would be handed its cached points by a key that missed
+#: the field it differs in.
+BASE = dict(traffic=TRAFFIC, n_through=20, n_cross=30, hops=3,
+            capacity=100.0, epsilon=1e-9, s_grid=6, gamma_grid=6)
+VARIANTS = [
+    ("traffic", MMOOParameters(peak=1.5, p11=0.989, p22=0.85)),
+    ("n_through", 25),
+    ("n_cross", 35),
+    ("hops", 2),
+    ("capacity", 120.0),
+    ("epsilon", 1e-6),
+    ("gamma_grid", 8),
+]
+
+
+def test_context_cache_key():
+    """Lanes share a point cache only where their geometry is the same:
+    batched beside variants that each differ from the base lane in
+    one geometry field (or, for EDF, in the deadline weights, which the
+    cache does not key on), every lane is its one-lane self."""
+    geometries = [BASE] + [{**BASE, name: value} for name, value in VARIANTS]
+    mmoo = [LaneSpec(delta=-20.0, **fields) for fields in geometries]
+    for spec, got in zip(mmoo, mmoo_bound_lanes(mmoo)):
+        (alone,) = mmoo_bound_lanes([spec])
+        assert repr(got) == repr(alone), spec
+
+    edf = [
+        EDFLaneSpec(on_nonconvergence="ignore", **fields)
+        for fields in geometries
+    ] + [
+        EDFLaneSpec(deadline_weight_cross=5.0, on_nonconvergence="ignore",
+                    **BASE),
+    ]
+    for spec, got in zip(edf, edf_bound_lanes(edf)):
+        (alone,) = edf_bound_lanes([spec])
+        assert repr(got.result) == repr(alone.result), spec
+        assert repr(got.delta) == repr(alone.delta)
+        assert repr(got.diagnostics.residual) == repr(
+            alone.diagnostics.residual
+        )
+        assert got.diagnostics.iterations == alone.diagnostics.iterations
+
+
 # -- engine structure -----------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.cache import CellCache
 from repro.experiments.executor import SerialExecutor, make_executor
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
+from repro.network import cprobe
 from repro.network.e2e import e2e_delay_bound_edf
 from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
 
@@ -73,6 +74,32 @@ class TestEDFFixedPointTrace:
         assert traced.counter("lanes.engine_probes") > 0
         assert traced.counter("vectorized.grid_points") > 0
         assert traced.counter("vectorized.solve_lanes") > 0
+
+    def test_point_cache_counted(self, traced, monkeypatch):
+        """``lanes.contexts`` counts the γ-search contexts the engine
+        registers and ``lanes.context_reuse`` those whose point came
+        from the per-solve cache: on a two-iteration EDF lane both
+        iterations revisit the ``s`` values of the FIFO bootstrap."""
+        counts = {"add": 0, "add_again": 0}
+
+        def counting(name):
+            raw = getattr(cprobe.ProbeTable, name)
+
+            def counted(table, *args):
+                counts[name] += 1
+                return raw(table, *args)
+
+            monkeypatch.setattr(cprobe.ProbeTable, name, counted)
+
+        counting("add")
+        counting("add_again")
+        bound = e2e_delay_bound_edf(
+            TRAFFIC, 100, 100, 2, 3000.0, 1e-6, s_grid=6, gamma_grid=6
+        )
+        assert bound.diagnostics.iterations == 2
+        built, reused = counts["add"], counts["add_again"]
+        assert traced.counter("lanes.contexts") == built + reused > 0
+        assert traced.counter("lanes.context_reuse") == reused == 2 * built
 
     def test_scalar_backend_counts_solver_calls(self, traced):
         e2e_delay_bound_edf(
