@@ -69,17 +69,15 @@ small, so a call should cost what its C work costs.  A
 :class:`ProbeTable` owns the request and result buffers of
 :func:`probe_values` and :func:`golden_values`, with their addresses
 cached, and both C functions return how many requests they could not
-serve, so their wrappers scan for NaN only when there are some.  A
-context the engine registers again at another ``delta`` (every EDF
-iteration revisits the same ``s``) copies its packed row within the
-table (:meth:`ProbeTable.add_again`).  :func:`grid_rows`
-keeps its inputs and outputs in one block, one address for all;
-:func:`solve_exact` reads a per-lane value as a ``(lanes, 1)`` column
-through a zero hop stride, never widened, takes its strides as scalar
-arguments and reads each address through ``ctypes.c_char.from_buffer``
-(a third of the cost of ``ndarray.ctypes``) on the writable contiguous
-arrays the grid rows hand it.  One 1-lane x 12-point ``H = 5`` Eq. (38)
-grid row thus costs ~23 us, of which the C work is ~6 us.
+serve, so their wrappers scan for NaN only when there are some;
+:func:`grid_rows` keeps its inputs and outputs in one block, one
+address for all; :func:`solve_exact` reads a per-lane value as a
+``(lanes, 1)`` column through a zero hop stride, never widened, takes
+its strides as scalar arguments and reads each address through
+``ctypes.c_char.from_buffer`` (a third of the cost of
+``ndarray.ctypes``) on the writable contiguous arrays the grid rows
+hand it.  One 1-lane x 12-point ``H = 5`` Eq. (38) grid row thus
+costs ~25 us, of which the C work is ~6 us.
 """
 
 from __future__ import annotations
@@ -121,7 +119,6 @@ CTX_FIELDS = (
     "epsilon",
 )
 _NFIELDS = len(CTX_FIELDS)
-_DELTA = CTX_FIELDS.index("delta")
 
 #: Paths longer than this fall back to the Python/numpy bodies (the C
 #: kernel uses fixed-size stack buffers).
@@ -860,10 +857,7 @@ class ProbeTable:
     geometrically grown buffer so registrations between kernel calls
     never trigger a full repack) and the original
     :class:`~repro.arrivals.ebb.EBB` pair (for the Python fallback), so
-    either execution path serves the same requests.  A context that
-    differs from a registered one only in ``delta`` (the lane engine's
-    EDF iterations revisit the same ``s``) is registered by copying that
-    row (:meth:`add_again`).
+    either execution path serves the same requests.
 
     The table also owns the request and result buffers of
     :func:`probe_values` and :func:`golden_values`, grown the same way,
@@ -895,8 +889,12 @@ class ProbeTable:
         epsilon: float,
     ) -> int:
         """Register a context; returns its index."""
-        n = self._next()
-        self._buf[n] = (
+        if self._n == len(self._buf):
+            grown = np.empty((2 * len(self._buf), _NFIELDS), dtype=np.float64)
+            grown[: self._n] = self._buf
+            self._buf = grown
+            self._buf_addr = grown.ctypes.data
+        self._buf[self._n] = (
             through.prefactor,
             through.decay,
             through.rate,
@@ -908,30 +906,11 @@ class ProbeTable:
             delta,
             epsilon,
         )
-        self._objs.append((through, cross, hops, capacity, delta, epsilon))
-        self._n = n + 1
-        return n
-
-    def add_again(self, index: int, delta: float) -> int:
-        """Register context ``index`` again at another ``delta``; returns
-        the new index."""
-        n = self._next()
-        self._buf[n] = self._buf[index]
-        self._buf[n, _DELTA] = delta
-        through, cross, hops, capacity, _, epsilon = self._objs[index]
-        self._objs.append((through, cross, hops, capacity, delta, epsilon))
-        self._n = n + 1
-        return n
-
-    def _next(self) -> int:
-        """The index of the next context, with a buffer row for it."""
-        n = self._n
-        if n == len(self._buf):
-            grown = np.empty((2 * n, _NFIELDS), dtype=np.float64)
-            grown[:n] = self._buf
-            self._buf = grown
-            self._buf_addr = grown.ctypes.data
-        return n
+        self._objs.append(
+            (through, cross, hops, capacity, delta, epsilon)
+        )
+        self._n += 1
+        return self._n - 1
 
     def context(self, index: int) -> tuple[EBB, EBB, int, float, float, float]:
         return self._objs[index]

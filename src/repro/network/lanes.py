@@ -46,25 +46,23 @@ than copies of them:
 Point cache
 -----------
 What a context needs at one ``s`` besides ``Delta`` — the MMOO EBB
-pair, the headroom check, the log-spaced ``gamma`` grid and the packed
-probe-context row — is a *point* (:data:`_Point`).  It depends only on
-the lane's geometry ``(traffic, n_through, n_cross, hops, capacity,
-epsilon, gamma_grid)`` (:func:`_geometry`) and ``s``, so
-:func:`mmoo_bound_lanes` and :func:`edf_bound_lanes` keep one dict per
-geometry, keyed by ``s`` and holding the point or ``None`` (no
-headroom), for the length of that one call and its one
-:class:`~repro.network.cprobe.ProbeTable`: a point's context at a new
-``Delta`` copies the table row of its first one
-(:meth:`~repro.network.cprobe.ProbeTable.add_again`).  Every lane of
-the geometry shares the dict: MMOO lanes that differ only in ``Delta``
-(or ``s_grid``), EDF lanes that differ only in their deadline weights,
-and an EDF lane's FIFO bootstrap and all its fixed-point iterations —
-which revisit the same ``s`` values: the grid level every time, the
-golden steps whenever their comparisons repeat — and the
-materialization at the best ``s``.  Nothing outlives the call.  While
-:mod:`repro.obs` is enabled, ``lanes.contexts`` counts the contexts an
-engine pass registers and ``lanes.context_reuse`` those whose point
-came from the cache.
+pair, the headroom check and the log-spaced ``gamma`` grid — is a
+*point* (:data:`_Point`).  It depends only on the lane's geometry
+``(traffic, n_through, n_cross, hops, capacity, gamma_grid)``
+(:func:`_geometry`) and ``s``, so :func:`mmoo_bound_lanes` and
+:func:`edf_bound_lanes` keep one dict per geometry, keyed by ``s`` and
+holding the point or ``None`` (no headroom), for the length of that
+one call; a context at a cached point registers the point's EBB pair
+in the call's :class:`~repro.network.cprobe.ProbeTable` with its own
+``Delta``.  Every lane of the geometry shares the dict: MMOO lanes that
+differ only in ``Delta``, ``epsilon`` or ``s_grid``, EDF lanes that
+differ only in their deadline weights, and an EDF lane's FIFO
+bootstrap and all its fixed-point iterations — which revisit the same
+``s`` values: the grid level every time, the golden steps whenever
+their comparisons repeat — and the materialization at the best
+``s``.  Nothing outlives the call.  While :mod:`repro.obs` is enabled,
+``lanes.contexts`` counts the contexts an engine pass registers and
+``lanes.context_reuse`` those whose point came from the cache.
 
 Batching contract
 -----------------
@@ -156,12 +154,9 @@ class EDFLaneSpec:
     on_nonconvergence: Literal["warn", "raise", "ignore"] = "warn"
 
 
-#: A lane geometry at one ``s``: the MMOO EBB pair, the log-spaced
-#: ``gamma`` grid over its :func:`~repro.network.e2e._gamma_interval`,
-#: and the :class:`~repro.network.cprobe.ProbeTable` index of its first
-#: context, which a context at another ``Delta`` copies
-#: (:meth:`~repro.network.cprobe.ProbeTable.add_again`).
-_Point = namedtuple("_Point", "through cross grid index")
+#: A lane geometry at one ``s``: the MMOO EBB pair and the log-spaced
+#: ``gamma`` grid over its :func:`~repro.network.e2e._gamma_interval`.
+_Point = namedtuple("_Point", "through cross grid")
 
 #: A :attr:`_Lane.points` miss (``None`` is a cached "no headroom").
 _UNSEEN = object()
@@ -169,11 +164,11 @@ _UNSEEN = object()
 
 def _geometry(spec: LaneSpec | EDFLaneSpec) -> tuple:
     """Everything a :data:`_Point` depends on besides ``s``: the key of
-    the per-solve point cache (``Delta`` and the deadline weights do not
-    enter it)."""
+    the per-solve point cache (``Delta``, ``epsilon`` and the deadline
+    weights do not enter it)."""
     return (
         spec.traffic, spec.n_through, spec.n_cross, spec.hops,
-        spec.capacity, spec.epsilon, spec.gamma_grid,
+        spec.capacity, spec.gamma_grid,
     )
 
 
@@ -204,28 +199,28 @@ class _Lane:
 
     ``points`` caches the lane's :data:`_Point` (or ``None``: no
     headroom) at every ``s`` it reached, keyed by ``s``.  A point depends
-    only on :func:`_geometry` and ``s`` (and names a row of ``table``),
-    so :func:`mmoo_bound_lanes` and :func:`edf_bound_lanes` hand one dict
-    to every lane of a geometry in their one table: MMOO lanes differing
-    only in ``Delta``, and an EDF lane's FIFO bootstrap and all its
-    fixed-point iterations, which revisit the same ``s`` values (the
-    grid level always, the golden steps whenever the comparisons
-    repeat).  The dict lives for that one call; without one the lane
-    keeps its own.
+    only on :func:`_geometry` and ``s``, so :func:`mmoo_bound_lanes` and
+    :func:`edf_bound_lanes` hand one dict to every lane of a geometry:
+    MMOO lanes differing only in ``Delta`` or ``epsilon``, and an EDF
+    lane's FIFO bootstrap and all its fixed-point iterations, which
+    revisit the same ``s`` values (the grid level always, the golden
+    steps whenever the comparisons repeat).  The dict lives for that one
+    call.
     """
 
     __slots__ = ("spec", "delta", "table", "gammas", "points", "group",
                  "_s_max")
 
     def __init__(self, spec: LaneSpec | EDFLaneSpec, delta: float,
-                 table: cprobe.ProbeTable, s_max: float | None = None,
-                 points: dict[float, _Point | None] | None = None):
+                 table: cprobe.ProbeTable,
+                 points: dict[float, _Point | None],
+                 s_max: float | None = None):
         self.spec = spec
         self.delta = delta
         self.table = table
         # the gamma optimum found at each probed s (absent: no headroom)
         self.gammas: dict[float, float] = {}
-        self.points = {} if points is None else points
+        self.points = points
         self.group = _group(
             spec.hops, spec.gamma_grid, delta, spec.capacity, spec.epsilon
         )
@@ -256,8 +251,6 @@ class _Lane:
         reused = 0
         for k, s in enumerate(level):
             point = points.get(s, _UNSEEN)
-            if point is None:
-                continue
             if point is _UNSEEN:
                 through, cross = mmoo_ebb_pair(
                     spec.traffic, spec.n_through, spec.n_cross, s
@@ -265,17 +258,17 @@ class _Lane:
                 grid = _grid(
                     through, cross, spec.hops, spec.capacity, spec.gamma_grid
                 )
-                if grid is None:
-                    points[s] = None
-                    continue
-                index = table.add(
-                    through, cross, spec.hops, spec.capacity, delta,
-                    spec.epsilon,
+                point = points[s] = (
+                    None if grid is None else _Point(through, cross, grid)
                 )
-                point = points[s] = _Point(through, cross, grid, index)
-            else:
-                index = table.add_again(point.index, delta)
+            elif point is not None:
                 reused += 1
+            if point is None:
+                continue
+            index = table.add(
+                point.through, point.cross, spec.hops, spec.capacity, delta,
+                spec.epsilon,
+            )
             ctxs.append((k, (index, point, delta, self.group)))
         return ctxs, reused
 
@@ -486,7 +479,7 @@ def gamma_search(
     index = table.add(through, cross, hops, capacity, delta, epsilon)
     grid = _grid(through, cross, hops, capacity, gamma_grid)
     ctx = (
-        index, _Point(through, cross, grid, index), delta,
+        index, _Point(through, cross, grid), delta,
         _group(hops, gamma_grid, delta, capacity, epsilon),
     )
     (best,), _ = _gamma_searches(table, [ctx])
@@ -505,8 +498,7 @@ def mmoo_bound_lanes(specs: Iterable[LaneSpec]) -> list[E2EResult]:
     table = cprobe.ProbeTable()
     points: dict = {}
     lanes = [
-        _Lane(spec, spec.delta, table,
-              points=points.setdefault(_geometry(spec), {}))
+        _Lane(spec, spec.delta, table, points.setdefault(_geometry(spec), {}))
         for spec in specs
     ]
     with obs.trace("lanes.mmoo_batch"):
@@ -589,7 +581,7 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
         points: dict = {}
         boot_lanes = [
             _Lane(specs[group[0]], 0.0, table,
-                  points=points.setdefault(_geometry(specs[group[0]]), {}))
+                  points.setdefault(_geometry(specs[group[0]]), {}))
             for group in lane_groups
         ]
         boot = _run_lanes(table, boot_lanes)
@@ -597,12 +589,10 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             obs.add("lanes.bootstrap_dedup", n - len(lane_groups))
         # s_max depends only on the bootstrap key: one bisection per group
         s_maxes = [0.0] * n
-        lane_points: list = [None] * n
         still = []
         for group, lane, current in zip(lane_groups, boot_lanes, boot):
             for i in group:
                 s_maxes[i] = lane.s_max()
-                lane_points[i] = lane.points
                 if not current.feasible:
                     finish(i, current, 0.0, 0, 0.0, True)
                 else:
@@ -631,7 +621,8 @@ def edf_bound_lanes(specs: Iterable[EDFLaneSpec]) -> list[EDFBound]:
             if not active:
                 break
             step_lanes = [
-                _Lane(specs[i], deltas[i], table, s_maxes[i], lane_points[i])
+                _Lane(specs[i], deltas[i], table,
+                      points[_geometry(specs[i])], s_maxes[i])
                 for i in active
             ]
             traced = obs.enabled()

@@ -151,18 +151,14 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
         if len(cases) != 1:
             raise ValueError("all deltas must share one Eq. (38) case")
         (case,) = cases
-    # a (lanes, hops) r_svc needs no reshaping, in or out
-    flat = len(shape) == 2
-    lanes = shape[0] if flat else math.prod(shape[:-1])
-    if not flat:
-        r_svc = r_svc.reshape(lanes, shape[-1])
+    lanes = math.prod(shape[:-1])
+    r_svc = r_svc.reshape(lanes, shape[-1])
     r_cross = _lane_rows(cross_rates, shape, lanes)
     delta = _lane_rows(delta_in, shape, lanes)
     sig = np.asarray(sigmas, dtype=float)
     if sig.shape != shape[:-1]:
         sig = np.broadcast_to(sig, shape[:-1])
-    if not flat:
-        sig = sig.reshape(lanes)
+    sig = sig.reshape(lanes)
 
     solved = cprobe.solve_exact(r_svc, r_cross, delta, sig, case)
     if solved is None:
@@ -174,8 +170,6 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
         obs.add("vectorized.solve_lanes", lanes)
         obs.add("vectorized.solve_saturated_lanes", n_bad)
         obs.set_gauge("vectorized.solve_batch_shape", list(shape))
-    if flat:
-        return delay, x_best, thetas
     return (
         delay.reshape(shape[:-1]),
         x_best.reshape(shape[:-1]),
@@ -193,7 +187,7 @@ def _lane_rows(values, shape, lanes):
     target = shape[:-1] + (width,)
     if a.shape != target:
         a = np.broadcast_to(a, target)
-    return a if len(target) == 2 else a.reshape(lanes, width)
+    return a.reshape(lanes, width)
 
 
 def _solve_exact_numpy(r_svc, r_cross, delta, sig, case):

@@ -90,7 +90,9 @@ def test_edf_lane_independent_of_capacity_and_epsilon_neighbours():
 #: its ``s`` top is the unconstrained ``50 / peak`` whatever the other
 #: fields, so every variant below searches the very ``s`` values of the
 #: base lane and would be handed its cached points by a key that missed
-#: the field it differs in.
+#: the field it differs in.  ``epsilon`` is not in the key (no point
+#: depends on it), so its variant checks that sharing a point across
+#: ``epsilon`` is exact.
 BASE = dict(traffic=TRAFFIC, n_through=20, n_cross=30, hops=3,
             capacity=100.0, epsilon=1e-9, s_grid=6, gamma_grid=6)
 VARIANTS = [
@@ -107,8 +109,9 @@ VARIANTS = [
 def test_context_cache_key():
     """Lanes share a point cache only where their geometry is the same:
     batched beside variants that each differ from the base lane in
-    one geometry field (or, for EDF, in the deadline weights, which the
-    cache does not key on), every lane is its one-lane self."""
+    one geometry field (or in ``epsilon`` or, for EDF, the deadline
+    weights, which the cache does not key on), every lane is its
+    one-lane self."""
     geometries = [BASE] + [{**BASE, name: value} for name, value in VARIANTS]
     mmoo = [LaneSpec(delta=-20.0, **fields) for fields in geometries]
     for spec, got in zip(mmoo, mmoo_bound_lanes(mmoo)):
@@ -237,7 +240,7 @@ def _past_s_max():
 def _run(specs_and_tops):
     table = cprobe.ProbeTable()
     return lanes._run_lanes(table, [
-        lanes._Lane(spec, spec.delta, table, s_max)
+        lanes._Lane(spec, spec.delta, table, {}, s_max)
         for spec, s_max in specs_and_tops
     ])
 

@@ -15,7 +15,7 @@ from repro.arrivals.mmoo import MMOOParameters
 from repro.experiments.cache import CellCache
 from repro.experiments.executor import SerialExecutor, make_executor
 from repro.experiments.sweep import Cell, SweepSpec, run_sweep
-from repro.network import cprobe
+from repro.network import cprobe, lanes
 from repro.network.e2e import e2e_delay_bound_edf
 from repro.simulation.engine import SimulationConfig, simulate_tandem_mmoo
 
@@ -80,26 +80,27 @@ class TestEDFFixedPointTrace:
         registers and ``lanes.context_reuse`` those whose point came
         from the per-solve cache: on a two-iteration EDF lane both
         iterations revisit the ``s`` values of the FIFO bootstrap."""
-        counts = {"add": 0, "add_again": 0}
+        counts = {"add": 0, "mmoo_ebb_pair": 0}
 
-        def counting(name):
-            raw = getattr(cprobe.ProbeTable, name)
+        def counting(owner, name):
+            raw = getattr(owner, name)
 
-            def counted(table, *args):
+            def counted(*args):
                 counts[name] += 1
-                return raw(table, *args)
+                return raw(*args)
 
-            monkeypatch.setattr(cprobe.ProbeTable, name, counted)
+            monkeypatch.setattr(owner, name, counted)
 
-        counting("add")
-        counting("add_again")
+        counting(cprobe.ProbeTable, "add")
+        counting(lanes, "mmoo_ebb_pair")
         bound = e2e_delay_bound_edf(
             TRAFFIC, 100, 100, 2, 3000.0, 1e-6, s_grid=6, gamma_grid=6
         )
         assert bound.diagnostics.iterations == 2
-        built, reused = counts["add"], counts["add_again"]
-        assert traced.counter("lanes.contexts") == built + reused > 0
-        assert traced.counter("lanes.context_reuse") == reused == 2 * built
+        contexts, built = counts["add"], counts["mmoo_ebb_pair"]
+        assert traced.counter("lanes.contexts") == contexts > 0
+        assert traced.counter("lanes.context_reuse") == contexts - built
+        assert contexts - built == 2 * built
 
     def test_scalar_backend_counts_solver_calls(self, traced):
         e2e_delay_bound_edf(
