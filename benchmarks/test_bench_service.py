@@ -1,6 +1,6 @@
 """Concurrency/load gate of the bound-query service.
 
-Two gated rows:
+Three gated rows:
 
 * ``test_service_cold_coalesce`` — a cold burst of distinct concurrent
   queries must fuse into lane batches (mean ``service.batch_occupancy``
@@ -9,16 +9,23 @@ Two gated rows:
   the real HTTP server (real sockets, one connection each) must all be
   served from the LRU at a sane throughput floor; the regression
   baseline watches the end-to-end wall time.
+* ``test_service_hit_request`` — ladder row L7 (warm): one LRU hit of
+  ``POST /v1/bounds`` over a keep-alive socket, request bytes to
+  response bytes, in requests per second.
 """
 
 import asyncio
+import json
+import socket
 import time
 
 from repro.service.api.app import BoundService, ServiceConfig
 from repro.service.api.client import AsyncServiceClient
 from repro.service.api.model import BoundQuery
 
-from tests.service.api.util import ServerHarness
+from conftest import record_rates
+
+from tests.service.api.util import CHEAP_QUERY, ServerHarness
 
 #: Load shape: N_WARM concurrent warm queries over N_DISTINCT cells.
 N_WARM = 1000
@@ -127,3 +134,40 @@ def test_service_warm_load(benchmark):
         f"{N_WARM} concurrent warm queries at {qps:.0f} qps; the LRU "
         f"path must sustain >= {MIN_WARM_QPS:.0f} qps"
     )
+
+
+def _exchange(sock: socket.socket, request: bytes) -> bytes:
+    """Send one request; read back exactly one response's body."""
+    sock.sendall(request)
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        raw += sock.recv(65536)
+    head, _, body = raw.partition(b"\r\n\r\n")
+    length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+    while len(body) < length:
+        body += sock.recv(65536)
+    return body
+
+
+def test_service_hit_request(benchmark):
+    """L7 (warm): one ``POST /v1/bounds`` LRU hit over a keep-alive
+    socket — HTTP read, parse, LRU probe, JSON reply — in requests per
+    second."""
+    payload = json.dumps(CHEAP_QUERY).encode()
+    request = (
+        b"POST /v1/bounds HTTP/1.1\r\nHost: bench\r\n"
+        b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(payload), payload)
+    )
+    config = ServiceConfig(cache_dir=None, batch_window_s=WINDOW_S)
+    with ServerHarness(config) as harness, socket.create_connection(
+        (harness.host, harness.port), timeout=60
+    ) as sock:
+        cold = json.loads(_exchange(sock, request))  # the one miss
+        body = benchmark.pedantic(
+            _exchange, args=(sock, request), rounds=2000, iterations=1,
+            warmup_rounds=50,
+        )
+    hit = json.loads(body)
+    assert hit == {**cold, "cached": "lru"}
+    record_rates(benchmark, "requests", 1)

@@ -7,9 +7,10 @@ thousands of bound queries per second from one process; three layers
 make that possible without touching the solver mathematics:
 
 * a shared in-memory **LRU front-cache** (:mod:`repro.service.api.lru`)
-  keyed by the same canonical cell-params hash as the on-disk
-  :class:`~repro.experiments.cache.CellCache`, so warm queries never
-  reach the solver and cold answers are shared with the sweep pipeline;
+  keyed by the validated query, in front of the on-disk
+  :class:`~repro.experiments.cache.CellCache` keyed by the canonical
+  cell-params hash, so warm queries never reach the solver and cold
+  answers are shared with the sweep pipeline;
 * a **batch coalescer** (:mod:`repro.service.api.coalescer`) that
   collects the queries arriving inside a short window (default ~2 ms)
   or up to a lane cap, plans them through the cross-cell batch planner

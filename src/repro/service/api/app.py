@@ -5,10 +5,13 @@
 full answer path of one query:
 
 1. parse/validate into a canonical :class:`~repro.service.api.model.BoundQuery`;
-2. probe the in-memory LRU, then the on-disk
-   :class:`~repro.experiments.cache.CellCache` — both keyed by the same
-   :func:`~repro.experiments.sweep.cell_key` hash, so the service shares
-   warm entries with the sweep pipeline;
+2. probe the in-memory LRU, keyed by the validated query itself (its
+   fields are canonical, so equal queries hash alike) and holding
+   ``(key, payload)``; only on an LRU miss compute the sha256
+   :func:`~repro.experiments.sweep.cell_key` hash ``key`` and probe the
+   on-disk :class:`~repro.experiments.cache.CellCache` with it, so the
+   service shares warm entries with the sweep pipeline and an LRU hit
+   returns the ``key`` stored at its miss;
 3. on a full miss, submit the cell to the
    :class:`~repro.service.api.coalescer.BatchCoalescer` and write the
    answer back through both cache layers.
@@ -101,20 +104,20 @@ class BoundService:
         self._inflight += 1
         self.registry.set_gauge("service.inflight", self._inflight)
         try:
-            key = query.key()
-            payload = self.lru.get(key)
+            hit = self.lru.get(query)
+            key, payload = hit if hit is not None else (query.key(), None)
             cached: str | None = "lru"
             if payload is None and self.disk_cache is not None:
                 payload = self.disk_cache.get(key)
                 if payload is not None:
                     cached = "disk"
                     self.registry.add("service.disk_hit")
-                    self.lru.put(key, payload)
+                    self.lru.put(query, (key, payload))
             if payload is None:
                 cached = None
                 self.registry.add("service.disk_miss")
                 payload = await self.coalescer.submit(query.cell())
-                self.lru.put(key, payload)
+                self.lru.put(query, (key, payload))
                 if self.disk_cache is not None:
                     self.disk_cache.put(key, payload)
             row = dict(payload["rows"][0])

@@ -38,7 +38,9 @@ __all__ = ["HttpServer", "MAX_BODY_BYTES"]
 #: few hundred bytes; anything megabyte-sized is not a query).
 MAX_BODY_BYTES = 1 << 20
 
-#: Per-read timeout: a stalled or half-open client gets a 408 and its
+#: Deadline on reading one whole request, from the wait for its request
+#: line to its last body byte (one timer per request, not one per read):
+#: a stalled, half-open or idle keep-alive client gets a 408 and its
 #: connection closed instead of pinning a handler task forever.
 READ_TIMEOUT_S = 30.0
 
@@ -180,11 +182,21 @@ class HttpServer:
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes | None] | None:
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=READ_TIMEOUT_S
+            return await asyncio.wait_for(
+                self._read_request_untimed(reader), timeout=READ_TIMEOUT_S
             )
         except asyncio.TimeoutError:
-            raise _HttpError(408, "timeout", "request line not received")
+            raise _HttpError(
+                408, "timeout",
+                f"request not received within {READ_TIMEOUT_S:g} s",
+            )
+
+    @staticmethod
+    async def _read_request_untimed(
+        reader: asyncio.StreamReader,
+    ) -> tuple[str, str, dict[str, str], bytes | None] | None:
+        # runs under _read_request's one deadline, so no read here is timed
+        line = await reader.readline()
         if not line:
             return None
         try:
@@ -197,12 +209,7 @@ class HttpServer:
         headers: dict[str, str] = {}
         header_bytes = 0
         while True:
-            try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=READ_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                raise _HttpError(408, "timeout", "headers not received")
+            line = await reader.readline()
             header_bytes += len(line)
             if header_bytes > _MAX_HEADER_BYTES:
                 raise _HttpError(413, "headers-too-large", "header block too large")
@@ -236,11 +243,7 @@ class HttpServer:
                     f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
                 )
             try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=READ_TIMEOUT_S
-                )
-            except asyncio.TimeoutError:
-                raise _HttpError(408, "timeout", "body not received")
+                body = await reader.readexactly(length)
             except asyncio.IncompleteReadError:
                 raise _HttpError(
                     400, "truncated-body",

@@ -1,10 +1,16 @@
 """In-memory LRU front-cache for served bound answers.
 
 Sits in front of the content-keyed on-disk
-:class:`~repro.experiments.cache.CellCache`: both are keyed by the same
-canonical :func:`~repro.experiments.sweep.cell_key` hash, so the LRU is
-a pure acceleration layer — evicting an entry can cost a disk read,
-never a wrong answer.
+:class:`~repro.experiments.cache.CellCache`.  The service keys it by
+the validated :class:`~repro.service.api.model.BoundQuery` itself (a
+frozen dataclass whose fields are already canonical, so equal queries
+are equal keys) and stores ``(key, payload)`` pairs, where ``key`` is
+the sha256 :func:`~repro.experiments.sweep.cell_key` hash that keys the
+disk tier and the response.  A hit therefore costs one field-tuple hash,
+not a canonical-JSON hash; the hash runs only on a miss.  The LRU lives
+for one process, so it needs no solver fingerprint, and it is a pure
+acceleration layer: evicting an entry can cost a disk read, never a
+wrong answer.
 
 The cache is size-bounded (entry count) and optionally TTL-bounded.
 Expiry uses an injectable monotonic clock so tests can expire entries
@@ -23,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 from repro.obs import MetricsRegistry
 
@@ -50,13 +56,13 @@ class LRUCache:
         self._clock = clock
         self._registry = registry
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[float, Any]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[float, Any]] = OrderedDict()
 
     def _count(self, name: str) -> None:
         if self._registry is not None:
             self._registry.add(name)
 
-    def get(self, key: str) -> Any | None:
+    def get(self, key: Hashable) -> Any | None:
         """The cached payload, or ``None`` on miss/expiry (which evicts)."""
         with self._lock:
             entry = self._entries.get(key)
@@ -76,7 +82,7 @@ class LRUCache:
             self._count("service.lru_hit")
             return payload
 
-    def put(self, key: str, payload: Any) -> None:
+    def put(self, key: Hashable, payload: Any) -> None:
         """Insert (or refresh) ``key``, evicting the LRU entry if full."""
         with self._lock:
             if key in self._entries:
@@ -86,7 +92,7 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._count("service.lru_evict")
 
-    def invalidate(self, key: str) -> bool:
+    def invalidate(self, key: Hashable) -> bool:
         """Drop ``key`` if present; returns whether it was."""
         with self._lock:
             if key in self._entries:
@@ -103,7 +109,7 @@ class LRUCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         # membership without touching recency or counters (diagnostics)
         with self._lock:
             return key in self._entries

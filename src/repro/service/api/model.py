@@ -4,12 +4,16 @@ A :class:`BoundQuery` is the validated, normalized form of one JSON
 request body.  Normalization makes the query's identity *canonical*:
 defaults are filled in (the Section V traffic/capacity, quick
 optimization grids), EDF deadline weights are forced to the paper
-defaults for schedulers they cannot affect, and the result is frozen
-into a :class:`~repro.experiments.sweep.Cell` whose
-:func:`~repro.experiments.sweep.cell_key` hash keys both the in-memory
-LRU and the on-disk cell cache — two requests that must produce the
-same answer always share one key.  Body fields the model does not read
-(a ``backend``, say) are ignored and do not enter the key.
+defaults for schedulers they cannot affect, and every number is stored
+in one type (``float`` or ``int``).  Two requests that must produce the
+same answer therefore parse to equal, equally hashing queries, which is
+what keys the service's in-memory LRU.  The query also freezes into a
+:class:`~repro.experiments.sweep.Cell` whose
+:func:`~repro.experiments.sweep.cell_key` sha256 hash keys the on-disk
+cell cache and is the response's ``"key"``; two queries are equal
+exactly when their hashes are (property-tested in
+``tests/service/api/test_model.py``).  Body fields the model does not
+read (a ``backend``, say) are ignored and enter neither.
 
 Validation failures raise :class:`QueryError`, which the HTTP layer
 renders as a structured 400 (code, message, offending field) — a
@@ -244,5 +248,5 @@ class BoundQuery:
         return Cell.make(SERVICE_CELL_FN, **self.params())
 
     def key(self) -> str:
-        """The canonical content hash shared by the LRU and disk caches."""
+        """The canonical content hash of the disk cache and the response."""
         return cell_key(self.cell())

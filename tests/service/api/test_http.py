@@ -1,7 +1,10 @@
 """The HTTP layer, driven over real sockets through the harness.
 
 Includes the malformed-body property: whatever bytes a client posts,
-the answer is a structured 4xx JSON error — never a 500, never a hang.
+the answer is a structured 4xx JSON error — never a 500, never a hang;
+the request-read paths (one read deadline per request, the header cap,
+LF-only line endings) over raw sockets; and the LRU hit path, which
+skips the sha256 cell key.
 """
 
 import functools
@@ -13,9 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.service.api import http as service_http
+from repro.service.api import model
+from repro.service.api.app import ServiceConfig
 from repro.service.api.client import ServiceError
 
-from tests.service.api.util import CHEAP_QUERY
+from tests.service.api.util import CHEAP_QUERY, ServerHarness
 
 
 def test_healthz(harness):
@@ -237,3 +243,110 @@ def test_malformed_bodies_never_500_or_hang(shared_harness, payload):
     assert "error" in body
     assert body["error"]["code"]
     assert body["error"]["message"]
+
+
+def test_lru_hits_skip_the_cell_key(tmp_path, monkeypatch):
+    """The sha256 ``cell_key`` runs once per LRU miss: a cold solve and
+    a disk hit each call it once; LRU hits, on either route, call it
+    zero times and return the key stored at the miss."""
+    calls = []
+
+    def counted(cell):
+        calls.append(cell)
+        return real(cell)
+
+    real = model.cell_key
+    monkeypatch.setattr(model, "cell_key", counted)
+    config = ServiceConfig(cache_dir=str(tmp_path), batch_window_s=0.001)
+    with ServerHarness(config) as harness, harness.client() as client:
+        row = client.bounds(dict(CHEAP_QUERY))
+        assert (row["cached"], len(calls)) == (None, 1)
+        for _ in range(2):
+            hit = client.bounds(dict(CHEAP_QUERY))
+            verdict = client.admissible({**CHEAP_QUERY, "target": 1e9})
+            assert hit == {**row, "cached": "lru"}
+            assert (verdict["key"], verdict["cached"]) == (row["key"], "lru")
+        assert len(calls) == 1
+    with ServerHarness(config) as harness, harness.client() as client:
+        disk = client.bounds(dict(CHEAP_QUERY))
+        assert disk == {**row, "cached": "disk"}
+        assert len(calls) == 2
+        hit = client.bounds(dict(CHEAP_QUERY))
+        assert hit == {**row, "cached": "lru"}
+        assert len(calls) == 2
+
+
+def _responses(sock) -> list[tuple[int, dict, bytes]]:
+    """Read until the server closes; split into ``(status, headers,
+    body)`` responses by their Content-Length."""
+    raw = b""
+    while chunk := sock.recv(65536):
+        raw += chunk
+    out = []
+    while raw:
+        head, _, raw = raw.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(
+            (k.strip().lower(), v.strip())
+            for k, v in (line.split(":", 1) for line in lines)
+        )
+        length = int(headers["content-length"])
+        out.append((int(status_line.split()[1]), headers, raw[:length]))
+        raw = raw[length:]
+    return out
+
+
+@pytest.fixture()
+def short_deadline(monkeypatch):
+    """A 0.2 s request-read deadline (the server reads it per request)."""
+    monkeypatch.setattr(service_http, "READ_TIMEOUT_S", 0.2)
+
+
+def test_stalled_request_gets_408_and_close(harness, short_deadline):
+    """A client that sends a request line and a header, then stalls, is
+    answered 408 and closed once the one request deadline passes."""
+    with socket.create_connection((harness.host, harness.port)) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(b"POST /v1/bounds HTTP/1.1\r\nHost: t\r\n")
+        ((status, headers, body),) = _responses(sock)
+    assert status == 408
+    assert headers["connection"] == "close"
+    assert json.loads(body)["error"]["code"] == "timeout"
+
+
+def test_idle_keepalive_connection_gets_408(harness, short_deadline):
+    """After a served request, an idle keep-alive connection is timed
+    out like a stalled one: 408, then close."""
+    with socket.create_connection((harness.host, harness.port)) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        (first, _, _), (status, headers, _) = _responses(sock)
+    assert (first, status) == (200, 408)
+    assert headers["connection"] == "close"
+
+
+def test_oversized_header_block_is_413(harness):
+    """A header block past ``_MAX_HEADER_BYTES`` is refused with 413."""
+    filler = b"X-Filler: " + b"a" * 1000 + b"\r\n"
+    count = service_http._MAX_HEADER_BYTES // len(filler) + 1
+    with socket.create_connection((harness.host, harness.port)) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n" + filler * count)
+        ((status, headers, body),) = _responses(sock)
+    assert status == 413
+    assert headers["connection"] == "close"
+    assert json.loads(body)["error"]["code"] == "headers-too-large"
+
+
+def test_lf_only_line_endings_are_served(harness):
+    """Bare ``\\n`` line endings parse like ``\\r\\n`` ones."""
+    payload = json.dumps(CHEAP_QUERY).encode()
+    with socket.create_connection((harness.host, harness.port)) as sock:
+        sock.settimeout(30.0)
+        sock.sendall(
+            b"POST /v1/bounds HTTP/1.1\nHost: t\nConnection: close\n"
+            b"Content-Length: %d\n\n%s" % (len(payload), payload)
+        )
+        ((status, _, body),) = _responses(sock)
+    assert status == 200
+    assert json.loads(body)["feasible"] is True

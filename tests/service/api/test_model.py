@@ -1,8 +1,10 @@
 """Query validation and canonicalization (`repro.service.api.model`)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.experiments.config import EPSILON, QUICK_GRIDS
+from repro.experiments.config import CAPACITY, EPSILON, QUICK_GRIDS
 from repro.service.api.model import PAPER_TRAFFIC, BoundQuery, QueryError
 
 
@@ -65,6 +67,101 @@ def test_backend_field_is_ignored(harness):
     assert [row.pop("cached") for row in rows] == [None, "lru", "lru"]
     assert rows[0]["key"] in keys
     assert rows[1] == rows[0] and rows[2] == rows[0]
+
+
+#: Two canonical values per field, so independent draws often coincide.
+_VALUES = {
+    "kind": ("delay", "backlog"),
+    "scheduler": ("FIFO", "BMUX", "SP", "EDF"),
+    "hops": (1, 4),
+    "n_through": (10, 20),
+    "n_cross": (0, 5),
+    "epsilon": (EPSILON, 1e-6),
+    "traffic": (PAPER_TRAFFIC, (2.0, 0.989, 0.9)),
+    "capacity": (CAPACITY, 50.0),
+    "deadline_weight_through": (1.0, 3.0),
+    "deadline_weight_cross": (10.0, 7.0),
+    "s_grid": (QUICK_GRIDS["s_grid"], 5),
+    "gamma_grid": (QUICK_GRIDS["gamma_grid"], 5),
+}
+
+#: The fields a body may omit, with the value omission stands for.
+_DEFAULTS = {
+    "kind": "delay",
+    "n_cross": 0,
+    "epsilon": EPSILON,
+    "traffic": PAPER_TRAFFIC,
+    "capacity": CAPACITY,
+    "deadline_weight_through": 1.0,
+    "deadline_weight_cross": 10.0,
+    "s_grid": QUICK_GRIDS["s_grid"],
+    "gamma_grid": QUICK_GRIDS["gamma_grid"],
+}
+
+
+@st.composite
+def _fields(draw):
+    """One valid query as field values (weights drawn for every
+    scheduler, so FIFO/BMUX/SP bodies carry EDF weights too)."""
+    fields = {name: draw(st.sampled_from(v)) for name, v in _VALUES.items()}
+    if fields["scheduler"] == "EDF":
+        fields["kind"] = "delay"  # EDF has no backlog bound
+    return fields
+
+
+def _spell_number(draw, value):
+    if isinstance(value, float) and value.is_integer() and draw(st.booleans()):
+        return int(value)
+    return value
+
+
+@st.composite
+def _body(draw, fields):
+    """One JSON body for ``fields``: defaults omitted or explicit,
+    integral floats spelled as ints, tuples as lists, maybe an ignored
+    ``backend``, keys in any order."""
+    body = {}
+    for name, value in fields.items():
+        if name in _DEFAULTS and value == _DEFAULTS[name] and draw(
+            st.booleans()
+        ):
+            continue
+        if isinstance(value, tuple):
+            value = [_spell_number(draw, v) for v in value]
+        body[name] = _spell_number(draw, value)
+    if draw(st.booleans()):
+        body["backend"] = draw(st.sampled_from(["numpy", "scalar"]))
+    return dict(draw(st.permutations(list(body.items()))))
+
+
+@st.composite
+def _body_pair(draw):
+    first = draw(_fields())
+    if draw(st.booleans()):
+        second = dict(first)
+    else:  # one field moved, or an independent draw
+        second = draw(st.one_of(
+            _fields(),
+            st.sampled_from(sorted(_VALUES)).flatmap(
+                lambda name: st.sampled_from(_VALUES[name]).map(
+                    lambda v: {**first, name: v}
+                )
+            ),
+        ))
+        if second["scheduler"] == "EDF":
+            second["kind"] = "delay"
+    return draw(_body(first)), draw(_body(second))
+
+
+@given(_body_pair())
+def test_query_equality_is_key_equality(pair):
+    """The service's LRU is keyed by the parsed query, its disk tier and
+    responses by ``key()``: the two identities must agree exactly, so
+    two bodies share an LRU entry iff they share a sha256 key."""
+    a, b = (BoundQuery.from_json(body) for body in pair)
+    assert (a == b) == (a.key() == b.key())
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 @pytest.mark.parametrize(
