@@ -18,6 +18,10 @@ is the current/baseline ratio of the calibration row
 nothing from the package, so no change to the program can move it) when
 both files carry it; otherwise the median ratio over all shared
 benchmarks, which a change that speeds up many rows drags down with it.
+Rows whose baseline is under a millisecond take the factor of the
+microsecond calibration row of the same file when both files carry it:
+a loaded host slows a microsecond call (interpreter dispatch, small
+numpy calls, cache misses) by another ratio than a millisecond loop.
 ``--raw`` compares absolute means instead.  Exit status 1 on any
 regression (the CI gate), 0 otherwise.
 Benchmarks present only on one side also fail the gate: a baseline row
@@ -40,6 +44,11 @@ BASELINE_PATH = Path(__file__).parent / "BENCH_BASELINE.json"
 BASELINE_SCHEMA = "repro.bench-baseline/1"
 #: The row whose current/baseline ratio is the machine-speed factor.
 CALIBRATION = "benchmarks/test_bench_calibration.py::test_calibration"
+#: The row whose ratio scales the microsecond rows.
+CALIBRATION_US = "benchmarks/test_bench_calibration.py::test_calibration_us"
+#: Rows whose baseline mean is below this many seconds are microsecond
+#: rows.
+MICRO_ROW_S = 1e-3
 
 
 def load_means(path: Path) -> dict[str, float]:
@@ -93,16 +102,24 @@ def compare(
     factor, source = 1.0, "raw comparison"
     if normalize:
         factor, source = machine_factor(current, baseline, shared)
-    lines = [
-        f"machine-speed factor: {factor:.3f} ({source})",
+    micro = factor
+    lines = [f"machine-speed factor: {factor:.3f} ({source})"]
+    if normalize and CALIBRATION_US in current and CALIBRATION_US in baseline:
+        micro = current[CALIBRATION_US] / baseline[CALIBRATION_US]
+        lines.append(
+            f"microsecond-row factor: {micro:.3f} (rows under "
+            f"{MICRO_ROW_S * 1e3:g} ms, microsecond calibration row)"
+        )
+    lines += [
         f"tolerance: +{tolerance:.0%} on the normalized baseline",
         "",
         f"{'benchmark':<60} {'base(s)':>9} {'cur(s)':>9} {'ratio':>7} {'status':>10}",
     ]
     regressions = []
     for name in shared:
-        allowed = baseline[name] * factor * (1.0 + tolerance)
-        ratio = current[name] / (baseline[name] * factor)
+        scale = micro if baseline[name] < MICRO_ROW_S else factor
+        allowed = baseline[name] * scale * (1.0 + tolerance)
+        ratio = current[name] / (baseline[name] * scale)
         status = "ok"
         if current[name] > allowed:
             status = "REGRESSED"

@@ -224,36 +224,38 @@ def test_scalar_solve_exact(benchmark):
 GRID_LANES = 12
 
 
+@functools.cache
 def _fifo_grid_rows():
     """One engine round of a Fig. 2 FIFO cell (H = 10, U = 50%): its 12
-    ``s`` lanes, each with its 12-point log γ grid."""
+    ``s`` lanes, each with its 12-point log γ grid, registered once in a
+    :class:`~repro.network.cprobe.ProbeTable` that every round reads, as
+    the engine's rounds read their solve's table."""
     traffic = MMOOParameters.paper_defaults()
-    throughs, crosses, rows = [], [], []
+    table = cprobe.ProbeTable()
+    indices = []
     for s in np.geomspace(2e-6, 0.02, GRID_LANES).tolist():
         through, cross = mmoo_ebb_pair(traffic, 100, 233, s)
         gamma_max = (100.0 - cross.rate - through.rate) / (SOLVE_HOPS + 1)
-        throughs.append(through)
-        crosses.append(cross)
-        rows.append(
-            logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
+        row = logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
+        indices.append(
+            table.add(through, cross, SOLVE_HOPS, 100.0, 0.0, 1e-9, row)
         )
-    zeros = [0.0] * GRID_LANES
-    return (
-        throughs, crosses, SOLVE_HOPS, 100.0, zeros, 1e-9, np.array(rows)
-    ), {}
+    return (indices, table), {}
 
 
+@functools.cache
 def _exact_grid_row():
     """The EDF fixed point's tail shape: one lane of a Fig. 2 ``H = 10``
-    cell at one ``s``, its 12-point log γ grid, ``Delta < 0``."""
+    cell at one ``s``, its 12-point log γ grid, ``Delta < 0``, registered
+    once in a table that every round reads."""
     through, cross = mmoo_ebb_pair(
         MMOOParameters.paper_defaults(), 100, 233, 0.02
     )
     gamma_max = (100.0 - cross.rate - through.rate) / (SOLVE_HOPS + 1)
     row = logspace(gamma_max * 1e-6, gamma_max * (1.0 - 1e-9), 12)
-    return (
-        [through], [cross], SOLVE_HOPS, 100.0, [-70.0], 1e-9, np.array([row])
-    ), {}
+    table = cprobe.ProbeTable()
+    index = table.add(through, cross, SOLVE_HOPS, 100.0, -70.0, 1e-9, row)
+    return ([index], table), {}
 
 
 #: Rows (lanes) per call of each ``test_grid_rows`` shape.

@@ -12,6 +12,9 @@ Three gated rows:
 * ``test_service_hit_request`` — ladder row L7 (warm): one LRU hit of
   ``POST /v1/bounds`` over a keep-alive socket, request bytes to
   response bytes, in requests per second.
+* ``test_service_cold_request`` — ladder row L7 (cold): one cold
+  ``POST /v1/bounds`` over a keep-alive socket, a distinct FIFO query
+  each round, so each is a fresh lane solve; in requests per second.
 """
 
 import asyncio
@@ -170,4 +173,47 @@ def test_service_hit_request(benchmark):
         )
     hit = json.loads(body)
     assert hit == {**cold, "cached": "lru"}
+    record_rates(benchmark, "requests", 1)
+
+
+#: The cold row's queries: FIFO at H = 5 with the service's default
+#: grids, one more through flow each round, so every request is a miss
+#: of about the same cost.
+COLD_HOPS = 5
+COLD_ROUNDS = 200
+
+
+def test_service_cold_request(benchmark):
+    """L7 (cold): one ``POST /v1/bounds`` miss over a keep-alive socket
+    — HTTP read, parse, LRU miss, plan, one-lane solve, JSON reply — a
+    distinct query each round, in requests per second.  The coalescing
+    window is 0, so the row holds the solve and its plumbing, not a
+    timer."""
+    queries = iter(range(COLD_ROUNDS + 10))
+
+    def next_request():
+        body = json.dumps({
+            "scheduler": "FIFO", "hops": COLD_HOPS,
+            "n_through": 100 + next(queries), "n_cross": 150,
+        }).encode()
+        request = (
+            b"POST /v1/bounds HTTP/1.1\r\nHost: bench\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n"
+            b"\r\n%s" % (len(body), body)
+        )
+        return (sock, request), {}
+
+    config = ServiceConfig(cache_dir=None, batch_window_s=0.0)
+    with ServerHarness(config) as harness, socket.create_connection(
+        (harness.host, harness.port), timeout=60
+    ) as sock:
+        body = benchmark.pedantic(
+            _exchange, setup=next_request, rounds=COLD_ROUNDS,
+            iterations=1, warmup_rounds=2,
+        )
+        with harness.client() as client:
+            metrics = client.metrics()
+    answer = json.loads(body)
+    assert answer["cached"] is None and answer["feasible"]
+    assert metrics["counters"]["lanes.mmoo_lanes"] >= COLD_ROUNDS
     record_rates(benchmark, "requests", 1)

@@ -14,10 +14,11 @@ compiler.  The same unit holds three more mirrors:
 
 * :func:`grid_rows` — the per-point work of
   :func:`repro.network.vectorized.e2e_delay_grid_rows` (the γ grid row
-  of every (lane, s) search): the Eq. (32) feasibility mask, the probe's
+  of every (lane, s) search), read in place from the contexts and grids
+  of a :class:`ProbeTable`: the Eq. (32) feasibility mask, the probe's
   own sigma (NaN or ``+inf`` marks a dead point, a live one is clamped
   like the probe's), and the probe's BMUX/FIFO closed forms, or for an
-  Eq. (38) row the sigma and hop rates the exact solve takes;
+  Eq. (38) row the sigma, hop rates and Δ the exact solve takes;
 * :func:`solve_exact` — the lanes of
   :func:`repro.network.vectorized.batched_solve_exact` (the Eq. (38)
   exact solve on every γ grid row of an EDF/SP cell): the same slope
@@ -54,7 +55,8 @@ Compilation needs a C compiler (``cc``) on ``PATH``; the shared loader
 :mod:`repro.utils.ckernel` compiles :data:`KERNEL` on first use (never
 at import), caches the object by source hash under
 ``$REPRO_CPROBE_DIR`` (else a private per-user temp directory) and sets
-the ``cprobe.available`` gauge while :mod:`repro.obs` is enabled.  When
+the ``cprobe.available`` gauge in every enabled :mod:`repro.obs`
+registry that loads it (once per registry, not once per call).  When
 compilation is impossible, :func:`available` is ``False`` and every
 entry point transparently runs its Python (or numpy) body instead —
 identical results, just slower.  So do paths longer than
@@ -65,24 +67,38 @@ a refinement, a γ grid row, or a lane of the exact solve).
 Call cost
 ---------
 The lane engine makes a few of these calls per round, most of them
-small, so a call should cost what its C work costs.  A
-:class:`ProbeTable` owns the request and result buffers of
-:func:`probe_values` and :func:`golden_values`, with their addresses
-cached, and both C functions return how many requests they could not
-serve, so their wrappers scan for NaN only when there are some;
-:func:`grid_rows` keeps its inputs and outputs in one block, one
-address for all; :func:`solve_exact` reads a per-lane value as a
-``(lanes, 1)`` column through a zero hop stride, never widened, takes
-its strides as scalar arguments and reads each address through
-``ctypes.c_char.from_buffer`` (a third of the cost of
-``ndarray.ctypes``) on the writable contiguous arrays the grid rows
-hand it.  One 1-lane x 12-point ``H = 5`` Eq. (38) grid row thus
-costs ~25 us, of which the C work is ~6 us.
+small, so a call should cost what its C work costs.  The
+:class:`ProbeTable` of a solve is the round's data plane:
+
+* it packs a context's row, with its γ grid, once, when the engine
+  registers the context (:meth:`ProbeTable.add`; the contexts of one
+  cached point share one stored grid), so the grid-row kernel reads rows
+  and grids by context index and no call re-packs them;
+* it owns the request and result buffers of :func:`probe_values`,
+  :func:`golden_values` and :func:`grid_rows`, with their addresses
+  cached; requests go in through ``struct.pack_into`` on byte views of
+  those buffers (a third of the cost of a numpy slice assignment from a
+  list), and the C functions return how many requests they could not
+  serve, so their wrappers scan for NaN only when there are some;
+* the outputs of a grid row — delays, or for an Eq. (38) row the
+  sigmas, hop rates and per-point ``(lanes, 1)`` cross-rate and Δ
+  columns the exact solve reads as they are — are views of one table
+  block, cached per call shape with their addresses.
+
+:func:`solve_exact` reads a per-lane value as a ``(lanes, 1)`` column
+through a zero hop stride, never widened, takes its strides as scalar
+arguments and reads each address through ``ctypes.c_char.from_buffer``
+(a third of the cost of ``ndarray.ctypes``) on the writable contiguous
+arrays the grid rows hand it.  One 1-lane x 12-point ``H = 5`` grid row thus
+costs ~6 us in the FIFO form and ~17 us in the Eq. (38) form, of
+which the C work is ~2 us and ~8 us (1-CPU timings on a shared 2-vCPU
+host).
 """
 
 from __future__ import annotations
 
 import ctypes
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -105,7 +121,9 @@ __all__ = [
 ]
 
 #: Per-context field layout of the C kernel's context table (one row per
-#: registered (lane, s) search context).
+#: registered (lane, s) search context): the probe's operands, then the
+#: offset and length of the context's γ grid in the table's grid buffer
+#: (both 0 for a context registered without a grid).
 CTX_FIELDS = (
     "through_prefactor",
     "through_decay",
@@ -117,6 +135,8 @@ CTX_FIELDS = (
     "capacity",
     "delta",
     "epsilon",
+    "grid_at",
+    "grid_size",
 )
 _NFIELDS = len(CTX_FIELDS)
 
@@ -144,7 +164,9 @@ _C_SOURCE = r"""
 #define CAP 7
 #define DELTA 8
 #define EPS 9
-#define NF 10
+#define GRID_AT 10
+#define GRID_SIZE 11
+#define NF 12
 
 #define MAX_HOPS 1024
 #define SWEEP_WINDOW 1e-9
@@ -472,11 +494,13 @@ static double probe_one(const double *c, double gamma)
                        sigma, &x);
 }
 
-/* returns how many requests came out NaN (paths beyond MAX_HOPS), so
+/* the n requests (context idx[i], gamma io[i]); the values go to
+ * io[n + i].  Returns how many came out NaN (paths beyond MAX_HOPS), so
  * the wrapper scans for them only when there are some */
-long probe_values(long n, const double *ctx, const long *idx,
-                  const double *gammas, double *out)
+long probe_values(long n, const double *ctx, const long *idx, double *io)
 {
+    const double *gammas = io;
+    double *out = io + n;
     long n_nan = 0;
     for (long i = 0; i < n; i++) {
         out[i] = probe_one(ctx + NF * idx[i], gammas[i]);
@@ -490,25 +514,40 @@ long probe_values(long n, const double *ctx, const long *idx,
 #define FORM_FIFO 1
 #define FORM_EXACT 2
 
-/* mirror of vectorized._grid_rows_python: one gamma row per context,
- * gammas and out (lanes, grid).  A point is dead (inf) when Eq. (32)
- * fails or sigma_raw is NaN or +inf; a live one clamps sigma like the
- * probe and takes the BMUX (Eq. 43) or FIFO (Eq. 44) form.  FORM_EXACT
- * stores the sigma itself (inf when dead) plus the Eq. (38) rates r_svc
- * (lanes * grid, hops) and r_cross (lanes * grid) for the exact solve.
- * Returns -1 for a hop count the stack buffers cannot hold. */
-long grid_rows(long lanes, long grid, long form, const double *ctx,
-               const double *gammas, double *out, double *r_svc,
-               double *r_cross)
+/* mirror of vectorized._grid_rows_python: the gamma row of each context
+ * idx[l], its grid points read at the context's GRID_AT offset into
+ * grids, into rows: out (lanes, grid) first.  A point is dead (inf) when
+ * Eq. (32) fails or sigma_raw is NaN or +inf; a live one clamps sigma
+ * like the probe and takes the BMUX (Eq. 43) or FIFO (Eq. 44) form.
+ * FORM_EXACT stores the sigma itself (inf when dead), then what the
+ * exact solve takes per point: the Eq. (38) rates r_svc (lanes * grid,
+ * hops), r_cross and the context's delta (lanes * grid each).  Returns
+ * -1 for a hop count the stack buffers cannot hold, -2 for a context
+ * whose grid length (or, for FORM_EXACT, hop count) is not the call's */
+long grid_rows(long lanes, long grid, long hops_all, long form,
+               const double *ctx, const long *idx, const double *grids,
+               double *rows)
 {
+    long points = lanes * grid;
+    double *out = rows, *r_svc = NULL, *r_cross = NULL, *delta = NULL;
+    if (form == FORM_EXACT) {
+        r_svc = out + points;
+        r_cross = r_svc + points * hops_all;
+        delta = r_cross + points;
+    }
     for (long l = 0; l < lanes; l++) {
-        const double *c = ctx + NF * l;
+        const double *c = ctx + NF * idx[l];
         int hops = (int)c[HOPS];
         if (hops < 1 || hops > MAX_HOPS)
             return -1;
+        if ((long)c[GRID_SIZE] != grid
+            || (form == FORM_EXACT && hops != hops_all))
+            return -2;
+        const double *gammas = grids + (long)c[GRID_AT];
         double headroom = c[CAP] - c[CRATE] - c[TRATE];
-        for (long p = l * grid; p < (l + 1) * grid; p++) {
-            double gamma = gammas[p];
+        for (long j = 0; j < grid; j++) {
+            long p = l * grid + j;
+            double gamma = gammas[j];
             double sigma = INFINITY;
             if ((hops + 1) * gamma < headroom) {
                 double v = sigma_raw(c, hops, gamma);
@@ -520,6 +559,7 @@ long grid_rows(long lanes, long grid, long form, const double *ctx,
                 for (int k = 0; k < hops; k++)
                     r_svc[p * hops + k] = c[CAP] - k * gamma;
                 r_cross[p] = c[CRATE] + gamma;
+                delta[p] = c[DELTA];
             } else if (sigma == INFINITY) {
                 out[p] = INFINITY;
             } else if (form == FORM_BMUX) {
@@ -597,12 +637,14 @@ static double e2e_objective(const void *arg, double gamma, int *err)
     return v;
 }
 
-/* returns how many requests were handed back to Python (NaN pairs) */
-long golden_values(long n, const double *ctx, const long *idx,
-                   const double *los, const double *his,
-                   double tol, long max_iter,
-                   double *out_x, double *out_f)
+/* the n requests (context idx[i], bracket [io[i], io[n + i]]); the
+ * refined x and f go to io[2n + i] and io[3n + i].  Returns how many
+ * requests were handed back to Python (NaN pairs) */
+long golden_values(long n, const double *ctx, const long *idx, double *io,
+                   double tol, long max_iter)
 {
+    const double *los = io, *his = io + n;
+    double *out_x = io + 2 * n, *out_f = io + 3 * n;
     long n_back = 0;
     for (long i = 0; i < n; i++) {
         double pair[2];
@@ -783,6 +825,9 @@ def _report(available: bool) -> None:
 
 
 _F64 = np.dtype(np.float64)
+#: A context row as packed bytes.
+_ROW = struct.Struct(f"{_NFIELDS}d")
+_pack_into = struct.pack_into
 _addressof = ctypes.addressof
 _char_view = ctypes.c_char.from_buffer
 _as_double = ctypes.POINTER(ctypes.c_double)
@@ -793,13 +838,11 @@ KERNEL = CKernel(
     "cprobe",
     _C_SOURCE,
     {
-        "probe_values": (
-            [ctypes.c_long, _ptr, _ptr, _ptr, _ptr], ctypes.c_long
-        ),
+        "probe_values": ([ctypes.c_long, _ptr, _ptr, _ptr], ctypes.c_long),
         "golden_values": (
             [
-                ctypes.c_long, _ptr, _ptr, _ptr, _ptr, ctypes.c_double,
-                ctypes.c_long, _ptr, _ptr,
+                ctypes.c_long, _ptr, _ptr, _ptr, ctypes.c_double,
+                ctypes.c_long,
             ],
             ctypes.c_long,
         ),
@@ -817,13 +860,7 @@ KERNEL = CKernel(
             + [_ptr, ctypes.c_long, _ptr],
             ctypes.c_long,
         ),
-        "grid_rows": (
-            [
-                ctypes.c_long, ctypes.c_long, ctypes.c_long, _ptr, _ptr,
-                _ptr, _ptr, _ptr,
-            ],
-            ctypes.c_long,
-        ),
+        "grid_rows": ([ctypes.c_long] * 4 + [_ptr] * 4, ctypes.c_long),
     },
     report=_report,
 )
@@ -849,35 +886,85 @@ def available() -> bool:
 
 
 class ProbeTable:
-    """A registry of probe contexts for one batched solve.
+    """The contexts of one batched solve, and the buffers its kernel
+    calls read and write.
 
     Each context is one ``(through, cross, hops, capacity, delta,
-    epsilon)`` tuple — everything of the probe except ``gamma``.  The
-    table keeps both a packed float row (for the C kernel, in a
-    geometrically grown buffer so registrations between kernel calls
-    never trigger a full repack) and the original
-    :class:`~repro.arrivals.ebb.EBB` pair (for the Python fallback), so
-    either execution path serves the same requests.
+    epsilon)`` tuple — everything of the probe except ``gamma`` — and,
+    for a context searched on a γ grid, that grid.  The table keeps a
+    packed float row per context (for the C kernel, in a geometrically
+    grown buffer so registrations between kernel calls never trigger a
+    full repack) and the original :class:`~repro.arrivals.ebb.EBB` pair
+    (for the Python fallback), so either execution path serves the same
+    requests.  Grids live once per list object, as float64, in a second
+    grown buffer; a context's row holds the offset and length of its
+    grid there.  The grid-row kernel reads rows and grids in place, by
+    context index.
 
-    The table also owns the request and result buffers of
-    :func:`probe_values` and :func:`golden_values`, grown the same way,
-    with the addresses of all its buffers cached: a kernel call converts
-    no array to a pointer.  The buffers make a table single-threaded —
-    one solve at a time — and the two functions return copies, never
-    views of them.
+    The table also owns the request and result buffers of every kernel
+    call made with it — :func:`probe_values`, :func:`golden_values` and
+    :func:`grid_rows` — grown the same way, with the addresses of all
+    its buffers cached: a kernel call converts no array to a pointer.
+    The buffers make a table single-threaded — one solve at a time —
+    and :func:`probe_values` and :func:`golden_values` return copies,
+    never views of them.
     """
 
     def __init__(self) -> None:
-        self._buf = np.empty((256, _NFIELDS), dtype=np.float64)
-        self._buf_addr = self._buf.ctypes.data
         self._n = 0
+        self._buf = np.empty((0, _NFIELDS), dtype=np.float64)
+        self._grids = np.empty(0, dtype=np.float64)
+        self._grids_n = 0
+        self._grow_contexts(64)
+        self._grow_grids(1536)
         self._objs: list[tuple[EBB, EBB, int, float, float, float]] = []
-        self._io: list[np.ndarray] = []
-        self._io_addr: list[int] = []
+        self._grid_of: list[list[float] | None] = []
+        # id -> (grid, its offset): each grid list is stored once
+        self._grid_at: dict[int, tuple[list[float], int]] = {}
+        self._keys: list[tuple[float, int, int]] = []
         self._io_size = 0
+        self._grow_requests(64)
+        self._rows_block = np.empty(0, dtype=np.float64)
+        self._rows_addr = 0
+        self._rows_io: dict[tuple, tuple] = {}
 
     def __len__(self) -> int:
         return self._n
+
+    def _grow_contexts(self, size: int) -> None:
+        grown = np.empty((size, _NFIELDS), dtype=np.float64)
+        grown[: self._n] = self._buf[: self._n]
+        self._buf = grown
+        self._buf_view = memoryview(grown).cast("B")
+        self._buf_addr = _address(grown)
+
+    def _grow_grids(self, size: int) -> None:
+        grown = np.empty(size, dtype=np.float64)
+        grown[: self._grids_n] = self._grids[: self._grids_n]
+        self._grids = grown
+        self._grids_view = memoryview(grown).cast("B")
+        self._grids_addr = _address(grown)
+
+    def _grow_requests(self, n: int) -> None:
+        """Room for ``n`` requests of one kernel call: ``n`` context
+        indices (int64) and ``4 n`` float64 values — the call's inputs,
+        then its outputs."""
+        self._io_size = size = max(n, 2 * self._io_size)
+        self._idx = np.empty(size, dtype=np.int64)
+        self._idx_view = memoryview(self._idx).cast("B")
+        self._idx_addr = _address(self._idx)
+        self._io = np.empty(4 * size, dtype=np.float64)
+        self._io_view = memoryview(self._io).cast("B")
+        self._io_addr = _address(self._io)
+
+    def _indices(self, indices: Sequence[int]) -> int:
+        """Write the request indices of a kernel call (growing the
+        request buffers as needed); returns their count."""
+        n = len(indices)
+        if n > self._io_size:
+            self._grow_requests(n)
+        _pack_into(f"{n}q", self._idx_view, 0, *indices)
+        return n
 
     def add(
         self,
@@ -887,45 +974,100 @@ class ProbeTable:
         capacity: float,
         delta: float,
         epsilon: float,
+        grid: list[float] | None = None,
     ) -> int:
-        """Register a context; returns its index."""
-        if self._n == len(self._buf):
-            grown = np.empty((2 * len(self._buf), _NFIELDS), dtype=np.float64)
-            grown[: self._n] = self._buf
-            self._buf = grown
-            self._buf_addr = grown.ctypes.data
-        self._buf[self._n] = (
+        """Register a context, with its γ grid if it has one; returns its
+        index.  A grid is stored once per list object: contexts
+        registered with the same list share its storage."""
+        n = self._n
+        if n == len(self._buf):
+            self._grow_contexts(2 * n)
+        at = size = 0
+        if grid is not None:
+            size = len(grid)
+            # a grid registered before (the same list: contexts at one
+            # point of the lane engine's cache) is stored once
+            known = self._grid_at.get(id(grid))
+            if known is not None and known[0] is grid:
+                at = known[1]
+            else:
+                at = self._grids_n
+                if at + size > len(self._grids):
+                    self._grow_grids(max(2 * len(self._grids), at + size))
+                _pack_into(f"{size}d", self._grids_view, 8 * at, *grid)
+                self._grids_n = at + size
+                self._grid_at[id(grid)] = (grid, at)
+        _ROW.pack_into(
+            self._buf_view,
+            _ROW.size * n,
             through.prefactor,
             through.decay,
             through.rate,
             cross.prefactor,
             cross.decay,
             cross.rate,
-            float(hops),
+            hops,
             capacity,
             delta,
             epsilon,
+            at,
+            size,
         )
-        self._objs.append(
-            (through, cross, hops, capacity, delta, epsilon)
-        )
-        self._n += 1
-        return self._n - 1
+        self._objs.append((through, cross, hops, capacity, delta, epsilon))
+        self._grid_of.append(grid)
+        self._keys.append((delta, hops, -1 if grid is None else size))
+        self._n = n + 1
+        return n
 
     def context(self, index: int) -> tuple[EBB, EBB, int, float, float, float]:
         return self._objs[index]
 
-    def _requests(self, n: int) -> tuple[list[np.ndarray], list[int]]:
-        """The kernel I/O buffers — request indices (int64), two inputs
-        and two outputs (float64) — holding at least ``n`` entries each,
-        and their addresses."""
-        if n > self._io_size or not self._io:
-            self._io_size = max(n, 2 * self._io_size, 64)
-            self._io = [np.empty(self._io_size, dtype=np.int64)] + [
-                np.empty(self._io_size, dtype=np.float64) for _ in range(4)
-            ]
-            self._io_addr = [a.ctypes.data for a in self._io]
-        return self._io, self._io_addr
+    def grid(self, index: int) -> list[float] | None:
+        """The γ grid registered with a context (``None`` if none)."""
+        return self._grid_of[index]
+
+    def row_shapes(self, indices: Sequence[int]) -> set[tuple[float, int, int]]:
+        """The distinct ``(delta, hops, grid length)`` of some contexts
+        (grid length ``-1`` for a context registered without a grid)."""
+        keys = self._keys
+        return {keys[i] for i in indices}
+
+    def _rows(
+        self, lanes: int, grid: int, hops: int, exact: bool
+    ) -> tuple[np.ndarray, ...]:
+        """The output views of a :func:`grid_rows` call of this shape,
+        in one grown block and cached per shape: ``out`` ``(lanes,
+        grid)`` for a closed form; for an Eq. (38) row the sigmas
+        ``(points,)``, ``r_svc`` ``(points, hops)`` and the ``r_cross``
+        and ``delta`` columns ``(points, 1)``, one after the other as
+        the kernel writes them."""
+        key = (lanes, grid, hops, exact)
+        views = self._rows_io.get(key)
+        if views is not None:
+            return views
+        points = lanes * grid
+        size = points * (hops + 3) if exact else points
+        if size > len(self._rows_block):
+            self._rows_block = np.empty(
+                max(size, 2 * len(self._rows_block)), dtype=np.float64
+            )
+            self._rows_addr = _address(self._rows_block)
+            self._rows_io = {}
+        block = self._rows_block
+        if exact:
+            svc_at = points
+            cross_at = svc_at + points * hops
+            delta_at = cross_at + points
+            views = (
+                block[:points],
+                block[svc_at:cross_at].reshape(points, hops),
+                block[cross_at:delta_at].reshape(points, 1),
+                block[delta_at : delta_at + points].reshape(points, 1),
+            )
+        else:
+            views = (block[:points].reshape(lanes, grid), None, None, None)
+        self._rows_io[key] = views
+        return views
 
 
 def _probe_python(
@@ -988,17 +1130,15 @@ def golden_values(
     if lib is None:
         _count_fallbacks(len(indices))
         return _golden_python(table, indices, los, his)
-    n = len(indices)
-    (idx, lo, hi, out_x, out_f), addr = table._requests(n)
-    idx[:n] = indices
-    lo[:n] = los
-    hi[:n] = his
+    n = table._indices(indices)
+    # the values buffer holds los, his, then the xs and fs out
+    _pack_into(f"{2 * n}d", table._io_view, 0, *los, *his)
     n_back = lib.golden_values(
-        n, table._buf_addr, addr[0], addr[1], addr[2], GOLDEN_TOL,
-        GOLDEN_MAX_ITER, addr[3], addr[4],
+        n, table._buf_addr, table._idx_addr, table._io_addr, GOLDEN_TOL,
+        GOLDEN_MAX_ITER,
     )
-    xs = out_x[:n].copy()
-    fs = out_f[:n].copy()
+    out = table._io[2 * n : 4 * n].copy()
+    xs, fs = out[:n], out[n:]
     if n_back:
         # paths beyond the C kernel's stack bound: Python fallback
         fix = [int(i) for i in np.nonzero(np.isnan(xs))[0]]
@@ -1027,12 +1167,13 @@ def probe_values(
     if lib is None:
         _count_fallbacks(len(indices))
         return _probe_python(table, indices, gammas)
-    n = len(indices)
-    (idx, g, _, out, _), addr = table._requests(n)
-    idx[:n] = indices
-    g[:n] = gammas
-    n_nan = lib.probe_values(n, table._buf_addr, addr[0], addr[1], addr[3])
-    values = out[:n].copy()
+    n = table._indices(indices)
+    # the values buffer holds the gammas, then the values out
+    _pack_into(f"{n}d", table._io_view, 0, *gammas)
+    n_nan = lib.probe_values(
+        n, table._buf_addr, table._idx_addr, table._io_addr
+    )
+    values = table._io[n : 2 * n].copy()
     if n_nan:
         # paths beyond the C kernel's stack bound: Python fallback
         fix = [int(i) for i in np.nonzero(np.isnan(values))[0]]
@@ -1126,10 +1267,8 @@ def solve_exact(
         r_cross.shape not in columns
         or delta.shape not in columns
         or sigma.shape != (lanes,)
-        or r_svc.dtype != _F64
-        or r_cross.dtype != _F64
-        or delta.dtype != _F64
-        or sigma.dtype != _F64
+        or not r_svc.dtype == r_cross.dtype == delta.dtype == sigma.dtype
+        == _F64
     ):
         raise ValueError(
             "solve_exact needs float64 (lanes, hops) or (lanes, 1) arrays"
@@ -1138,30 +1277,37 @@ def solve_exact(
     if lib is None:
         _count_fallbacks(lanes)
         return None
-    if not (
-        r_svc.flags.aligned and r_cross.flags.aligned
-        and delta.flags.aligned and sigma.flags.aligned
-    ):
+    operands = _operands(r_svc, r_cross, delta, sigma)
+    if operands is None:
         # an aligned float64 array has strides in whole doubles
-        r_svc, r_cross, delta, sigma = (
+        operands = _operands(*(
             np.ascontiguousarray(a) for a in (r_svc, r_cross, delta, sigma)
-        )
+        ))
     out = np.empty((lanes, hops + 2), dtype=np.float64)
     n_bad = lib.solve_exact(
-        lanes, hops, _CASES[case], _EPS, *_operand(r_svc),
-        *_operand(r_cross), *_operand(delta), *_operand(sigma)[:2],
-        _address(out),
+        lanes, hops, _CASES[case], _EPS, *operands, _address(out)
     )
     return out[:, 0], out[:, 1], out[:, 2:], n_bad
 
 
-def _operand(a: np.ndarray) -> tuple[int, int, int]:
-    """An aligned float64 solve input as the kernel reads it: its address
+def _operands(
+    r_svc: np.ndarray, r_cross: np.ndarray, delta: np.ndarray,
+    sigma: np.ndarray,
+) -> list[int] | None:
+    """The solve's inputs as the kernel reads them: each array's address
     and its lane and hop strides in doubles (hop stride 0 on a
-    ``(lanes, 1)`` column or a 1-d array)."""
-    strides = a.strides
-    hop = strides[1] // 8 if a.ndim == 2 and a.shape[1] > 1 else 0
-    return _address(a), strides[0] // 8, hop
+    ``(lanes, 1)`` column; ``sigma`` has no hop stride), or ``None``
+    when an array is not aligned to whole doubles."""
+    args = []
+    for a in (r_svc, r_cross, delta, sigma):
+        address = _address(a)
+        lane = a.strides[0]
+        hop = a.strides[1] if a.ndim == 2 and a.shape[1] > 1 else 0
+        if (address | lane | hop) & 7:
+            return None
+        args += (address, lane >> 3, hop >> 3)
+    del args[-1]
+    return args
 
 
 def _address(a: np.ndarray) -> int:
@@ -1179,65 +1325,43 @@ def _address(a: np.ndarray) -> int:
 
 
 def grid_rows(
-    throughs: Sequence[EBB],
-    crosses: Sequence[EBB],
+    indices: Sequence[int],
+    table: ProbeTable,
     hops: int,
-    capacity: float,
-    epsilon: float,
-    gammas: np.ndarray,
+    grid: int,
     form: str,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None] | None:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None,
+           np.ndarray | None] | None:
     """The per-point work of ``vectorized.e2e_delay_grid_rows`` in C.
 
-    ``gammas`` is a ``(lanes, grid)`` float64 array, one row per
-    ``(throughs[i], crosses[i])`` pair, and ``form`` one of ``"bmux"``
+    Row ``i`` is the γ grid of context ``indices[i]`` of ``table``, read
+    in place: the context's row and the grid registered with it
+    (:meth:`ProbeTable.add`).  Every context must have a grid of
+    ``grid`` points and ``hops`` hops.  ``form`` is one of ``"bmux"``
     (Eq. 43), ``"fifo"`` (Eq. 44) or ``"exact"`` (Eq. 38).  Returns
-    ``(out, r_svc, r_cross)`` byte-identical to
-    ``vectorized._grid_rows_python``: ``out`` holds the delays of a
-    closed form, or for ``"exact"`` the sigmas that go with the rates
-    ``r_svc`` ``(lanes * grid, hops)`` and ``r_cross`` ``(lanes * grid,)``
-    (both ``None`` for a closed form).  Returns ``None`` — counted in
-    ``cprobe.fallbacks``, one per row — when the Python body must run:
-    no kernel, or a path beyond :data:`MAX_HOPS`.
+    ``(out, r_svc, r_cross, delta)`` byte-identical to
+    ``vectorized._grid_rows_python``: ``out`` ``(lanes, grid)`` holds the
+    delays of a closed form, or for ``"exact"`` the ``(lanes * grid,)``
+    sigmas that go with the rates ``r_svc`` ``(lanes * grid, hops)`` and
+    ``r_cross`` and the contexts' ``delta`` (``(lanes * grid, 1)``
+    columns; all three ``None`` for a closed form).  The arrays are views
+    of the table's buffers, valid until its next :func:`grid_rows` call.
+    Returns
+    ``None`` — counted in ``cprobe.fallbacks``, one per row — when the
+    Python body must run: no kernel, or a path beyond :data:`MAX_HOPS`.
     """
-    lanes, grid = gammas.shape
+    lanes = len(indices)
     lib = KERNEL.load() if 1 <= hops <= MAX_HOPS else None
     if lib is None:
         _count_fallbacks(lanes)
         return None
-    # one block holds the kernel's inputs and outputs, so one pointer
-    # conversion serves them all: the context rows (as in ProbeTable;
-    # the grid reads no delta), the gammas, out, and for "exact" the
-    # rates r_svc and r_cross
-    points = lanes * grid
-    rates = points * (hops + 1) if form == "exact" else 0
-    block = np.empty(lanes * _NFIELDS + 2 * points + rates, dtype=np.float64)
-    base = _address(block)
-    block[: lanes * _NFIELDS].reshape(lanes, _NFIELDS)[:] = [
-        (
-            t.prefactor, t.decay, t.rate, c.prefactor, c.decay, c.rate,
-            hops, capacity, 0.0, epsilon,
+    table._indices(indices)
+    views = table._rows(lanes, grid, hops, form == "exact")
+    if lib.grid_rows(
+        lanes, grid, hops, _FORMS[form], table._buf_addr, table._idx_addr,
+        table._grids_addr, table._rows_addr,
+    ):
+        raise ValueError(
+            f"every grid row needs a {grid}-point grid and {hops} hops"
         )
-        for t, c in zip(throughs, crosses)
-    ]
-    g_at = lanes * _NFIELDS
-    out_at = g_at + points
-    block[g_at:out_at] = gammas.reshape(points)
-    out = block[out_at : out_at + points].reshape(lanes, grid)
-    r_svc = r_cross = None
-    if form == "exact":
-        svc_at = out_at + points
-        cross_at = svc_at + points * hops
-        r_svc = block[svc_at:cross_at].reshape(points, hops)
-        r_cross = block[cross_at:]
-    lib.grid_rows(
-        lanes,
-        grid,
-        _FORMS[form],
-        base,
-        base + 8 * g_at,
-        base + 8 * out_at,
-        None if r_svc is None else base + 8 * svc_at,
-        None if r_cross is None else base + 8 * cross_at,
-    )
-    return out, r_svc, r_cross
+    return views

@@ -26,14 +26,18 @@ than copies of them:
   ``inf`` at once when it leaves no headroom (a level of such ``s``
   steps its lane again at once), and runs every pending context as one
   stage per round (:func:`_gamma_searches`): row-stacked
-  :func:`repro.network.vectorized.e2e_delay_grid_rows` calls over the
-  contexts' cached ``gamma`` grids (see *Point cache*), each row's
-  :func:`~repro.utils.numeric.grid_bracket`, one golden-section
-  refinement call and one probe call into the
+  :func:`repro.network.vectorized.e2e_delay_grid_rows` calls, each
+  reading its contexts' rows and ``gamma`` grids in place from the
+  solve's :class:`~repro.network.cprobe.ProbeTable` (see *Point
+  cache*), each row's :func:`~repro.utils.numeric.grid_bracket`, one
+  golden-section refinement call and one probe call into the
   generated-C kernel of :mod:`repro.network.cprobe`.  A round is thus
-  one level of every live ``s`` search.  Between rounds the engine
-  yields the CPU, so a thread waiting on the interpreter lock (the
-  bound service's event loop) runs within a round;
+  one level of every live ``s`` search, and the table is its data
+  plane: a context is packed once, when it is registered, and every
+  kernel call of the round reads and writes the table's own buffers.
+  Between rounds the engine yields the CPU, so a thread waiting on the
+  interpreter lock (the bound service's event loop) runs within a
+  round;
 * the engine records the ``gamma`` found at each ``s``; the optimum is
   materialized by one :func:`repro.network.e2e.e2e_delay_bound_at_gamma`
   call at the best ``s`` and its recorded ``gamma``;
@@ -52,15 +56,20 @@ pair, the headroom check and the log-spaced ``gamma`` grid — is a
 (:func:`_geometry`) and ``s``, so :func:`mmoo_bound_lanes` and
 :func:`edf_bound_lanes` keep one dict per geometry, keyed by ``s`` and
 holding the point or ``None`` (no headroom), for the length of that
-one call; a context at a cached point registers the point's EBB pair
-in the call's :class:`~repro.network.cprobe.ProbeTable` with its own
+one call, beside the call's :class:`~repro.network.cprobe.ProbeTable`;
+a context at a cached point is registered in that table with its own
 ``Delta``.  Every lane of the geometry shares the dict: MMOO lanes that
 differ only in ``Delta``, ``epsilon`` or ``s_grid``, EDF lanes that
 differ only in their deadline weights, and an EDF lane's FIFO
 bootstrap and all its fixed-point iterations — which revisit the same
 ``s`` values: the grid level every time, the golden steps whenever
 their comparisons repeat — and the materialization at the best
-``s``.  Nothing outlives the call.  While :mod:`repro.obs` is enabled,
+``s``.  Nothing outlives the call.
+
+Every context registers its point's EBB pair and grid in the table
+(:meth:`~repro.network.cprobe.ProbeTable.add`), which packs the row
+then; the table stores each grid list once, so the contexts of one
+point share one stored grid.  While :mod:`repro.obs` is enabled,
 ``lanes.contexts`` counts the contexts an engine pass registers and
 ``lanes.context_reuse`` those whose point came from the cache.
 
@@ -89,8 +98,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Literal
-
-import numpy as np
 
 from repro import obs
 from repro.arrivals.ebb import EBB
@@ -238,15 +245,19 @@ class _Lane:
             )
         return self._s_max
 
-    def contexts(self, level: list[float]) -> tuple[list[tuple], int]:
+    def contexts(
+        self, level: list[float]
+    ) -> tuple[list[int], list[tuple], int]:
         """The ``gamma`` search contexts (see :func:`_gamma_searches`) of
-        one ``s`` level, registered in the lane's table, as ``(position
-        in level, context)`` pairs; an ``s`` without headroom (its delay
-        is ``inf``) has none.  Also returns how many of the contexts
-        found their :data:`_Point` cached."""
-        spec, points, delta, table = (
-            self.spec, self.points, self.delta, self.table,
+        one ``s`` level, registered in the lane's table, and their
+        positions in the level; an ``s`` without headroom (its delay is
+        ``inf``) has none.  Also returns how many of the contexts found
+        their :data:`_Point` cached."""
+        spec, points, delta, table, group = (
+            self.spec, self.points, self.delta, self.table, self.group,
         )
+        epsilon = spec.epsilon
+        positions = []
         ctxs = []
         reused = 0
         for k, s in enumerate(level):
@@ -267,10 +278,11 @@ class _Lane:
                 continue
             index = table.add(
                 point.through, point.cross, spec.hops, spec.capacity, delta,
-                spec.epsilon,
+                epsilon, point.grid,
             )
-            ctxs.append((k, (index, point, delta, self.group)))
-        return ctxs, reused
+            positions.append(k)
+            ctxs.append((index, point.grid, group))
+        return positions, ctxs, reused
 
     def at_s(self, s: float) -> E2EResult:
         """Materialize the optimum at ``s`` and the gamma found there."""
@@ -291,13 +303,13 @@ def _gamma_searches(
     """One engine round: the grid-then-golden ``gamma`` search at fixed
     ``s`` of every pending context, in a few batched kernel calls.
 
-    A context is ``(index, point, delta, group)``: its
-    :class:`~repro.network.cprobe.ProbeTable` index, its
-    :data:`_Point`, its ``Delta`` and its :func:`_group` key.  In order:
-    the values of every context's ``gamma`` grid, as row-stacked
-    :func:`~repro.network.vectorized.e2e_delay_grid_rows` calls (one
-    per group of contexts sharing hops, grid length, Eq. (38) case,
-    ``Delta == 0``, capacity and epsilon); each row's
+    A context is ``(index, grid, group)``: its
+    :class:`~repro.network.cprobe.ProbeTable` index, its ``gamma`` grid
+    (registered with it in the table) and its :func:`_group` key.  In
+    order: the values of every context's ``gamma`` grid, as row-stacked
+    :func:`~repro.network.vectorized.e2e_delay_grid_rows` calls over the
+    table's rows (one per group of contexts sharing hops, grid length,
+    Eq. (38) case, ``Delta == 0``, capacity and epsilon); each row's
     :func:`~repro.utils.numeric.grid_bracket`; one
     :func:`repro.network.cprobe.golden_values` call refining the
     finite rows; one :func:`repro.network.cprobe.probe_values` call at
@@ -309,51 +321,46 @@ def _gamma_searches(
     at its ``x``), and the number of probe and refinement requests
     made.
     """
-    rows: list = [None] * len(ctxs)
+    indices = []
     groups: dict = {}
-    for i, (_, _, _, group) in enumerate(ctxs):
-        groups.setdefault(group, []).append(i)
-    for (hops, _, _, _, capacity, epsilon), members in groups.items():
-        points = [ctxs[i][1] for i in members]
-        out = e2e_delay_grid_rows(
-            [point.through for point in points],
-            [point.cross for point in points],
-            hops,
-            capacity,
-            [ctxs[i][2] for i in members],
-            epsilon,
-            np.array([point.grid for point in points]),
-        )
+    for position, (index, _, group) in enumerate(ctxs):
+        indices.append(index)
+        members = groups.get(group)
+        if members is None:
+            groups[group] = [position]
+        else:
+            members.append(position)
+    rows: list = [None] * len(ctxs)
+    for members in groups.values():
+        out = e2e_delay_grid_rows([indices[i] for i in members], table)
         for i, row in zip(members, out.tolist()):
             rows[i] = row
 
-    found = []
+    argmins = []
+    grid_mins = []
     refine, los, his = [], [], []
-    for i, ((_, point, _, _), row) in enumerate(zip(ctxs, rows)):
-        xs = point.grid
+    for i, (_, xs, _) in enumerate(ctxs):
+        row = rows[i]
         best, bracket = grid_bracket(xs, row)
-        found.append((xs[best], row[best]))
+        argmins.append(xs[best])
+        grid_mins.append(row[best])
         if bracket is not None:
             refine.append(i)
             los.append(bracket[0])
             his.append(bracket[1])
-    refined = []
+    refined = ()
     if refine:
         ref_x, ref_f = cprobe.golden_values(
-            table, [ctxs[i][0] for i in refine], los, his
+            table, [indices[i] for i in refine], los, his
         )
-        refined = [
-            (i, (x, f))
-            for i, x, f in zip(refine, ref_x.tolist(), ref_f.tolist())
-            if f <= found[i][1]
-        ]
+        refined = zip(refine, ref_x.tolist(), ref_f.tolist())
     # a row's value at its grid argmin is the probe's there
-    values = cprobe.probe_values(
-        table, [ctx[0] for ctx in ctxs], [x for x, _ in found]
-    ).tolist()
-    found = [(x, value) for (x, _), value in zip(found, values)]
-    for i, best in refined:
-        found[i] = best
+    found = list(zip(
+        argmins, cprobe.probe_values(table, indices, argmins).tolist()
+    ))
+    for i, x, f in refined:
+        if f <= grid_mins[i]:
+            found[i] = (x, f)
     return found, len(refine) + len(ctxs)
 
 
@@ -384,8 +391,10 @@ def _run_lanes(
     each ``s``, so a round is one level of every live ``s`` search.
     """
     results: list[E2EResult] = [_INFEASIBLE] * len(lanes)
-    # (slot, lane, search, level s values, their delays, (position, ctx))
+    # (slot, lane, search, level s values, their delays, positions)
     waiting: list = []
+    # the contexts of the waiting levels, in the order of ``waiting``
+    pending: list = []
     rounds = 0
     n_probes = 0
     # contexts registered, and how many of them found their point cached
@@ -400,11 +409,12 @@ def _run_lanes(
                 results[slot] = lane.at_s(stop.value[0])
                 return
             values = [math.inf] * len(level)
-            ctxs, reused = lane.contexts(level)
+            positions, ctxs, reused = lane.contexts(level)
             n_contexts += len(ctxs)
             n_reused += reused
             if ctxs:
-                waiting.append((slot, lane, search, level, values, ctxs))
+                waiting.append((slot, lane, search, level, values, positions))
+                pending.extend(ctxs)
                 return
 
     for slot, lane in enumerate(lanes):
@@ -422,22 +432,24 @@ def _run_lanes(
         # switch interval
         os.sched_yield()
         batch, waiting = waiting, []
-        found, requests = _gamma_searches(
-            table, [ctx for *_, ctxs in batch for _, ctx in ctxs]
-        )
+        ctxs, pending = pending, []
+        found, requests = _gamma_searches(table, ctxs)
         n_probes += requests
         position = 0
-        for slot, lane, search, level, values, ctxs in batch:
-            for k, _ in ctxs:
-                lane.gammas[level[k]], values[k] = found[position]
+        for slot, lane, search, level, values, positions in batch:
+            gammas = lane.gammas
+            for k in positions:
+                gammas[level[k]], values[k] = found[position]
                 position += 1
             advance(slot, lane, search, values)
 
     if obs.enabled():
-        obs.add("lanes.engine_rounds", rounds)
-        obs.add("lanes.engine_probes", n_probes)
-        obs.add("lanes.contexts", n_contexts)
-        obs.add("lanes.context_reuse", n_reused)
+        obs.record({
+            "lanes.engine_rounds": rounds,
+            "lanes.engine_probes": n_probes,
+            "lanes.contexts": n_contexts,
+            "lanes.context_reuse": n_reused,
+        })
         if rounds:
             obs.observe("lanes.round_occupancy", n_probes / rounds)
     return results
@@ -476,12 +488,9 @@ def gamma_search(
     context.  The caller guarantees positive headroom.
     """
     table = cprobe.ProbeTable()
-    index = table.add(through, cross, hops, capacity, delta, epsilon)
     grid = _grid(through, cross, hops, capacity, gamma_grid)
-    ctx = (
-        index, _Point(through, cross, grid), delta,
-        _group(hops, gamma_grid, delta, capacity, epsilon),
-    )
+    index = table.add(through, cross, hops, capacity, delta, epsilon, grid)
+    ctx = (index, grid, _group(hops, gamma_grid, delta, capacity, epsilon))
     (best,), _ = _gamma_searches(table, [ctx])
     return best
 

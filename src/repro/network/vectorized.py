@@ -16,11 +16,13 @@ evaluates the same mathematics as array operations or in generated C:
   hops)`` broadcast, is its fallback without a C compiler and its
   oracle, with the same delay bytes;
 * :func:`e2e_delay_grid_rows` / :func:`e2e_delay_grid` — the end-to-end
-  objective over the ``gamma`` grids of many lanes (or one): per point,
-  the probe's own ``sigma`` and its closed forms for BMUX (Eq. (43)) and
-  FIFO (Eq. (44)), in generated C
-  (:func:`repro.network.cprobe.grid_rows`) or in Python; other
-  ``Delta`` rows hand ``sigma`` and the hop rates to
+  objective over the ``gamma`` grids of many lanes (or one), each a
+  context registered with its grid in a
+  :class:`~repro.network.cprobe.ProbeTable`: per point, the probe's own
+  ``sigma`` and its closed forms for BMUX (Eq. (43)) and FIFO
+  (Eq. (44)), in generated C (:func:`repro.network.cprobe.grid_rows`) or
+  in Python; other ``Delta`` rows hand ``sigma``, the hop rates and
+  ``Delta``, already shaped as the solve reads them, to
   :func:`batched_solve_exact`;
 * :func:`additive_delay_grid` — whole-grid evaluation of the
   node-by-node objective;
@@ -166,10 +168,14 @@ def batched_solve_exact(service_rates, cross_rates, deltas, sigmas, *, case=None
     delay, x_best, thetas, n_bad = solved
 
     if obs.enabled():
-        obs.add("vectorized.solve_batches")
-        obs.add("vectorized.solve_lanes", lanes)
-        obs.add("vectorized.solve_saturated_lanes", n_bad)
-        obs.set_gauge("vectorized.solve_batch_shape", list(shape))
+        obs.record(
+            {
+                "vectorized.solve_batches": 1,
+                "vectorized.solve_lanes": lanes,
+                "vectorized.solve_saturated_lanes": n_bad,
+            },
+            {"vectorized.solve_batch_shape": list(shape)},
+        )
     return (
         delay.reshape(shape[:-1]),
         x_best.reshape(shape[:-1]),
@@ -321,92 +327,94 @@ def e2e_delay_grid(
     :func:`batched_solve_exact`.
     """
     g = np.asarray(gammas, dtype=float)
-    return e2e_delay_grid_rows(
-        [through], [cross], hops, capacity, [delta], epsilon, g.reshape(1, -1)
-    ).reshape(g.shape)
+    table = cprobe.ProbeTable()
+    index = table.add(
+        through, cross, hops, capacity, delta, epsilon, g.ravel().tolist()
+    )
+    return e2e_delay_grid_rows([index], table).reshape(g.shape)
 
 
 def e2e_delay_grid_rows(
-    throughs: Sequence[EBB],
-    crosses: Sequence[EBB],
-    hops: int,
-    capacity: float,
-    deltas: Sequence[float],
-    epsilon: float,
-    gammas,
+    indices: Sequence[int], table: cprobe.ProbeTable
 ) -> np.ndarray:
     """Row-stacked :func:`e2e_delay_grid`: many lanes, one kernel call.
 
-    Row ``i`` of the ``(lanes, grid)`` result is the γ grid of
-    ``(throughs[i], crosses[i], deltas[i])`` over ``gammas[i]``; every
-    point is computed alone, so a row's bytes do not depend on the rows
-    stacked with it.  A point is ``inf`` when Eq. (32) fails or its
-    ``sigma`` (the probe's :func:`_sigma_raw`) is NaN or ``+inf``;
-    otherwise ``sigma`` is clamped at zero as in the probe.  BMUX and
-    FIFO rows then take the probe's closed forms (Eqs. 43-44); other
-    ``Delta`` rows go through :func:`batched_solve_exact`.  The points
-    run in :func:`repro.network.cprobe.grid_rows` when the kernel loads,
-    else in :func:`_grid_rows_python`, with the same bytes.  All
-    ``deltas`` must fall in the same Eq. (38) case (the batch planner
-    groups lanes accordingly); ``hops``, ``capacity`` and ``epsilon`` are
-    shared across the stack.
+    Row ``i`` of the ``(lanes, grid)`` result is the γ grid of context
+    ``indices[i]`` of ``table``, over the grid registered with it
+    (:meth:`repro.network.cprobe.ProbeTable.add`); every point is
+    computed alone, so a row's bytes do not depend on the rows stacked
+    with it.  A point is ``inf`` when Eq. (32) fails or its ``sigma``
+    (the probe's :func:`_sigma_raw`) is NaN or ``+inf``; otherwise
+    ``sigma`` is clamped at zero as in the probe.  BMUX and FIFO rows
+    then take the probe's closed forms (Eqs. 43-44); other ``Delta``
+    rows go through :func:`batched_solve_exact`.  The points run in
+    :func:`repro.network.cprobe.grid_rows` when the kernel loads, else
+    in :func:`_grid_rows_python`, with the same bytes.  All contexts
+    must share their hop count and grid length, and their ``Delta`` one
+    Eq. (38) case (the lane engine groups contexts accordingly);
+    capacity and epsilon are each row's own.
     """
-    g = np.asarray(gammas, dtype=float)
-    if g.ndim != 2:
-        raise ValueError("gammas must be (lanes, grid)")
-    lanes, grid = g.shape
-    distinct = set(deltas)
-    cases = {_delta_case(float(d)) for d in distinct}
+    cases, zeros, sizes = set(), set(), set()
+    for delta, hops, grid in table.row_shapes(indices):
+        cases.add(_delta_case(delta))
+        zeros.add(delta == 0.0)
+        sizes.add((hops, grid))
     if len(cases) != 1:
         raise ValueError("all deltas must share one Eq. (38) case")
-    zeros = {d == 0.0 for d in distinct}
     if len(zeros) != 1:
         # the scalar path dispatches delta == 0 to the Eq. (44) closed
         # form; mixing it with the exact solve would break the bitwise
         # contract for the zero rows
         raise ValueError("cannot mix delta == 0 with other deltas")
+    if len(sizes) != 1:
+        raise ValueError("grid rows must share hops and grid length")
+    ((hops, grid),) = sizes
+    if grid < 0:
+        raise ValueError("a context has no gamma grid")
     (case,) = cases
     (any_zero,) = zeros
     form = "bmux" if case == "pinf" else "fifo" if any_zero else "exact"
-    args = (throughs, crosses, hops, capacity, epsilon, g, form)
+    lanes = len(indices)
+    args = (indices, table, hops, grid, form)
     points = cprobe.grid_rows(*args)
     if points is None:
         points = _grid_rows_python(*args)
-    delays, r_svc, r_cross = points
+    delays, r_svc, r_cross, deltas = points
     if form == "exact":
         # per-point cross rate and delta as (points, 1) columns
         solved, _, _ = batched_solve_exact(
-            r_svc,
-            r_cross.reshape(lanes * grid, 1),
-            np.array(deltas, dtype=float).repeat(grid).reshape(-1, 1),
-            delays.reshape(lanes * grid),
-            case=case,
+            r_svc, r_cross, deltas, delays, case=case
         )
         # a dead point's sigma is inf, which the solve turns into inf
         delays = solved.reshape(lanes, grid)
+    else:
+        delays = delays.copy()
     if obs.enabled():
-        obs.add("vectorized.grid_row_calls")
-        obs.add("vectorized.grid_row_lanes", lanes)
-        obs.add("vectorized.grid_points", int(g.size))
+        obs.record({
+            "vectorized.grid_row_calls": 1,
+            "vectorized.grid_row_lanes": lanes,
+            "vectorized.grid_points": lanes * grid,
+        })
     return delays
 
 
 def _grid_rows_python(
-    throughs: Sequence[EBB],
-    crosses: Sequence[EBB],
+    indices: Sequence[int],
+    table: cprobe.ProbeTable,
     hops: int,
-    capacity: float,
-    epsilon: float,
-    g: np.ndarray,
+    grid: int,
     form: str,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None,
+           np.ndarray | None]:
     """The Python body of :func:`repro.network.cprobe.grid_rows` (its
-    fallback and oracle): ``(out, r_svc, r_cross)``, point by point."""
-    lanes, grid = g.shape
+    fallback and oracle): ``(out, r_svc, r_cross, delta)``, point by
+    point."""
+    lanes = len(indices)
     out = np.empty((lanes, grid))
-    for i, (through, cross) in enumerate(zip(throughs, crosses)):
+    for i, index in enumerate(indices):
+        through, cross, _, capacity, _, epsilon = table.context(index)
         headroom = capacity - cross.rate - through.rate
-        for j, gamma in enumerate(g[i].tolist()):
+        for j, gamma in enumerate(table.grid(index)):
             sigma = math.inf
             if (hops + 1) * gamma < headroom:
                 v = _sigma_raw(through, cross, hops, gamma, epsilon)
@@ -420,11 +428,19 @@ def _grid_rows_python(
             else:
                 out[i, j] = fifo_delay(hops, capacity, gamma, cross.rate, sigma)
     if form != "exact":
-        return out, None, None
-    g_flat = g.reshape(lanes * grid)
-    r_svc = capacity - np.arange(hops, dtype=float)[None, :] * g_flat[:, None]
-    r_cross = np.repeat([c.rate for c in crosses], grid) + g_flat
-    return out, r_svc, r_cross
+        return out, None, None, None
+    out = out.reshape(lanes * grid)
+    contexts = [table.context(index) for index in indices]
+    g_flat = np.array([table.grid(index) for index in indices]).ravel()
+
+    def per_point(values):
+        return np.repeat(np.array(values, dtype=float), grid)[:, None]
+
+    r_svc = per_point([c[3] for c in contexts]) - (
+        np.arange(hops, dtype=float)[None, :] * g_flat[:, None]
+    )
+    r_cross = per_point([c[1].rate for c in contexts]) + g_flat[:, None]
+    return out, r_svc, r_cross, per_point([c[4] for c in contexts])
 
 
 def _e2e_probe(

@@ -56,6 +56,7 @@ __all__ = [
     "trace",
     "add",
     "set_gauge",
+    "record",
     "observe",
     "snapshot",
     "merge",
@@ -96,6 +97,12 @@ def add(name: str, value: float = 1.0) -> None:
 
 def set_gauge(name: str, value: Any) -> None:
     _active.set_gauge(name, value)
+
+
+def record(
+    counters: Mapping[str, float], gauges: Mapping[str, Any] | None = None
+) -> None:
+    _active.record(counters, gauges)
 
 
 def observe(name: str, value: float) -> None:

@@ -103,6 +103,9 @@ class MetricsRegistry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, Any] = {}
         self._series: dict[str, list[float]] = {}
+        #: How many times :meth:`reset` has run: a writer that records a
+        #: value once per registry records it again after a reset.
+        self.resets = 0
 
     # ------------------------------------------------------------------ #
     # switching
@@ -172,6 +175,23 @@ class MetricsRegistry:
             return
         with self._lock:
             self._gauges[name] = value
+
+    def record(
+        self,
+        counters: Mapping[str, float],
+        gauges: Mapping[str, Any] | None = None,
+    ) -> None:
+        """:meth:`add` every counter and :meth:`set_gauge` every gauge
+        under one lock (no-op while disabled): what a hot call site
+        records per call costs one registry call, not one per name."""
+        if not self._enabled:
+            return
+        with self._lock:
+            totals = self._counters
+            for name, value in counters.items():
+                totals[name] = totals.get(name, 0.0) + value
+            if gauges:
+                self._gauges.update(gauges)
 
     def observe(self, name: str, value: float) -> None:
         """Append ``value`` to series ``name`` (capped at ``SERIES_CAP``)."""
@@ -262,6 +282,7 @@ class MetricsRegistry:
             self._counters = {}
             self._gauges = {}
             self._series = {}
+            self.resets += 1
 
     # ------------------------------------------------------------------ #
     # introspection helpers (used by tests and the CLI summary line)

@@ -67,6 +67,18 @@ class _HttpError(Exception):
         self.body = {"error": {"code": code, "message": message}}
 
 
+async def _readline(
+    reader: asyncio.StreamReader, status: int, code: str, message: str
+) -> bytes:
+    """One line of the request head; a line past the reader's limit
+    (64 KiB), which ``readline`` refuses with :class:`ValueError`,
+    becomes the error response ``status``/``code``."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HttpError(status, code, message) from None
+
+
 class HttpServer:
     """Serves one :class:`BoundService` over asyncio sockets.
 
@@ -196,7 +208,9 @@ class HttpServer:
         reader: asyncio.StreamReader,
     ) -> tuple[str, str, dict[str, str], bytes | None] | None:
         # runs under _read_request's one deadline, so no read here is timed
-        line = await reader.readline()
+        line = await _readline(
+            reader, 400, "bad-request-line", "request line too long"
+        )
         if not line:
             return None
         try:
@@ -209,7 +223,9 @@ class HttpServer:
         headers: dict[str, str] = {}
         header_bytes = 0
         while True:
-            line = await reader.readline()
+            line = await _readline(
+                reader, 413, "headers-too-large", "header line too long"
+            )
             header_bytes += len(line)
             if header_bytes > _MAX_HEADER_BYTES:
                 raise _HttpError(413, "headers-too-large", "header block too large")

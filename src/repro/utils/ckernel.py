@@ -35,9 +35,10 @@ returns ``None`` and the callers run their Python bodies, which give
 identical results; a build or load that fails says so once per kernel
 in a :class:`RuntimeWarning` naming the kernel and the compiler's
 stderr, so a slow fallback is never silent.  When
-:mod:`repro.obs` is enabled, every :meth:`CKernel.load` reports the
-kernel's availability through the callback the kernel registered (a
-``<kernel>.available`` gauge).
+:mod:`repro.obs` is enabled, :meth:`CKernel.load` reports the kernel's
+availability through the callback the kernel registered (a
+``<kernel>.available`` gauge), once into each enabled registry and again
+after that registry is reset.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class CKernel:
     ``name`` prefixes the cached file names, ``signatures`` declares
     every exported function, ``link_inputs`` lists the prebuilt objects
     linked in after the source, and ``report(available)`` — typically a
-    one-line ``obs.set_gauge`` — runs on each :meth:`load` while
-    :mod:`repro.obs` is enabled.
+    one-line ``obs.set_gauge`` — runs on the first :meth:`load` into each
+    enabled :mod:`repro.obs` registry (and again after a reset of it).
     """
 
     def __init__(
@@ -176,6 +177,8 @@ class CKernel:
         self._report = report
         self._lib: ctypes.CDLL | None = None
         self._checked = False
+        # the registry (and its reset count) the gauge last went to
+        self._reported: tuple[obs.MetricsRegistry | None, int] = (None, 0)
 
     def source_key(self) -> str:
         """Hash of the source and of every link input's identity."""
@@ -231,8 +234,14 @@ class CKernel:
         if not self._checked:
             self._lib = self.compile()
             self._checked = True
-        if self._report is not None and obs.enabled():
-            self._report(self._lib is not None)
+        if self._report is not None:
+            registry = obs.active()
+            if registry.enabled():
+                # once per registry: a hot kernel call pays no lock
+                reported, resets = self._reported
+                if reported is not registry or resets != registry.resets:
+                    self._report(self._lib is not None)
+                    self._reported = (registry, registry.resets)
         return self._lib
 
     def available(self) -> bool:

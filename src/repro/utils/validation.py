@@ -32,6 +32,10 @@ def check_finite(value: float, label: str = "") -> float:
 
 def check_positive(value: float, label: str = "") -> float:
     """Return ``value`` if it is a finite number strictly greater than zero."""
+    # the common case, a positive finite float, in one comparison (NaN
+    # fails it); every other value takes the full conversion below
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     as_float = check_finite(value, label)
     if as_float <= 0:
         raise ValueError(f"{_name(label)} must be > 0, got {as_float!r}")

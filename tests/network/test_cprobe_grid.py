@@ -1,17 +1,17 @@
 """The compiled γ grid matches its Python body byte for byte.
 
-:func:`repro.network.vectorized.e2e_delay_grid_rows` evaluates its
-points in :func:`repro.network.cprobe.grid_rows` whenever the kernel
-loads and the path has at most :data:`~repro.network.cprobe.MAX_HOPS`
-hops; :func:`repro.network.vectorized._grid_rows_python` is the
-fallback.  Both use the probe's own σ
-(:func:`~repro.network.vectorized._sigma_raw`, libm in C and ``math`` in
-Python) and closed forms, so the properties here compare them by
-``tobytes()``: the kernel's raw outputs (delays, or σ and the Eq. (38)
-rates) and the finished rows, in every Δ case, on paths of 1-64 hops,
-with γ up to and past the Eq. (32) headroom, for MMOO pairs (the
-``n_cross = 0`` placeholder included) and free EBBs, and with ε values
-that drive σ negative or NaN.  The same draws check the compiled probe
+:func:`repro.network.vectorized.e2e_delay_grid_rows` evaluates the γ
+grids of contexts registered in a :class:`~repro.network.cprobe.ProbeTable`
+in :func:`repro.network.cprobe.grid_rows` whenever the kernel loads and
+the path has at most :data:`~repro.network.cprobe.MAX_HOPS` hops;
+:func:`repro.network.vectorized._grid_rows_python` is the fallback.
+Both use the probe's own σ (:func:`~repro.network.vectorized._sigma_raw`,
+libm in C and ``math`` in Python) and closed forms, so the properties
+here compare them by ``tobytes()``: the kernel's raw outputs (delays, or
+σ, the Eq. (38) rates and Δ) and the finished rows, in every Δ case, on
+paths of 1-64 hops, with γ up to and past the Eq. (32) headroom, for
+MMOO pairs (the ``n_cross = 0`` placeholder included) and free EBBs, and
+with ε values that drive σ negative or NaN.  The same draws check the compiled probe
 (its event sort included) against
 :func:`~repro.network.vectorized._e2e_probe`.  On the grids the lane
 engine builds (MMOO pairs, the log grid inside the Eq. (32) headroom,
@@ -54,6 +54,19 @@ DELTAS = {
 
 def _python_path():
     return mock.patch.object(cprobe.KERNEL, "load", lambda: None)
+
+
+def _table_rows(throughs, crosses, hops, capacity, deltas, epsilon, gammas):
+    """Register one context per row, with its γ row as its grid: the
+    ``(indices, table)`` of an ``e2e_delay_grid_rows`` call."""
+    table = cprobe.ProbeTable()
+    indices = [
+        table.add(through, cross, hops, capacity, delta, epsilon, row)
+        for through, cross, delta, row in zip(
+            throughs, crosses, deltas, np.asarray(gammas).tolist()
+        )
+    ]
+    return indices, table
 
 
 @st.composite
@@ -108,15 +121,17 @@ def grid_inputs(draw):
 @given(grid_inputs())
 def test_grid_rows_bytes_match_python(inputs):
     throughs, crosses, hops, capacity, deltas, epsilon, gammas = inputs
-    got = e2e_delay_grid_rows(*inputs)
+    rows = _table_rows(*inputs)
+    got = e2e_delay_grid_rows(*rows)
     with _python_path():
-        want = e2e_delay_grid_rows(*inputs)
+        want = e2e_delay_grid_rows(*rows)
     assert got.tobytes() == want.tobytes()
     assert got.shape == want.shape == gammas.shape
 
     # the kernel's own outputs: delays, or sigma and the Eq. (38) rates
+    # and deltas
     form = {math.inf: "bmux", 0.0: "fifo"}.get(deltas[0], "exact")
-    args = (throughs, crosses, hops, capacity, epsilon, gammas, form)
+    args = (*rows, hops, gammas.shape[1], form)
     raw = cprobe.grid_rows(*args)
     if raw is not None:
         for part, oracle in zip(raw, _grid_rows_python(*args)):
@@ -167,7 +182,7 @@ def _fig2_lanes(delta, lanes=3, grid=12, hops=10):
 def test_fallback_rows_counted(delta, fallbacks):
     """One per row the Python grid serves; the exact rows' numpy solve
     adds one per point."""
-    args = _fig2_lanes(delta)
+    args = _table_rows(*_fig2_lanes(delta))
     with obs.scoped() as compiled:
         got = e2e_delay_grid_rows(*args)
     with _python_path(), obs.scoped() as registry:
@@ -184,7 +199,7 @@ def test_above_max_hops_takes_python_path():
         MMOOParameters.paper_defaults(), 10, 10, 0.05
     )
     hops = cprobe.MAX_HOPS + 1
-    args = (
+    args = _table_rows(
         [through], [cross], hops, 100.0, [0.0], 1e-9,
         np.array([[1e-4, 1e-3, 0.02]]),
     )
@@ -200,10 +215,71 @@ def test_mixed_cases_rejected():
     args = list(_fig2_lanes(0.0, lanes=2))
     args[4] = [0.0, -3.0]  # FIFO beside an exact-solve row
     with pytest.raises(ValueError, match="delta == 0"):
-        e2e_delay_grid_rows(*args)
+        e2e_delay_grid_rows(*_table_rows(*args))
     args[4] = [math.inf, -3.0]
     with pytest.raises(ValueError, match="one Eq. \\(38\\) case"):
-        e2e_delay_grid_rows(*args)
+        e2e_delay_grid_rows(*_table_rows(*args))
+
+
+@pytest.mark.parametrize("delta", [0.0, -20.0])
+def test_rows_of_other_shapes_rejected(delta):
+    """Rows of one call share their grid length and hop count, and every
+    row has a grid; the kernel refuses what its caller let through."""
+    throughs, crosses, hops, capacity, deltas, epsilon, gammas = (
+        _fig2_lanes(delta, lanes=2)
+    )
+    indices, table = _table_rows(
+        throughs, crosses, hops, capacity, deltas, epsilon, gammas
+    )
+    short = table.add(
+        throughs[0], crosses[0], hops, capacity, delta, epsilon,
+        gammas[0, :-1].tolist(),
+    )
+    other = table.add(
+        throughs[0], crosses[0], hops + 1, capacity, delta, epsilon,
+        gammas[0].tolist(),
+    )
+    bare = table.add(throughs[0], crosses[0], hops, capacity, delta, epsilon)
+    for odd in (short, other):
+        with pytest.raises(ValueError, match="share hops and grid length"):
+            e2e_delay_grid_rows([indices[0], odd], table)
+    with pytest.raises(ValueError, match="no gamma grid"):
+        e2e_delay_grid_rows([bare], table)
+    form = "fifo" if delta == 0.0 else "exact"
+    if cprobe.available():
+        with pytest.raises(ValueError, match="12-point grid"):
+            cprobe.grid_rows([indices[0], short], table, hops, 12, form)
+
+
+def test_shared_grid_rows_are_the_registered_ones():
+    """A grid list registered with several contexts is stored once, and
+    a context on it gets the row a fresh copy of the list gives, in C
+    and in Python, whatever was registered in between."""
+    throughs, crosses, hops, capacity, _, _, gammas = _fig2_lanes(-20.0)
+    table = cprobe.ProbeTable()
+    shared = gammas[0].tolist()
+    first = table.add(
+        throughs[0], crosses[0], hops, capacity, -20.0, 1e-9, shared
+    )
+    # grow the context and grid buffers past their first allocation
+    for _ in range(200):
+        table.add(
+            throughs[1], crosses[1], hops, capacity, -20.0, 1e-9,
+            gammas[1].tolist(),
+        )
+    again = table.add(
+        throughs[0], crosses[0], hops, capacity, -5.0, 1e-6, shared
+    )
+    fresh = table.add(
+        throughs[0], crosses[0], hops, capacity, -5.0, 1e-6, list(shared)
+    )
+    at = cprobe.CTX_FIELDS.index("grid_at")
+    assert table._buf[again, at] == table._buf[first, at]
+    assert table._buf[fresh, at] != table._buf[first, at]
+    for path in (contextlib.nullcontext, _python_path):
+        with path():
+            rows = e2e_delay_grid_rows([again, fresh], table)
+        assert rows[0].tobytes() == rows[1].tobytes()
 
 
 @st.composite
@@ -243,16 +319,13 @@ def test_engine_grid_points_equal_probe_bytes(inputs):
     """Every point of an engine γ grid row holds the probe's bytes at
     that γ, in C and in the Python bodies: the value a search takes from
     the grid is the probe's."""
-    throughs, crosses, hops, capacity, deltas, epsilon, gammas = inputs
-    table = cprobe.ProbeTable()
-    indices = [
-        table.add(through, cross, hops, capacity, delta, epsilon)
-        for through, cross, delta in zip(throughs, crosses, deltas)
-    ]
-    lanes, grid = gammas.shape
+    indices, table = _table_rows(*inputs)
+    lanes, grid = inputs[-1].shape
     points = [index for index in indices for _ in range(grid)]
     for path in (contextlib.nullcontext, _python_path):
         with path():
-            rows = e2e_delay_grid_rows(*inputs)
-            probed = cprobe.probe_values(table, points, gammas.ravel())
+            rows = e2e_delay_grid_rows(indices, table)
+            probed = cprobe.probe_values(
+                table, points, inputs[-1].ravel().tolist()
+            )
         assert rows.tobytes() == probed.tobytes()

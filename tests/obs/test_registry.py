@@ -60,6 +60,17 @@ class TestCounters:
         registry.add("steps", 3.5)
         assert registry.counter("steps") == pytest.approx(10.5)
 
+    def test_record_adds_counters_and_sets_gauges(self, registry):
+        registry.add("a", 2)
+        registry.record({"a": 3, "b": 1}, {"g": [1, 2]})
+        registry.record({"a": 1})
+        assert registry.counter("a") == 6.0
+        assert registry.counter("b") == 1.0
+        assert registry.gauge("g") == [1, 2]
+        off = MetricsRegistry()
+        off.record({"a": 1}, {"g": 1})
+        assert off.counter("a") == 0.0 and off.gauge("g") is None
+
     def test_missing_counter_reads_zero(self, registry):
         assert registry.counter("never") == 0.0
 

@@ -10,6 +10,7 @@ skips the sha256 cell key.
 import functools
 import http.client
 import json
+import logging
 import socket
 
 import pytest
@@ -336,6 +337,51 @@ def test_oversized_header_block_is_413(harness):
     assert status == 413
     assert headers["connection"] == "close"
     assert json.loads(body)["error"]["code"] == "headers-too-large"
+
+
+def _overlong_exchange(harness, caplog, head: bytes):
+    """Send a request head with one line past the server's 64 KiB
+    stream-reader limit; the responses, and the errors the server
+    logged meanwhile."""
+    with caplog.at_level(logging.ERROR):
+        with socket.create_connection((harness.host, harness.port)) as sock:
+            sock.settimeout(10.0)
+            sock.sendall(head)
+            responses = _responses(sock)
+        # a healthy exchange afterwards: the handler task ended cleanly
+        with harness.client() as client:
+            assert client.healthz()["status"] == "ok"
+    return responses, [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+def test_overlong_header_line_is_413_and_close(harness, caplog):
+    """One header line longer than the stream reader's line limit is
+    answered like an oversized header block — 413, then close — not
+    with a bare close and a traceback in the server."""
+    responses, errors = _overlong_exchange(
+        harness, caplog,
+        b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n"
+        b"X-Long: " + b"a" * (70 << 10) + b"\r\n\r\n",
+    )
+    ((status, headers, body),) = responses
+    assert status == 413
+    assert headers["connection"] == "close"
+    assert json.loads(body)["error"]["code"] == "headers-too-large"
+    assert errors == []
+
+
+def test_overlong_request_line_is_400_and_close(harness, caplog):
+    """A request line (here its path) longer than the stream reader's
+    line limit is a malformed request line: 400, then close."""
+    responses, errors = _overlong_exchange(
+        harness, caplog,
+        b"GET /" + b"p" * (70 << 10) + b" HTTP/1.1\r\nHost: t\r\n\r\n",
+    )
+    ((status, headers, body),) = responses
+    assert status == 400
+    assert headers["connection"] == "close"
+    assert json.loads(body)["error"]["code"] == "bad-request-line"
+    assert errors == []
 
 
 def test_lf_only_line_endings_are_served(harness):

@@ -171,3 +171,45 @@ class TestLoadMeans:
     def test_reads_baseline_format(self, baseline):
         means = check_regression.load_means(baseline)
         assert means["bench_a"] == pytest.approx(1.0)
+
+
+CAL_US = check_regression.CALIBRATION_US
+
+
+class TestMicrosecondFactor:
+    """Rows under a millisecond take the microsecond calibration row's
+    factor when both files carry it; longer rows keep the main one."""
+
+    BASE = {CAL: 1.0, CAL_US: 5e-6, "slow_row": 1.0, "fast_row": 4e-5}
+
+    def run(self, tmp_path, means):
+        base = tmp_path / "MICRO.json"
+        check_regression.write_baseline(self.BASE, base)
+        current = write(tmp_path, "pr.json", pytest_bench_json(means))
+        return check_regression.main([str(current), "--baseline", str(base)])
+
+    def test_loaded_host_moves_microsecond_rows_by_their_own_factor(
+        self, tmp_path, capsys
+    ):
+        # the millisecond loop reads +10%, microsecond calls +45%
+        means = {
+            CAL: 1.1, CAL_US: 5e-6 * 1.45, "slow_row": 1.1,
+            "fast_row": 4e-5 * 1.45,
+        }
+        assert self.run(tmp_path, means) == 0
+        assert "microsecond-row factor: 1.450" in capsys.readouterr().out
+        # scaled by the main factor, the unchanged fast row fails
+        _, flagged = check_regression.compare(
+            {k: v for k, v in means.items() if k != CAL_US},
+            {k: v for k, v in self.BASE.items() if k != CAL_US},
+            tolerance=0.30, normalize=True,
+        )
+        assert flagged == ["fast_row"]
+
+    def test_slower_microsecond_row_still_fails(self, tmp_path):
+        # same loaded host, and the fast row 40% slower on top of it
+        means = {
+            CAL: 1.1, CAL_US: 5e-6 * 1.45, "slow_row": 1.1,
+            "fast_row": 4e-5 * 1.45 * 1.4,
+        }
+        assert self.run(tmp_path, means) == 1

@@ -101,6 +101,29 @@ def test_availability_gauge_reported_in_every_traced_registry(monkeypatch):
     assert seen == [False, False]
 
 
+def test_availability_gauge_reported_once_per_registry_and_reset(
+    monkeypatch,
+):
+    """Repeated loads into one registry report once; after the registry's
+    ``reset`` (which drops its gauges) the next load reports again."""
+    seen = []
+    kernel = ckernel.CKernel(
+        "probe_test", "", {},
+        report=lambda ok: (seen.append(ok), obs.set_gauge("probe_test", ok)),
+    )
+    monkeypatch.setattr(kernel, "compile", lambda: None)
+    with obs.scoped() as registry:
+        for _ in range(3):
+            kernel.load()
+        assert seen == [False]
+        registry.reset()
+        assert registry.gauge("probe_test") is None
+        kernel.load()
+        kernel.load()
+        assert seen == [False, False]
+        assert registry.gauge("probe_test") is False
+
+
 def test_missing_override_dir_is_created_private(tmp_path, monkeypatch):
     """A ``REPRO_CPROBE_DIR`` that does not exist yet is created 0700,
     not a silent reason to run every kernel's Python fallback."""
